@@ -19,12 +19,11 @@ from .lddmm import (GeodesicPath, InitialMomenta, ShootingError,
                     flow_points_inverse, load_momenta, path_energies,
                     save_momenta, shoot, shoot_gradient)
 from .mesh import (MeshError, ScalarField, TriangleMesh, load_field,
-                   load_mesh, save_field, save_mesh)
+                   load_mesh, lumped_mass, save_field, save_mesh)
 from .pipeline import (ConfigError, PipelineConfig, emit_covariation,
                        emit_mode_visualization, run_pipeline)
 from .similarity import (SimilarityResult, current_distance,
-                         current_distance_points, fcurrent_distance,
-                         landmark_distance)
+                         fcurrent_distance, landmark_distance)
 from .synthdata import (SimDataset, SimModes, SimSpec, c_shape_images,
                         ellipsoid_patch, generate_dataset, hemisphere,
                         icosphere, make_modes, make_template, refine_mesh)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh import ScalarField, TriangleMesh
+from .mesh import ScalarField, TriangleMesh, lumped_mass
 from .tangent_fem import (TangentField, TangentFrameAtlas, apply_dirichlet,
                           assemble_connection_matrices, build_frames,
                           build_system, solve_update)
@@ -198,19 +198,6 @@ class VertexMap:
         return self._run(np.asarray(points, float),
                          list(reversed(self.updates)), -1.0)[0]
 
-    def pull_back(self, values) -> np.ndarray:
-        """(values o s) sampled at the mesh vertices."""
-        _, fidx, bary = self._run(self.mesh.vertices, self.updates, +1.0)
-        return self.projector.interpolate_at(fidx, bary,
-                                             np.asarray(values, float))
-
-    def push_forward(self, values) -> np.ndarray:
-        """(values o s^-1) sampled at the mesh vertices."""
-        _, fidx, bary = self._run(self.mesh.vertices,
-                                  list(reversed(self.updates)), -1.0)
-        return self.projector.interpolate_at(fidx, bary,
-                                             np.asarray(values, float))
-
     def inverse_consistency(self) -> float:
         """max |s^-1(s(x)) - x| over the vertices, as a diagnostic."""
         fwd = self.apply(self.mesh.vertices)
@@ -222,19 +209,19 @@ class VertexMap:
 
 @dataclass
 class DemonsConfig:
+    """Settings of the demons update. The driving force J is the symmetric
+    mean of the moving and fixed gradients, and boundary vertices are held
+    fixed (a no-op on closed meshes)."""
+
     lam: float = 1.0                 # regularization weight
     max_iterations: int = 60
     max_step_frac: float = 0.4      # step cap, fraction of mean edge length
     tol: float = 1e-4               # relative SSD decrease defining a stall
     stall_iterations: int = 3       # consecutive stalls before stopping
-    j_mode: str = "symmetric"       # symmetric | moving
-    dirichlet: bool = True
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.j_mode not in ("symmetric", "moving"):
-            raise ValueError("j_mode must be 'symmetric' or 'moving'")
 
 
 @dataclass
@@ -246,8 +233,59 @@ class DemonsResult:
     converged: bool
 
 
-def _ssd(mesh, a, b, mass):
+@dataclass
+class _Demons:
+    """What every update on one surface shares."""
+
+    mesh: TriangleMesh
+    atlas: TangentFrameAtlas
+    r0: object
+    r1: object
+    lam: float
+    step_cap: float
+    mass: np.ndarray                # lumped vertex mass
+    projector: SurfaceProjector
+
+
+def _demons_setup(mesh, config, atlas) -> _Demons:
+    if atlas is None:
+        atlas = build_frames(mesh)
+    r0, r1 = assemble_connection_matrices(mesh, atlas)
+    step_cap = config.max_step_frac * float(mesh.edge_lengths.mean())
+    return _Demons(mesh, atlas, r0, r1, config.lam, step_cap,
+                   lumped_mass(mesh), SurfaceProjector(mesh))
+
+
+def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
+    """One linearized demons update of `warped` (moving resampled at the
+    surface attachments `state`) toward `fixed`, whose frame gradient is
+    g_fixed: solve for the update field, cap its largest step, compose it
+    onto the attachments and re-project.
+
+    Returns (ambient update, new state, new warped values), or None when
+    the update vanishes."""
+    g_w = vertex_gradient(d.mesh, warped, d.atlas).coefficients
+    j_field = TangentField(d.atlas, -0.5 * (g_w + g_fixed))
+    system = apply_dirichlet(build_system(d.mesh, d.atlas, d.r0, d.r1,
+                                          j_field, fixed - warped))
+    amb = solve_update(system, d.lam).ambient()
+    umax = float(np.linalg.norm(amb, axis=1).max())
+    if umax < 1e-14:
+        return None
+    if umax > d.step_cap:
+        amb = amb * (d.step_cap / umax)
+    cur, cur_f, cur_b = state
+    proj = d.projector
+    state = proj.project(cur + proj.interpolate_at(cur_f, cur_b, amb))
+    return amb, state, proj.interpolate_at(state[1], state[2], moving)
+
+
+def _ssd(a, b, mass):
     return float(np.sum(mass * (a - b) ** 2))
+
+
+def _values(f):
+    return f.values if isinstance(f, ScalarField) else np.asarray(f, float)
 
 
 def register_functions(mesh: TriangleMesh, moving, fixed,
@@ -256,57 +294,27 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
     """Find s such that moving o s matches fixed, both given as per-vertex
     values (or ScalarFields) on the same surface."""
     config = config or DemonsConfig()
-    m_vals = moving.values if isinstance(moving, ScalarField) else \
-        np.asarray(moving, float)
-    f_vals = fixed.values if isinstance(fixed, ScalarField) else \
-        np.asarray(fixed, float)
+    m_vals, f_vals = _values(moving), _values(fixed)
     if m_vals.shape != (mesh.n_vertices,) or f_vals.shape != (mesh.n_vertices,):
         raise ValueError("value arrays must match the vertex count")
 
-    if atlas is None:
-        atlas = build_frames(mesh)
-    r0, r1 = assemble_connection_matrices(mesh, atlas)
-
-    edges = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
-                            mesh.faces[:, [2, 0]]])
-    mean_edge = float(np.linalg.norm(
-        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1).mean())
-    step_cap = config.max_step_frac * mean_edge
-
-    mass = np.zeros(mesh.n_vertices)
-    for col in range(3):
-        np.add.at(mass, mesh.faces[:, col], mesh.face_areas / 3.0)
-
-    mapping = VertexMap(mesh)
-    proj = mapping.projector
-    cur, cur_f, cur_b = proj.project(mesh.vertices)   # running s(vertices)
+    d = _demons_setup(mesh, config, atlas)
+    mapping = VertexMap(mesh, _projector=d.projector)
+    state = d.projector.project(mesh.vertices)     # running s(vertices)
     warped = m_vals.copy()
-    trace = [_ssd(mesh, warped, f_vals, mass)]
+    trace = [_ssd(warped, f_vals, d.mass)]
     stalls = 0
     converged = False
     it = 0
-    g_f = vertex_gradient(mesh, f_vals, atlas).coefficients
+    g_f = vertex_gradient(mesh, f_vals, d.atlas).coefficients
     for it in range(1, config.max_iterations + 1):
-        z = f_vals - warped
-        g_w = vertex_gradient(mesh, warped, atlas).coefficients
-        jc = -0.5 * (g_w + g_f) if config.j_mode == "symmetric" else -g_w
-        j_field = TangentField(atlas, jc)
-        system = build_system(mesh, atlas, r0, r1, j_field, z)
-        if config.dirichlet:
-            system = apply_dirichlet(system)
-        u = solve_update(system, config.lam)
-        amb = u.ambient()
-        umax = float(np.linalg.norm(amb, axis=1).max())
-        if umax < 1e-14:
+        step = _demons_step(d, state, m_vals, warped, f_vals, g_f)
+        if step is None:
             converged = True
             break
-        if umax > step_cap:
-            amb = amb * (step_cap / umax)
+        amb, state, warped = step
         mapping.updates.append(amb)
-        moved = cur + proj.interpolate_at(cur_f, cur_b, amb)
-        cur, cur_f, cur_b = proj.project(moved)
-        warped = proj.interpolate_at(cur_f, cur_b, m_vals)
-        trace.append(_ssd(mesh, warped, f_vals, mass))
+        trace.append(_ssd(warped, f_vals, d.mass))
         if trace[-2] - trace[-1] < config.tol * trace[0]:
             stalls += 1
             if stalls >= config.stall_iterations:
@@ -342,58 +350,28 @@ def groupwise_template(mesh: TriangleMesh, fields,
     Returns (template values, list of VertexMap, list of aligned values).
     """
     config = config or DemonsConfig()
-    vals = [f.values if isinstance(f, ScalarField) else np.asarray(f, float)
-            for f in fields]
+    vals = [_values(f) for f in fields]
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two fields")
-    if atlas is None:
-        atlas = build_frames(mesh)
-    r0, r1 = assemble_connection_matrices(mesh, atlas)
-
-    edges = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
-                            mesh.faces[:, [2, 0]]])
-    mean_edge = float(np.linalg.norm(
-        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1).mean())
-    step_cap = config.max_step_frac * mean_edge
-    mass = np.zeros(mesh.n_vertices)
-    for col in range(3):
-        np.add.at(mass, mesh.faces[:, col], mesh.face_areas / 3.0)
-
-    mappings = [VertexMap(mesh) for _ in range(n)]
-    proj = mappings[0].projector
-    for m in mappings[1:]:
-        m._projector = proj
-    identity = proj.project(mesh.vertices)
-    states = [identity] * n
+    d = _demons_setup(mesh, config, atlas)
+    mappings = [VertexMap(mesh, _projector=d.projector) for _ in range(n)]
+    states = [d.projector.project(mesh.vertices)] * n
     aligned = [v.copy() for v in vals]
     template = np.mean(aligned, axis=0)
     prev_evals = None
     stable = 0
     for _ in range(config.max_iterations):
-        g_t = vertex_gradient(mesh, template, atlas).coefficients
+        g_t = vertex_gradient(mesh, template, d.atlas).coefficients
         for i in range(n):
-            z = template - aligned[i]
-            g_w = vertex_gradient(mesh, aligned[i], atlas).coefficients
-            jc = -0.5 * (g_w + g_t) if config.j_mode == "symmetric" else -g_w
-            system = build_system(mesh, atlas, r0, r1,
-                                  TangentField(atlas, jc), z)
-            if config.dirichlet:
-                system = apply_dirichlet(system)
-            amb = solve_update(system, config.lam).ambient()
-            umax = float(np.linalg.norm(amb, axis=1).max())
-            if umax < 1e-14:
+            step = _demons_step(d, states[i], vals[i], aligned[i], template,
+                                g_t)
+            if step is None:
                 continue
-            if umax > step_cap:
-                amb = amb * (step_cap / umax)
+            amb, states[i], aligned[i] = step
             mappings[i].updates.append(amb)
-            cur, cur_f, cur_b = states[i]
-            moved = cur + proj.interpolate_at(cur_f, cur_b, amb)
-            states[i] = proj.project(moved)
-            aligned[i] = proj.interpolate_at(states[i][1], states[i][2],
-                                             vals[i])
         template = np.mean(aligned, axis=0)
-        evals = _top_eigenvalues(aligned, mass)
+        evals = _top_eigenvalues(aligned, d.mass)
         if prev_evals is not None and np.all(
                 np.abs(evals - prev_evals)
                 <= 0.01 * np.maximum(prev_evals, 1e-300)):

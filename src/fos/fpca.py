@@ -19,39 +19,8 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .kernels import GaussianKernel
-from .mesh import ScalarField, TriangleMesh
-
-
-# -- scalar FEM matrices -------------------------------------------------------
-
-def cotangent_stiffness(mesh: TriangleMesh) -> sparse.csr_matrix:
-    """Scalar cotangent Laplacian stiffness matrix (symmetric PSD)."""
-    v = mesh.vertices
-    rows, cols, vals = [], [], []
-    for face in mesh.faces:
-        for a, b, c in ((face[0], face[1], face[2]),
-                        (face[1], face[2], face[0]),
-                        (face[2], face[0], face[1])):
-            ea, eb = v[a] - v[c], v[b] - v[c]
-            w = 0.5 * np.dot(ea, eb) / np.linalg.norm(np.cross(ea, eb))
-            rows += [a, b, a, b]
-            cols += [b, a, a, b]
-            vals += [-w, -w, w, w]
-    n = mesh.n_vertices
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def consistent_mass(mesh: TriangleMesh) -> sparse.csr_matrix:
-    """Consistent (Galerkin) mass matrix of linear elements."""
-    rows, cols, vals = [], [], []
-    for face, area in zip(mesh.faces, mesh.face_areas):
-        for i in range(3):
-            for j in range(3):
-                rows.append(face[i])
-                cols.append(face[j])
-                vals.append(area / 6.0 if i == j else area / 12.0)
-    n = mesh.n_vertices
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+from .mesh import (ScalarField, TriangleMesh, consistent_mass,
+                   cotangent_stiffness)
 
 
 # -- geometric fPCA ------------------------------------------------------------

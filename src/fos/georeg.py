@@ -32,7 +32,6 @@ class RegistrationConfig:
     max_shrinks: int = 30
     grad_tolerance: float = 1e-8
     shooting_steps: int = 10
-    optimizer: str = "gd"              # gd (Armijo descent) | lbfgs
     # per-iteration cap on the momentum update's max entry, as a fraction
     # of the template bounding-box diagonal; guards against the first
     # steps overshooting into tangled configurations when the similarity
@@ -46,8 +45,6 @@ class RegistrationConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.similarity not in ("landmark", "current", "fcurrent"):
             raise ValueError(f"unknown similarity {self.similarity!r}")
-        if self.optimizer not in ("gd", "lbfgs"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass

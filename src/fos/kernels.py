@@ -93,14 +93,6 @@ class GaussianKernel:
             g = g - self.weight * np.exp(-d2 / (2.0 * self.sigma2 ** 2)) / self.sigma2 ** 2
         return diff * np.expand_dims(g, -1)
 
-    def gram_gradient(self, points_a, points_b):
-        """(|a|, |b|, 3) array of gradients wrt the first argument."""
-        a = np.asarray(points_a, float)
-        b = np.asarray(points_b, float)
-        diff = a[:, None, :] - b[None, :, :]
-        g = self.grad_factor(np.sum(diff ** 2, axis=-1))
-        return diff * g[..., None]
-
 
 def scalar_gaussian(sigma):
     """Scalar kernel on function values, exp(-(x-y)^2 / (2 sigma^2)).

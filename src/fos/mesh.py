@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 
@@ -14,9 +15,9 @@ class TriangleMesh:
     """Immutable triangulated surface embedded in R^3.
 
     Vertices and faces keep the order of the source arrays/files. Derived
-    per-face quantities (centers, unit normals, areas) and per-vertex
-    boundary flags are computed once at construction. Counter-clockwise
-    winding is taken to define the outward normal.
+    per-face quantities (centers, unit normals, areas), the face-edge list
+    and per-vertex boundary flags are computed once at construction.
+    Counter-clockwise winding is taken to define the outward normal.
     """
 
     def __init__(self, vertices, faces):
@@ -48,6 +49,9 @@ class TriangleMesh:
         # area-weighted (un-normalized) normals, used by current metrics
         self.face_area_normals = 0.5 * cross
 
+        # (3F, 2) directed face sides: every face's (0, 1) side first, then
+        # every (1, 2), then every (2, 0). Interior edges appear twice.
+        self.edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         self.boundary_vertices = self._boundary_flags()
         self._tree = None
         self._vertex_faces = None
@@ -59,10 +63,7 @@ class TriangleMesh:
         flags = np.zeros(len(self.vertices), dtype=bool)
         if not len(self.faces):
             return flags
-        e = np.concatenate([self.faces[:, [0, 1]],
-                            self.faces[:, [1, 2]],
-                            self.faces[:, [2, 0]]])
-        e = np.sort(e, axis=1)
+        e = np.sort(self.edges, axis=1)
         _, inv, counts = np.unique(e, axis=0, return_inverse=True,
                                    return_counts=True)
         boundary_edges = np.unique(e[counts[inv] == 1], axis=0)
@@ -81,6 +82,13 @@ class TriangleMesh:
     @property
     def total_area(self):
         return float(self.face_areas.sum())
+
+    @property
+    def edge_lengths(self):
+        """Length of every entry of `edges`, shape (3F,)."""
+        e = self.edges
+        return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]],
+                              axis=1)
 
     @property
     def vertex_faces(self):
@@ -108,11 +116,6 @@ class TriangleMesh:
 
     # -- queries -----------------------------------------------------------
 
-    def face_geometry(self, face):
-        """Return (center, unit normal, area) of one face."""
-        return (self.face_centers[face], self.face_normals[face],
-                float(self.face_areas[face]))
-
     def nearest_vertex(self, point):
         """Index of the closest vertex; ties broken by lowest index."""
         return int(self.nearest_vertices(np.asarray(point)[None, :])[0])
@@ -138,6 +141,54 @@ class TriangleMesh:
     def with_vertices(self, new_vertices):
         """New mesh sharing this mesh's faces (deformations copy, never mutate)."""
         return TriangleMesh(new_vertices, self.faces)
+
+
+# -- finite-element operators -------------------------------------------------
+
+def _dot(x, y):
+    """Row-wise dot products of (..., 3) arrays, rounded as np.dot rounds
+    one pair."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def lumped_mass(mesh: TriangleMesh) -> np.ndarray:
+    """Barycentric vertex areas (1/3 of incident face areas)."""
+    # column-major order adds each vertex's (0), (1), (2) corner shares in
+    # the same order as three per-column scatters would
+    return np.bincount(mesh.faces.T.ravel(),
+                       weights=np.tile(mesh.face_areas / 3.0, 3),
+                       minlength=mesh.n_vertices)
+
+
+def cotangent_stiffness(mesh: TriangleMesh) -> sparse.csr_matrix:
+    """Scalar cotangent Laplacian stiffness matrix (symmetric PSD).
+
+    Edge (a, b) of a face gets weight cot(gamma) / 2 from the angle gamma
+    at the face's third vertex c; one COO scatter sums the faces.
+    """
+    f = mesh.faces
+    a, b, c = f, np.roll(f, -1, axis=1), np.roll(f, -2, axis=1)
+    v = mesh.vertices
+    ea, eb = v[a] - v[c], v[b] - v[c]                   # (F, 3, 3)
+    cross = np.cross(ea, eb)
+    w = 0.5 * _dot(ea, eb) / np.sqrt(_dot(cross, cross))
+    rows = np.stack([a, b, a, b], axis=-1).ravel()
+    cols = np.stack([b, a, a, b], axis=-1).ravel()
+    vals = np.stack([-w, -w, w, w], axis=-1).ravel()
+    n = mesh.n_vertices
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def consistent_mass(mesh: TriangleMesh) -> sparse.csr_matrix:
+    """Consistent (Galerkin) mass matrix of linear elements: A/6 on the
+    diagonal and A/12 off it, per face of area A."""
+    f = mesh.faces
+    vals = mesh.face_areas[:, None, None] / np.where(np.eye(3), 6.0, 12.0)
+    rows = np.repeat(f[:, :, None], 3, axis=2)
+    cols = np.repeat(f[:, None, :], 3, axis=1)
+    n = mesh.n_vertices
+    return sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(n, n))
 
 
 class ScalarField:

@@ -11,23 +11,33 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .covariation import bartlett_test, cca, covariation_sequence
 from .demons import DemonsConfig, groupwise_template
-from .fpca import (consistent_mass, cross_validate_lambda, functional_fpca,
-                   geometric_fpca)
+from .fpca import cross_validate_lambda, functional_fpca, geometric_fpca
 from .georeg import RegistrationConfig, pull_back_function, register_geometry
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, load_momenta, save_momenta, shoot
 from .mesh import ScalarField, load_field, load_mesh, save_field, save_mesh
-from .synthdata import SimSpec, generate_dataset, make_template
+from .synthdata import SimSpec, generate_dataset
 
 STAGES = ("simulate", "register-geo", "register-fun",
           "fpca-geo", "fpca-fun", "cca")
+
+# the keys each stage's config block accepts
+_BLOCK_KEYS = {
+    "simulate": {f.name for f in fields(SimSpec)},
+    "register_geo": {"sigma_z", "sigma_z_rel", "lam", "max_iterations",
+                     "step_cap_rel", "shooting_steps"},
+    "register_fun": {"lam", "max_iterations", "max_step_frac"},
+    "fpca_geo": {"n_components"},
+    "fpca_fun": {"n_components", "lam", "cv_lambdas", "folds"},
+    "cca": set(),
+}
 
 
 class ConfigError(ValueError):
@@ -79,19 +89,21 @@ class PipelineConfig:
         _require(order == sorted(order), "stages must be in pipeline order")
         _require(len(self.stages) >= 1, "stage list is empty")
         _require(int(self.seed) >= 0, "seed must be >= 0")
-        for block_name in ("simulate", "register_geo", "register_fun",
-                           "fpca_geo", "fpca_fun", "cca"):
+        for block_name, keys in _BLOCK_KEYS.items():
             block = getattr(self, block_name)
             _require(isinstance(block, dict),
                      f"{block_name} block must be an object")
+            unknown = set(block) - keys
+            _require(not unknown,
+                     f"unknown {block_name} keys: {sorted(unknown)}")
             for key, value in block.items():
                 if key in ("lam", "sigma_noise", "sigma_z", "sigma_z_rel",
                            "delta", "sigma1", "sigma2", "max_step_frac"):
                     _require(isinstance(value, (int, float)) and value >= 0,
                              f"{block_name}.{key} must be >= 0")
-                if key in ("n", "max_iterations", "outer_iterations",
-                           "n_components", "folds", "subdivisions",
-                           "observation_subdivisions", "shooting_steps"):
+                if key in ("n", "max_iterations", "n_components", "folds",
+                           "subdivisions", "observation_subdivisions",
+                           "shooting_steps"):
                     _require(isinstance(value, int) and value >= 0,
                              f"{block_name}.{key} must be a non-negative int")
         _require(self.fpca_fun.get("lam", 0.0) >= 0,
@@ -126,7 +138,9 @@ def _read_csv(path):
 
 
 def _subject_count(sim_dir):
-    return len(sorted(Path(sim_dir).glob("subject_*.off")))
+    """Subjects of the latest simulate run: every run rewrites the score
+    table, while subject files of an earlier, larger run may remain."""
+    return len(_read_csv(Path(sim_dir) / "true_scores.csv"))
 
 
 def _load_kernel(sim_dir):
@@ -173,20 +187,17 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
     reg.mkdir(parents=True, exist_ok=True)
     template = load_mesh(sim / "template.off")
     kernel = _load_kernel(sim)
-    block = dict(cfg.register_geo)
+    block = cfg.register_geo
     lo, hi = template.vertices.min(axis=0), template.vertices.max(axis=0)
     bbox = float(np.linalg.norm(hi - lo))
-    sigma_z = block.pop("sigma_z", None)
+    sigma_z = block.get("sigma_z")
     if sigma_z is None:
-        sigma_z = block.pop("sigma_z_rel", 0.11) * bbox
-    else:
-        block.pop("sigma_z_rel", None)
+        sigma_z = block.get("sigma_z_rel", 0.11) * bbox
     rcfg = RegistrationConfig(similarity="current", sigma_z=sigma_z,
-                              lam=block.pop("lam", 0.05),
-                              max_iterations=block.pop("max_iterations", 120),
-                              step_cap_rel=block.pop("step_cap_rel", 0.02),
-                              shooting_steps=block.pop("shooting_steps", 10))
-    _require(not block, f"unknown register_geo keys: {sorted(block)}")
+                              lam=block.get("lam", 0.05),
+                              max_iterations=block.get("max_iterations", 120),
+                              step_cap_rel=block.get("step_cap_rel", 0.02),
+                              shooting_steps=block.get("shooting_steps", 10))
     n = _subject_count(sim)
     diags = {}
     for i in range(n):
@@ -208,18 +219,17 @@ def _stage_register_fun(cfg: PipelineConfig, out: Path):
     n = _subject_count(sim)
     pulled = []
     for i in range(n):
-        obs = load_mesh(sim / "observation.off")
-        target_field = load_field(obs, sim / f"field_{i:03d}.csv")
+        subject = load_mesh(sim / f"subject_{i:03d}.off")
+        target_field = load_field(subject, sim / f"field_{i:03d}.csv")
         end = _read_csv(reg / f"deformed_{i:03d}.csv")
         values = pull_back_function(target_field, end)
         pulled.append(values)
         _write_csv(fun / f"pulled_{i:03d}.csv", values[None, :],
                    ",".join(f"v{k}" for k in range(template.n_vertices)))
-    block = dict(cfg.register_fun)
-    dcfg = DemonsConfig(lam=block.pop("lam", 3.0),
-                        max_iterations=block.pop("max_iterations", 15),
-                        max_step_frac=block.pop("max_step_frac", 0.4))
-    _require(not block, f"unknown register_fun keys: {sorted(block)}")
+    block = cfg.register_fun
+    dcfg = DemonsConfig(lam=block.get("lam", 3.0),
+                        max_iterations=block.get("max_iterations", 15),
+                        max_step_frac=block.get("max_step_frac", 0.4))
     mean, _, aligned = groupwise_template(template, pulled, config=dcfg)
     for i in range(n):
         _write_csv(fun / f"aligned_{i:03d}.csv", aligned[i][None, :],
@@ -257,7 +267,7 @@ def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
     n = _subject_count(sim)
     fields = [_read_csv(fun / f"aligned_{i:03d}.csv").ravel()
               for i in range(n)]
-    block = dict(cfg.fpca_fun)
+    block = cfg.fpca_fun
     k = int(block.get("n_components", 3))
     lam = block.get("lam", 100.0)
     info = {}

@@ -96,18 +96,6 @@ def current_distance(deformed_mesh: TriangleMesh, target_mesh: TriangleMesh,
                          target_mesh.face_area_normals, kernel)
 
 
-def current_distance_points(deformed_vertices, faces,
-                            target_mesh: TriangleMesh,
-                            sigma_z: float) -> SimilarityResult:
-    """current_distance with the deformed surface given as raw vertices,
-    avoiding mesh re-validation inside optimizer loops."""
-    kernel = GaussianKernel(sigma=sigma_z)
-    return _current_core(np.asarray(deformed_vertices, float),
-                         np.asarray(faces, int),
-                         target_mesh.face_centers,
-                         target_mesh.face_area_normals, kernel)
-
-
 def fcurrent_distance(deformed_mesh: TriangleMesh, deformed_values,
                       target_mesh: TriangleMesh, target_values,
                       sigma_z: float, sigma_f: float) -> SimilarityResult:

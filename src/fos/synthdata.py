@@ -8,7 +8,7 @@ functional modes of variation, and noisy samples from the generative model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -94,22 +94,12 @@ def refine_mesh(mesh: TriangleMesh, levels: int = 1) -> TriangleMesh:
 
 def graph_geodesic_distances(mesh: TriangleMesh, source: int) -> np.ndarray:
     """Dijkstra distance along mesh edges from one vertex."""
-    e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
-                        mesh.faces[:, [2, 0]]])
-    w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+    e, w = mesh.edges, mesh.edge_lengths
     n = mesh.n_vertices
     g = csr_matrix((np.concatenate([w, w]),
                     (np.concatenate([e[:, 0], e[:, 1]]),
                      np.concatenate([e[:, 1], e[:, 0]]))), shape=(n, n))
     return dijkstra(g, indices=source)
-
-
-def lumped_mass(mesh: TriangleMesh) -> np.ndarray:
-    """Barycentric vertex areas (1/3 of incident face areas)."""
-    m = np.zeros(mesh.n_vertices)
-    for col in range(3):
-        np.add.at(m, mesh.faces[:, col], mesh.face_areas / 3.0)
-    return m
 
 
 # -- planted modes -----------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, cotangent_stiffness, lumped_mass
 
 
 class FemError(RuntimeError):
@@ -79,9 +79,6 @@ class TangentField:
 
     def ambient(self):
         return self.atlas.to_ambient(self.coefficients)
-
-    def norm_max(self):
-        return float(np.linalg.norm(self.coefficients, axis=1).max())
 
 
 def _vertex_rings(mesh: TriangleMesh):
@@ -173,27 +170,21 @@ def build_frames(mesh: TriangleMesh) -> TangentFrameAtlas:
     return TangentFrameAtlas(mesh, normals, e1, e2, edge_angle)
 
 
-def _cot_weights(mesh: TriangleMesh):
-    """Cotangent edge weights (cot alpha + cot beta)/2 per undirected edge."""
-    v = mesh.vertices
-    w = {}
-    for face in mesh.faces:
-        for a, b, c in ((face[0], face[1], face[2]),
-                        (face[1], face[2], face[0]),
-                        (face[2], face[0], face[1])):
-            # angle at c, opposite edge (a, b)
-            ea, eb = v[a] - v[c], v[b] - v[c]
-            cross = np.linalg.norm(np.cross(ea, eb))
-            cot = np.dot(ea, eb) / cross
-            key = (min(a, b), max(a, b))
-            w[key] = w.get(key, 0.0) + 0.5 * cot
-    return w
+def _edge_angles(atlas: TangentFrameAtlas, i, j):
+    """atlas.edge_angle[(i, j)] looked up for index arrays i and j."""
+    keys = np.array(list(atlas.edge_angle), dtype=int).reshape(-1, 2)
+    angles = np.fromiter(atlas.edge_angle.values(), float, len(keys))
+    k = atlas.mesh.n_vertices
+    code = keys[:, 0] * k + keys[:, 1]
+    order = np.argsort(code)
+    pos = np.searchsorted(code, np.asarray(i) * k + j, sorter=order)
+    return angles[order[pos]]
 
 
-def transport_rotation(atlas: TangentFrameAtlas, i: int, j: int) -> float:
+def transport_rotation(atlas: TangentFrameAtlas, i, j):
     """Rotation angle carrying coefficients at i to coefficients at j
-    across edge (i, j)."""
-    return atlas.edge_angle[(j, i)] + np.pi - atlas.edge_angle[(i, j)]
+    across edge (i, j); i and j may be index arrays."""
+    return _edge_angles(atlas, j, i) + np.pi - _edge_angles(atlas, i, j)
 
 
 def assemble_connection_matrices(mesh: TriangleMesh,
@@ -202,33 +193,26 @@ def assemble_connection_matrices(mesh: TriangleMesh,
     stiffness R1 (symmetric PSD for non-obtuse meshes), both 2K x 2K.
 
     R1 realizes sum_edges w_ij |u_j - T_ij u_i|^2 with T_ij the parallel
-    transport rotation, the Dirichlet energy of the parallel linear basis.
+    transport rotation and w_ij = -S_ij the cotangent weights of the scalar
+    stiffness S, the Dirichlet energy of the parallel linear basis. Block
+    (r, c) of R1 is S_rc times the rotation T_cr, the identity on the
+    diagonal, so R1 has the sparsity of S.
     """
     k_n = mesh.n_vertices
-    area = np.zeros(k_n)
-    for col in range(3):
-        np.add.at(area, mesh.faces[:, col], mesh.face_areas / 3.0)
-    r0 = sparse.diags(np.repeat(area, 2), format="csr")
+    r0 = sparse.diags(np.repeat(lumped_mass(mesh), 2), format="csr")
 
-    rows, cols, vals = [], [], []
-
-    def add_block(i, j, block):
-        for a in range(2):
-            for b in range(2):
-                rows.append(2 * i + a)
-                cols.append(2 * j + b)
-                vals.append(block[a, b])
-
-    eye = np.eye(2)
-    for (i, j), w in _cot_weights(mesh).items():
-        rho = transport_rotation(atlas, i, j)
-        cr, sr = np.cos(rho), np.sin(rho)
-        rot = np.array([[cr, -sr], [sr, cr]])
-        add_block(i, i, w * eye)
-        add_block(j, j, w * eye)
-        add_block(j, i, -w * rot)
-        add_block(i, j, -w * rot.T)
-    r1 = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * k_n, 2 * k_n))
+    s = cotangent_stiffness(mesh)
+    row = np.repeat(np.arange(k_n), np.diff(s.indptr))
+    col = s.indices
+    rho = np.zeros(len(col))
+    lower, upper = row > col, row < col
+    rho[lower] = transport_rotation(atlas, col[lower], row[lower])
+    # T_ji is T_ij transposed; negating the angle keeps R1 exactly symmetric
+    rho[upper] = -transport_rotation(atlas, row[upper], col[upper])
+    cr, sr = np.cos(rho), np.sin(rho)
+    rot = np.stack([cr, -sr, sr, cr], axis=1).reshape(-1, 2, 2)
+    r1 = sparse.bsr_matrix((s.data[:, None, None] * rot, col, s.indptr),
+                           shape=(2 * k_n, 2 * k_n))
     return r0, r1
 
 
@@ -240,9 +224,10 @@ def assemble_data_matrices(mesh: TriangleMesh, atlas: TangentFrameAtlas,
     if z.shape != (mesh.n_vertices,):
         raise ValueError("residual length must equal vertex count")
     jc = j_field.coefficients
-    blocks = np.einsum("ka,kb->kab", jc, jc)
-    theta2 = sparse.block_diag([blocks[k] for k in range(mesh.n_vertices)],
-                               format="csr")
+    k_n = mesh.n_vertices
+    theta2 = sparse.bsr_matrix(
+        (np.einsum("ka,kb->kab", jc, jc), np.arange(k_n), np.arange(k_n + 1)),
+        shape=(2 * k_n, 2 * k_n))
     rhs = (-z[:, None] * jc).ravel()
     return theta2, rhs
 
@@ -255,7 +240,6 @@ class FemSystem:
     r1: sparse.spmatrix
     theta2: sparse.spmatrix
     rhs: np.ndarray                  # Theta1 z, length 2K
-    dirichlet_applied: bool = False
 
 
 def build_system(mesh, atlas, r0, r1, j_field, residual) -> FemSystem:
@@ -267,10 +251,9 @@ def apply_dirichlet(system: FemSystem, penalty: float | None = None) -> FemSyste
     """Homogeneous Dirichlet conditions on boundary vertices by penalty:
     add M to the two diagonal entries of the top-left block and zero the
     matching right-hand-side entries. No boundary, no change."""
-    boundary = np.flatnonzero(system.mesh.boundary_vertices)
-    if len(boundary) == 0:
+    on_boundary = np.repeat(system.mesh.boundary_vertices, 2)
+    if not on_boundary.any():
         return system
-    theta2 = system.theta2.tolil(copy=True)
     if penalty is None:
         # per-vertex coefficient-norm of the theta2 blocks (the block trace)
         # rather than single diagonal entries, so the penalty — and with it
@@ -280,14 +263,10 @@ def apply_dirichlet(system: FemSystem, penalty: float | None = None) -> FemSyste
                        abs(system.r0.diagonal()).max(),
                        abs(system.r1.diagonal()).max())
         penalty = 1e8 * diag_max
-    rhs = system.rhs.copy()
-    for k in boundary:
-        theta2[2 * k, 2 * k] += penalty
-        theta2[2 * k + 1, 2 * k + 1] += penalty
-        rhs[2 * k] = 0.0
-        rhs[2 * k + 1] = 0.0
+    theta2 = system.theta2 + sparse.diags(np.where(on_boundary, penalty, 0.0))
+    rhs = np.where(on_boundary, 0.0, system.rhs)
     return FemSystem(system.mesh, system.atlas, system.r0, system.r1,
-                     theta2.tocsr(), rhs, dirichlet_applied=True)
+                     theta2, rhs)
 
 
 def solve_update(system: FemSystem, lam: float) -> TangentField:

@@ -91,8 +91,6 @@ def test_register_identical_fields_is_noop():
 def test_config_validation():
     with pytest.raises(ValueError):
         DemonsConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        DemonsConfig(j_mode="fixed")
 
 
 def test_groupwise_template_reduces_spread():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from fos.mesh import (MeshError, ScalarField, TriangleMesh, load_field,
-                      load_mesh, save_field, save_mesh)
+from fos.mesh import (MeshError, ScalarField, TriangleMesh,
+                      consistent_mass, cotangent_stiffness, load_field,
+                      load_mesh, lumped_mass, save_field, save_mesh)
 from fos.synthdata import ellipsoid_patch, icosphere
+from fos.tangent_fem import assemble_connection_matrices, build_frames
+from test_tangent_fem import flat_patch
 
 
 def unit_triangle():
@@ -35,6 +38,63 @@ def test_boundary_detection():
     patch = ellipsoid_patch(2)
     assert patch.boundary_vertices.any()
     assert not patch.boundary_vertices.all()
+
+
+def test_lumped_mass_partitions_total_area():
+    mesh = ellipsoid_patch(2)
+    assert np.isclose(lumped_mass(mesh).sum(), mesh.total_area)
+
+
+def element_operators(mesh):
+    """Dense stiffness, consistent mass, lumped mass and connection
+    stiffness R1 summed face by face from the linear-element formulas:
+    hat-function gradients n x e_i / 2A (e_i the edge opposite corner i),
+    mass A/12 (1 + delta_ij), lumping by row sums, and each face's share
+    w = -K_e[a, b] of |u_b - T_ab u_a|^2 on its edges (a, b)."""
+    n = mesh.n_vertices
+    stiff, mass = np.zeros((n, n)), np.zeros((n, n))
+    r1 = np.zeros((2 * n, 2 * n))
+    atlas = build_frames(mesh)
+    for face, area, normal in zip(mesh.faces, mesh.face_areas,
+                                  mesh.face_normals):
+        p = mesh.vertices[face]
+        grads = np.array([np.cross(normal, p[(i + 2) % 3] - p[(i + 1) % 3])
+                          for i in range(3)]) / (2.0 * area)
+        k_e = area * grads @ grads.T
+        stiff[np.ix_(face, face)] += k_e
+        mass[np.ix_(face, face)] += area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+        for i in range(3):
+            a, b = face[i], face[(i + 1) % 3]
+            w = -k_e[i, (i + 1) % 3]
+            rho = (atlas.edge_angle[(b, a)] + np.pi
+                   - atlas.edge_angle[(a, b)])
+            rot = np.array([[np.cos(rho), -np.sin(rho)],
+                            [np.sin(rho), np.cos(rho)]])
+            sa, sb = slice(2 * a, 2 * a + 2), slice(2 * b, 2 * b + 2)
+            r1[sa, sa] += w * np.eye(2)
+            r1[sb, sb] += w * np.eye(2)
+            r1[sb, sa] -= w * rot
+            r1[sa, sb] -= w * rot.T
+    return stiff, mass, mass.sum(axis=1), atlas, r1
+
+
+@pytest.mark.parametrize("make", [lambda: icosphere(1),
+                                  lambda: ellipsoid_patch(1), flat_patch],
+                         ids=["icosphere", "ellipsoid_patch", "flat_grid"])
+def test_fe_operators_match_element_formulas(make):
+    mesh = make()
+    stiff, mass, lumped, atlas, r1 = element_operators(mesh)
+    r0, r1_shared = assemble_connection_matrices(mesh, atlas)
+
+    def rel(got, want):
+        got = got.toarray() if hasattr(got, "toarray") else got
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel(cotangent_stiffness(mesh), stiff) <= 1e-12
+    assert rel(consistent_mass(mesh), mass) <= 1e-12
+    assert rel(lumped_mass(mesh), lumped) <= 1e-12
+    assert rel(r0.diagonal(), np.repeat(lumped, 2)) <= 1e-12
+    assert rel(r1_shared, r1) <= 1e-12
 
 
 def test_sphere_area_approaches_analytic():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fos.mesh import load_field, load_mesh
 from fos.pipeline import (ConfigError, PipelineConfig, emit_covariation,
                           emit_mode_visualization, run_pipeline, STAGES)
 
@@ -36,8 +37,12 @@ def test_config_rejects_negative_lambda():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_dict({"no_such_block": {}})
+    for data in ({"no_such_block": {}},
+                 {"fpca_geo": {"n_component": 3}},
+                 {"fpca_fun": {"lamda": 10.0}},
+                 {"cca": {"n_components": 2}}):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(data)
 
 
 def test_config_rejects_bad_stage_order():
@@ -115,6 +120,35 @@ def test_emit_covariation_and_viz(finished_run):
         assert Path(f).exists()
     with pytest.raises(ConfigError):
         emit_mode_visualization(out, mode=99)
+
+
+def test_pulled_fields_sample_the_subject_mesh(finished_run):
+    _, out, _ = finished_run
+    sim = out / "sim"
+    for i in range(4):
+        subject = load_mesh(sim / f"subject_{i:03d}.off")
+        field = load_field(subject, sim / f"field_{i:03d}.csv").values
+        deformed = np.loadtxt(out / "reg_geo" / f"deformed_{i:03d}.csv",
+                              delimiter=",", skiprows=1)
+        pulled = np.loadtxt(out / "reg_fun" / f"pulled_{i:03d}.csv",
+                            delimiter=",", skiprows=1)
+        dist = np.linalg.norm(deformed[:, None, :] - subject.vertices[None],
+                              axis=2)
+        assert np.array_equal(pulled, field[np.argmin(dist, axis=1)])
+
+
+def test_subject_count_follows_latest_simulate(tmp_path):
+    def config(n):
+        return PipelineConfig.from_dict({
+            "output_dir": str(tmp_path), "seed": 0,
+            "simulate": {"n": n, "subdivisions": 1},
+            "register_geo": {"max_iterations": 1}})
+
+    run_pipeline(config(5), ("simulate",))
+    run_pipeline(config(3), ("simulate",))
+    run_pipeline(config(3), ("register-geo",))
+    diags = json.loads((tmp_path / "reg_geo" / "diagnostics.json").read_text())
+    assert len(diags) == 3
 
 
 def test_stage_failure_raises_runtime_error(tmp_path):

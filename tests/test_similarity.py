@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fos.mesh import TriangleMesh
-from fos.similarity import (current_distance, current_distance_points,
-                            fcurrent_distance, landmark_distance)
+from fos.similarity import (current_distance, fcurrent_distance,
+                            landmark_distance)
 from fos.synthdata import ellipsoid_patch, icosphere
 
 
@@ -52,23 +52,13 @@ def test_current_distance_positive_and_symmetric():
     assert np.isclose(d_ab, d_ba, rtol=1e-12)
 
 
-def test_current_points_variant_agrees():
-    a = icosphere(1)
-    b = perturbed(a, seed=2)
-    r1 = current_distance(a, b, sigma_z=0.5)
-    r2 = current_distance_points(a.vertices, a.faces, b, sigma_z=0.5)
-    assert np.isclose(r1.value, r2.value)
-    assert np.allclose(r1.gradient, r2.gradient)
-
-
 def test_current_gradient_matches_finite_differences():
     template = ellipsoid_patch(1)
     target = perturbed(template, seed=3, scale=0.03)
-    faces = template.faces
 
-    res = current_distance_points(template.vertices, faces, target, 0.6)
-    fd = fd_gradient(lambda v: current_distance_points(v, faces, target,
-                                                       0.6).value,
+    res = current_distance(template, target, 0.6)
+    fd = fd_gradient(lambda v: current_distance(template.with_vertices(v),
+                                                target, 0.6).value,
                      template.vertices)
     assert rel_err(res.gradient, fd) <= 1e-5
 

@@ -4,8 +4,7 @@ import pytest
 from fos.fpca import consistent_mass
 from fos.synthdata import (SimSpec, c_shape_images, ellipsoid_patch,
                            generate_dataset, graph_geodesic_distances,
-                           icosphere, lumped_mass, make_modes, make_template,
-                           refine_mesh)
+                           icosphere, make_modes, make_template, refine_mesh)
 
 
 def test_icosphere_counts_and_radius():
@@ -40,11 +39,6 @@ def test_graph_geodesic_distances_properties():
     # edge-path distance dominates the chord
     chord = np.linalg.norm(mesh.vertices - mesh.vertices[0], axis=1)
     assert np.all(d >= chord - 1e-12)
-
-
-def test_lumped_mass_partitions_total_area():
-    mesh = ellipsoid_patch(2)
-    assert np.isclose(lumped_mass(mesh).sum(), mesh.total_area)
 
 
 def test_make_modes_orthonormal_and_localized():
