@@ -1,6 +1,7 @@
 """Command-line entry point: per-stage subcommands plus the end-to-end
-pipeline driver. Exit codes: 0 success, 2 invalid configuration,
-3 numerical failure.
+pipeline driver. Exit codes: 0 success, 2 invalid configuration or a
+missing input file (such as an artifact of an earlier stage that has not
+run), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -9,11 +10,9 @@ import argparse
 import json
 import sys
 
-from .lddmm import ShootingError
 from .pipeline import (ConfigError, PipelineConfig, emit_covariation,
                        emit_mode_visualization, emit_sphere_benchmark,
                        run_pipeline, STAGES)
-from .tangent_fem import FemError
 
 
 def _add_config_args(parser):
@@ -101,16 +100,17 @@ def main(argv=None) -> int:
             files = emit_mode_visualization(cfg.output_dir, args.mode - 1,
                                             grid)
             print("\n".join(files))
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ShootingError, FemError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, ConfigError):
-            print(f"configuration error: {cause}", file=sys.stderr)
+    except (ConfigError, FileNotFoundError, RuntimeError,
+            FloatingPointError) as exc:
+        # run_pipeline wraps a failing stage's exception in a RuntimeError
+        if isinstance(exc, RuntimeError) and isinstance(
+                exc.__cause__, (ConfigError, FileNotFoundError)):
+            exc = exc.__cause__
+        if isinstance(exc, ConfigError):
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, FileNotFoundError):
+            print(f"missing input: {exc}", file=sys.stderr)
             return 2
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

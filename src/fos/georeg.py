@@ -18,6 +18,13 @@ from .mesh import ScalarField, TriangleMesh
 from .similarity import (SimilarityResult, _current_core, landmark_distance,
                          scalar_gaussian)
 
+# Armijo descent: first step, sufficient decrease, backtracking, convergence
+INITIAL_STEP = 1.0
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+MAX_SHRINKS = 30
+GRAD_TOLERANCE = 1e-8
+
 
 @dataclass
 class RegistrationConfig:
@@ -26,11 +33,6 @@ class RegistrationConfig:
     sigma_z: float = 1.0
     sigma_f: float = np.inf
     max_iterations: int = 100
-    initial_step: float = 1.0
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_shrinks: int = 30
-    grad_tolerance: float = 1e-8
     shooting_steps: int = 10
     # per-iteration cap on the momentum update's max entry, as a fraction
     # of the template bounding-box diagonal; guards against the first
@@ -70,12 +72,15 @@ class Diagnostics:
 class _Objective:
     """Objective, gradient and bookkeeping for one registration problem."""
 
-    def __init__(self, template, similarity_fn, kernel, lam, steps):
+    def __init__(self, template, similarity_fn, kernel, config):
         self.template = template
         self.similarity_fn = similarity_fn
         self.kernel = kernel
-        self.lam = lam
-        self.steps = steps
+        self.lam = config.lam
+        if self.lam is None:
+            d0 = similarity_fn(template.vertices).value
+            self.lam = 1e-3 * d0 if d0 > 0 else 1e-3
+        self.steps = config.shooting_steps
         # constant across the optimization; recomputing it every evaluation
         # dominates the runtime on study-sized meshes
         self.gram0 = kernel.gram(template.vertices)
@@ -120,9 +125,10 @@ def _make_similarity(template, target, config):
     return fn
 
 
-def _minimize(objective, alpha0, config):
+def _minimize(objective, config):
+    """Armijo descent from zero momenta (the identity deformation)."""
     diag = Diagnostics()
-    alpha = alpha0.copy()
+    alpha = np.zeros_like(objective.template.vertices)
     value, sim, energy, path, gram0 = objective.evaluate(alpha)
     diag.objective_trace.append(value)
     diag.similarity_trace.append(sim.value)
@@ -130,12 +136,12 @@ def _minimize(objective, alpha0, config):
     lo = objective.template.vertices.min(axis=0)
     hi = objective.template.vertices.max(axis=0)
     step_cap = config.step_cap_rel * float(np.linalg.norm(hi - lo))
-    step = config.initial_step
+    step = INITIAL_STEP
     first = True
     for it in range(config.max_iterations):
         grad = objective.gradient(alpha, sim, path, gram0)
         gnorm2 = float(np.sum(grad ** 2))
-        if np.sqrt(gnorm2) <= config.grad_tolerance:
+        if np.sqrt(gnorm2) <= GRAD_TOLERANCE:
             diag.converged = True
             break
         gmax = float(np.abs(grad).max())
@@ -145,60 +151,45 @@ def _minimize(objective, alpha0, config):
             first = False
         accepted = False
         trial = min(step, capped)
-        for _ in range(config.max_shrinks):
+        for _ in range(MAX_SHRINKS):
             cand = alpha - trial * grad
             try:
                 cval, csim, cen, cpath, _ = objective.evaluate(cand)
             except ShootingError:
-                trial *= config.armijo_shrink
+                trial *= ARMIJO_SHRINK
                 continue
-            if cval <= value - config.armijo_c * trial * gnorm2:
+            if cval <= value - ARMIJO_C * trial * gnorm2:
                 alpha, value, sim, energy, path = cand, cval, csim, cen, cpath
                 accepted = True
                 break
-            trial *= config.armijo_shrink
+            trial *= ARMIJO_SHRINK
         if not accepted:
             diag.line_search_failed = True
             break
-        step = min(trial * 2.0, config.initial_step * 1e3)
+        step = min(trial * 2.0, INITIAL_STEP * 1e3)
         diag.objective_trace.append(value)
         diag.similarity_trace.append(sim.value)
         diag.energy_trace.append(energy)
         diag.iterations = it + 1
-    return alpha, diag
+    return InitialMomenta(objective.template.vertices, alpha,
+                          objective.kernel), diag
 
 
 def register_geometry(template: TriangleMesh, target: TriangleMesh,
                       kernel: GaussianKernel,
-                      config: RegistrationConfig | None = None,
-                      initial_momenta=None):
+                      config: RegistrationConfig | None = None):
     """Estimate initial momenta deforming the template onto the target.
 
     Returns (InitialMomenta, Diagnostics). The objective trace is monotone
     non-increasing (Armijo backtracking); optimization starts at zero
-    momenta (the identity deformation) unless warm-started through
-    initial_momenta, which is how a penalty-continuation schedule refines a
-    coarse solution without the tangential drift a cold start at a weak
-    penalty would allow.
+    momenta (the identity deformation).
     """
     if config is None:
         config = RegistrationConfig()
-    similarity_fn = _make_similarity(template, target, config)
-    lam = config.lam
-    if lam is None:
-        d0 = similarity_fn(template.vertices).value
-        lam = 1e-3 * d0 if d0 > 0 else 1e-3
-    objective = _Objective(template, similarity_fn, kernel, lam,
-                           config.shooting_steps)
-    if initial_momenta is None:
-        alpha0 = np.zeros_like(template.vertices)
-    else:
-        alpha0 = np.asarray(
-            initial_momenta.momenta if isinstance(initial_momenta,
-                                                  InitialMomenta)
-            else initial_momenta, float)
-    alpha, diag = _minimize(objective, alpha0, config)
-    return InitialMomenta(template.vertices, alpha, kernel), diag
+    objective = _Objective(template,
+                           _make_similarity(template, target, config),
+                           kernel, config)
+    return _minimize(objective, config)
 
 
 def register_geometry_fcurrent(template: TriangleMesh,
@@ -229,32 +220,24 @@ def register_geometry_fcurrent(template: TriangleMesh,
                              kernel_z, kf_self=kf_self, kf_cross=kf_cross,
                              target_self_term=self_term)
 
-    lam = config.lam
-    if lam is None:
-        d0 = fn(template.vertices).value
-        lam = 1e-3 * d0 if d0 > 0 else 1e-3
-    objective = _Objective(template, fn, kernel, lam, config.shooting_steps)
-    alpha, diag = _minimize(objective, np.zeros_like(template.vertices), config)
-    return InitialMomenta(template.vertices, alpha, kernel), diag
+    objective = _Objective(template, fn, kernel, config)
+    return _minimize(objective, config)
 
 
 def objective_gradient(template, target, kernel, config, alpha):
     """Gradient of the full registration objective at alpha (test hook)."""
-    similarity_fn = _make_similarity(template, target, config)
-    lam = config.lam if config.lam is not None else 1e-3
-    objective = _Objective(template, similarity_fn, kernel, lam,
-                           config.shooting_steps)
+    objective = _Objective(template,
+                           _make_similarity(template, target, config),
+                           kernel, config)
     _, sim, _, path, gram0 = objective.evaluate(alpha)
     return objective.gradient(alpha, sim, path, gram0)
 
 
 def objective_value(template, target, kernel, config, alpha):
-    similarity_fn = _make_similarity(template, target, config)
-    lam = config.lam if config.lam is not None else 1e-3
-    objective = _Objective(template, similarity_fn, kernel, lam,
-                           config.shooting_steps)
-    value, _, _, _, _ = objective.evaluate(alpha)
-    return value
+    objective = _Objective(template,
+                           _make_similarity(template, target, config),
+                           kernel, config)
+    return objective.evaluate(alpha)[0]
 
 
 def pull_back_function(target_field: ScalarField,

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _sqdist(a, b):
-    """Pairwise squared distances via the matmul expansion (BLAS-fast)."""
+def _sqdist(points_a, points_b=None):
+    """Pairwise squared distances via the matmul expansion (BLAS-fast);
+    b defaults to a."""
+    a = np.asarray(points_a, float)
+    b = a if points_b is None else np.asarray(points_b, float)
     aa = np.sum(a * a, axis=1)
     bb = np.sum(b * b, axis=1)
     d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
@@ -39,59 +42,49 @@ class GaussianKernel:
     def eval(self, x, y):
         """Kernel value between two 3-vectors (or broadcastable arrays)."""
         d2 = np.sum((np.asarray(x, float) - np.asarray(y, float)) ** 2, axis=-1)
-        return self._from_sqdist(d2)
+        return self._factors(d2, 0)[0]
 
-    def _from_sqdist(self, d2):
-        k = np.exp(-d2 / (2.0 * self.sigma ** 2))
+    def _factors(self, d2, *orders):
+        """Radial factors at squared distances d2, one per entry of orders:
+        0 the kernel value, 1 grad_factor, 2 grad_factor2. Each Gaussian's
+        exp is computed once. A Gaussian of width s and weight w, with
+        e = w exp(-d2 / (2 s^2)), adds e, -e / s^2 and e / (2 s^4)."""
+        def scaled(e, s, k):
+            return e if k == 0 else -e / s ** 2 if k == 1 else e / (2.0 * s ** 4)
+
+        e1 = np.exp(-d2 / (2.0 * self.sigma ** 2))
+        out = [scaled(e1, self.sigma, k) for k in orders]
         if self.sigma2 is not None:
-            k = k + self.weight * np.exp(-d2 / (2.0 * self.sigma2 ** 2))
-        return k
+            e2 = self.weight * np.exp(-d2 / (2.0 * self.sigma2 ** 2))
+            out = [f + scaled(e2, self.sigma2, k) for f, k in zip(out, orders)]
+        return out
 
     def gram(self, points_a, points_b=None):
         """Dense |a| x |b| matrix of kernel values."""
-        a = np.asarray(points_a, float)
-        b = a if points_b is None else np.asarray(points_b, float)
-        return self._from_sqdist(_sqdist(a, b))
+        return self._factors(_sqdist(points_a, points_b), 0)[0]
 
     def grad_factor(self, d2):
         """Radial factor gamma(d2) with grad_1 K(x, y) = gamma * (x - y)."""
-        g = -np.exp(-d2 / (2.0 * self.sigma ** 2)) / self.sigma ** 2
-        if self.sigma2 is not None:
-            g = g - self.weight * np.exp(-d2 / (2.0 * self.sigma2 ** 2)) \
-                / self.sigma2 ** 2
-        return g
+        return self._factors(d2, 1)[0]
 
     def gram_pair(self, points_a, points_b=None):
         """(gram, grad_factor) evaluated from a single distance computation."""
-        a = np.asarray(points_a, float)
-        b = a if points_b is None else np.asarray(points_b, float)
-        d2 = _sqdist(a, b)
-        return self._from_sqdist(d2), self.grad_factor(d2)
+        return tuple(self._factors(_sqdist(points_a, points_b), 0, 1))
 
     def grad_factor2(self, d2):
         """Radial derivative gamma'(d2) of grad_factor; appears in the
         kernel Hessian grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I."""
-        g2 = np.exp(-d2 / (2.0 * self.sigma ** 2)) / (2.0 * self.sigma ** 4)
-        if self.sigma2 is not None:
-            g2 = g2 + self.weight * np.exp(-d2 / (2.0 * self.sigma2 ** 2)) \
-                / (2.0 * self.sigma2 ** 4)
-        return g2
+        return self._factors(d2, 2)[0]
 
     def gram_triple(self, points_a, points_b=None):
         """(gram, grad_factor, grad_factor2) from one distance computation."""
-        a = np.asarray(points_a, float)
-        b = a if points_b is None else np.asarray(points_b, float)
-        d2 = _sqdist(a, b)
-        return self._from_sqdist(d2), self.grad_factor(d2), self.grad_factor2(d2)
+        return tuple(self._factors(_sqdist(points_a, points_b), 0, 1, 2))
 
     def gradient(self, x, y):
         """Gradient of eval with respect to x."""
         diff = np.asarray(x, float) - np.asarray(y, float)
         d2 = np.sum(diff ** 2, axis=-1)
-        g = -np.exp(-d2 / (2.0 * self.sigma ** 2)) / self.sigma ** 2
-        if self.sigma2 is not None:
-            g = g - self.weight * np.exp(-d2 / (2.0 * self.sigma2 ** 2)) / self.sigma2 ** 2
-        return diff * np.expand_dims(g, -1)
+        return diff * np.expand_dims(self.grad_factor(d2), -1)
 
 
 def scalar_gaussian(sigma):

@@ -106,8 +106,12 @@ class PipelineConfig:
                            "shooting_steps"):
                     _require(isinstance(value, int) and value >= 0,
                              f"{block_name}.{key} must be a non-negative int")
-        _require(self.fpca_fun.get("lam", 0.0) >= 0,
-                 "fpca_fun.lam must be >= 0")
+                if key == "cv_lambdas":
+                    _require(isinstance(value, (list, tuple)) and value
+                             and all(isinstance(v, (int, float)) and v >= 0
+                                     for v in value),
+                             f"{block_name}.{key} must be a non-empty list "
+                             "of numbers >= 0")
 
     def canonical(self) -> dict:
         return {
@@ -340,7 +344,9 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     if manifest_path.exists():
         with open(manifest_path) as fh:
             previous = json.load(fh)
-        manifest["stages"] = previous.get("stages", {})
+        # results of another configuration are not carried over
+        if previous.get("parameter_hash") == manifest["parameter_hash"]:
+            manifest["stages"] = previous.get("stages", {})
     for st in stages:
         t0 = time.time()
         try:

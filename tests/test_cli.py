@@ -73,11 +73,13 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad)]) == 2
 
 
-def test_missing_inputs_exit_3(tmp_path, capsys):
+def test_missing_inputs_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"output_dir": str(tmp_path / "empty")}))
-    # cca without upstream artifacts is a runtime (not config) failure
-    assert main(["cca", "--config", str(cfg)]) == 3
+    # stages and exports without their upstream artifacts
+    for command in ("cca", "fpca-fun", "covary", "viz-mode"):
+        assert main([command, "--config", str(cfg)]) == 2, command
+        assert capsys.readouterr().err.startswith("missing input: "), command
 
 
 def test_single_stage_subcommand(config_file, capsys):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from fos.fpca import (consistent_mass, cotangent_stiffness,
-                      cross_validate_lambda, functional_fpca, geometric_fpca,
-                      reconstruction_error)
+from fos.fpca import (_solve_component, _spectral_basis, consistent_mass,
+                      cotangent_stiffness, cross_validate_lambda,
+                      functional_fpca, geometric_fpca, reconstruction_error)
 from fos.kernels import GaussianKernel
-from fos.synthdata import graph_geodesic_distances, icosphere
+from fos.synthdata import ellipsoid_patch, graph_geodesic_distances, icosphere
 
 
 def v_inner(kernel, pts, a, b):
@@ -165,6 +166,31 @@ def test_cross_validation_rank_one_noiseless_picks_smallest():
     best, _ = cross_validate_lambda(fields, mesh, [0.0, 10.0],
                                     n_components=1, n_folds=4, seed=0)
     assert best == 0.0
+
+
+def test_spectral_u_step_matches_mixed_system():
+    def mixed(xc, scores, lam, stiffness, mass):
+        """The u-step as the saddle-point solve of the mixed system, with
+        the mass matrices cancelled at lam = 0, where it is singular."""
+        a2 = float(np.sum(scores ** 2))
+        if lam == 0.0:
+            return (scores @ xc) / a2
+        n = xc.shape[1]
+        top = sparse.bmat([[a2 * mass, lam * stiffness],
+                           [lam * stiffness, -lam * mass]], format="csc")
+        rhs = np.concatenate([mass @ (scores @ xc), np.zeros(n)])
+        return spsolve(top, rhs)[:n]
+
+    rng = np.random.default_rng(9)
+    for mesh in (icosphere(2), ellipsoid_patch(2)):     # closed, boundary
+        mass, phi, lam2 = _spectral_basis(mesh)
+        xc = rng.normal(size=(6, mesh.n_vertices))
+        scores = rng.normal(size=6)
+        for lam in (0.0, 10.0, 1000.0):
+            ref = mixed(xc, scores, lam, cotangent_stiffness(mesh),
+                        consistent_mass(mesh))
+            got = phi @ _solve_component(xc @ (mass @ phi), scores, lam, lam2)
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_reconstruction_error_zero_for_spanned_fields():

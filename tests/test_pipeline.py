@@ -32,8 +32,11 @@ def finished_run(tmp_path_factory):
 
 
 def test_config_rejects_negative_lambda():
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_dict({"fpca_fun": {"lam": -1.0}}).validate()
+    for block in ({"lam": -1.0}, {"cv_lambdas": [-1.0]},
+                  {"cv_lambdas": "abc"}, {"cv_lambdas": []},
+                  {"cv_lambdas": [0.0, "10"]}):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict({"fpca_fun": block}).validate()
 
 
 def test_config_rejects_unknown_keys():
@@ -149,6 +152,20 @@ def test_subject_count_follows_latest_simulate(tmp_path):
     run_pipeline(config(3), ("register-geo",))
     diags = json.loads((tmp_path / "reg_geo" / "diagnostics.json").read_text())
     assert len(diags) == 3
+
+
+def test_manifest_drops_stages_of_another_config(tmp_path):
+    def config(lam):
+        return PipelineConfig.from_dict({
+            "output_dir": str(tmp_path), "seed": 0,
+            "simulate": {"n": 3, "subdivisions": 1},
+            "register_geo": {"max_iterations": 1, "lam": lam}})
+
+    run_pipeline(config(0.05), ("simulate", "register-geo"))
+    manifest = run_pipeline(config(0.5), ("simulate",))
+    assert set(manifest["stages"]) == {"simulate"}
+    on_disk = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(on_disk["stages"]) == {"simulate"}
 
 
 def test_stage_failure_raises_runtime_error(tmp_path):
