@@ -9,21 +9,17 @@ from .demons import (DemonsConfig, DemonsResult, SurfaceProjector, VertexMap,
                      vertex_gradient)
 from .fpca import (FunctionalFpca, GeometricFpca, consistent_mass,
                    cotangent_stiffness, cross_validate_lambda,
-                   functional_fpca, geometric_fpca, reconstruction_error)
+                   functional_fpca, geometric_fpca)
 from .georeg import (Diagnostics, RegistrationConfig, pull_back_function,
-                     reencode_deformation, register_geometry,
-                     register_geometry_fcurrent)
-from .kernels import GaussianKernel, default_deformation_kernel, scalar_gaussian
-from .lddmm import (GeodesicPath, InitialMomenta, ShootingError,
-                    deform_mesh, deformation_energy, flow_points,
-                    flow_points_inverse, load_momenta, path_energies,
-                    save_momenta, shoot, shoot_gradient)
+                     register_geometry)
+from .kernels import GaussianKernel, default_deformation_kernel
+from .lddmm import (GeodesicPath, InitialMomenta, ShootingError, flow_points,
+                    load_momenta, save_momenta, shoot, shoot_gradient)
 from .mesh import (MeshError, ScalarField, TriangleMesh, load_field,
                    load_mesh, lumped_mass, save_field, save_mesh)
 from .pipeline import (ConfigError, PipelineConfig, emit_covariation,
                        emit_mode_visualization, run_pipeline)
-from .similarity import (SimilarityResult, current_distance,
-                         fcurrent_distance, landmark_distance)
+from .similarity import SimilarityResult, current_distance
 from .synthdata import (SimDataset, SimModes, SimSpec, c_shape_images,
                         ellipsoid_patch, generate_dataset, hemisphere,
                         icosphere, make_modes, make_template, refine_mesh)

@@ -38,7 +38,9 @@ def cca(x_scores, y_scores) -> CcaResult:
 
     Canonical correlations are invariant under invertible linear maps of
     either block. Variate signs are fixed so the largest-magnitude entry
-    of each x-variate is positive.
+    of each x-variate is positive. With p + q >= n - 1 columns the
+    centered blocks can be fitted exactly and every correlation reads 1,
+    so such inputs are refused.
     """
     x = np.asarray(x_scores, float)
     y = np.asarray(y_scores, float)
@@ -47,6 +49,9 @@ def cca(x_scores, y_scores) -> CcaResult:
     n = len(x)
     if n < 3:
         raise ValueError("need at least three subjects")
+    k = x.shape[1] + y.shape[1]
+    if k >= n - 1:
+        raise ValueError(f"p + q = {k} needs n > {k + 1} subjects, got {n}")
     x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
     xc, yc = x - x_mean, y - y_mean
     cxx = xc.T @ xc / (n - 1)
@@ -91,6 +96,9 @@ def bartlett_test(result: CcaResult, p: int | None = None,
     p = result.x_weights.shape[0] if p is None else p
     q = result.y_weights.shape[0] if q is None else q
     factor = result.n - 1 - (p + q + 1) / 2.0
+    if factor <= 0:
+        raise ValueError(f"Bartlett factor n - 1 - (p + q + 1)/2 = {factor} "
+                         "is not positive")
     log_terms = np.log(np.maximum(1.0 - rho ** 2, 1e-300))
     stats = np.empty(m)
     dof = np.empty(m, dtype=int)

@@ -4,8 +4,7 @@ fixed surface.
 The mapping s is built as a composition of small vertex-based flows: each
 outer iteration solves the regularized vector-FEM system for an update
 field, takes one explicit Euler step, and reprojects onto the surface with
-a closest-point map. The inverse applies the negated update fields in
-reverse order, followed by the same reprojection.
+a closest-point map.
 """
 
 from __future__ import annotations
@@ -158,11 +157,6 @@ class SurfaceProjector:
         w = bary.reshape(len(bary), 3, *([1] * (corners.ndim - 2)))
         return np.sum(w * corners, axis=1)
 
-    def interpolate(self, points, vertex_values):
-        """Interpolation at the closest surface points."""
-        _, fidx, bary = self.project(points)
-        return self.interpolate_at(fidx, bary, vertex_values)
-
 
 # -- the composed mapping -----------------------------------------------------
 
@@ -181,28 +175,13 @@ class VertexMap:
             self._projector = SurfaceProjector(self.mesh)
         return self._projector
 
-    def _run(self, points, updates, sign):
-        proj = self.projector
-        p, fidx, bary = proj.project(points)
-        for u in updates:
-            moved = p + sign * proj.interpolate_at(fidx, bary, u)
-            p, fidx, bary = proj.project(moved)
-        return p, fidx, bary
-
     def apply(self, points) -> np.ndarray:
         """s(points): run the update flows in composition order."""
-        return self._run(np.asarray(points, float), self.updates, +1.0)[0]
-
-    def apply_inverse(self, points) -> np.ndarray:
-        """Approximate s^-1: negated update fields in reverse order."""
-        return self._run(np.asarray(points, float),
-                         list(reversed(self.updates)), -1.0)[0]
-
-    def inverse_consistency(self) -> float:
-        """max |s^-1(s(x)) - x| over the vertices, as a diagnostic."""
-        fwd = self.apply(self.mesh.vertices)
-        back = self.apply_inverse(fwd)
-        return float(np.linalg.norm(back - self.mesh.vertices, axis=1).max())
+        proj = self.projector
+        p, fidx, bary = proj.project(np.asarray(points, float))
+        for u in self.updates:
+            p, fidx, bary = proj.project(p + proj.interpolate_at(fidx, bary, u))
+        return p
 
 
 # -- registration -------------------------------------------------------------

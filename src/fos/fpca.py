@@ -177,6 +177,8 @@ def functional_fpca(fields, mesh: TriangleMesh, lam: float = 0.0,
 
 
 def _held_out_error(fit: FunctionalFpca, x, mass):
+    """Mean squared mass-norm residual of the rows of x after projecting
+    them on the fitted components."""
     cen = x - fit.mean
     basis = fit.components                           # (m, K)
     g = basis @ (mass @ basis.T)                     # component Gram in M
@@ -184,12 +186,6 @@ def _held_out_error(fit: FunctionalFpca, x, mass):
     resid = cen - coef @ basis
     errs = np.sum(resid * (mass @ resid.T).T, axis=1)
     return float(errs.mean())
-
-
-def reconstruction_error(fpca: FunctionalFpca, fields, mesh: TriangleMesh):
-    """Mean squared mass-norm residual after projecting held-out fields on
-    the fitted components."""
-    return _held_out_error(fpca, _stack(fields, mesh), consistent_mass(mesh))
 
 
 def cross_validate_lambda(fields, mesh: TriangleMesh, lambdas,

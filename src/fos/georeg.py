@@ -15,8 +15,7 @@ import numpy as np
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, ShootingError, shoot, shoot_gradient
 from .mesh import ScalarField, TriangleMesh
-from .similarity import (SimilarityResult, _current_core, landmark_distance,
-                         scalar_gaussian)
+from .similarity import SimilarityResult, _current_core
 
 # Armijo descent: first step, sufficient decrease, backtracking, convergence
 INITIAL_STEP = 1.0
@@ -28,10 +27,9 @@ GRAD_TOLERANCE = 1e-8
 
 @dataclass
 class RegistrationConfig:
-    similarity: str = "current"        # landmark | current | fcurrent
+    similarity: str = "current"        # the only similarity accepted
     lam: float | None = None           # None: 1e-3 relative to initial D^2
     sigma_z: float = 1.0
-    sigma_f: float = np.inf
     max_iterations: int = 100
     shooting_steps: int = 10
     # per-iteration cap on the momentum update's max entry, as a fraction
@@ -45,7 +43,7 @@ class RegistrationConfig:
             raise ValueError("lambda must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.similarity not in ("landmark", "current", "fcurrent"):
+        if self.similarity != "current":
             raise ValueError(f"unknown similarity {self.similarity!r}")
 
 
@@ -102,26 +100,18 @@ class _Objective:
 
 
 def _make_similarity(template, target, config):
-    if config.similarity == "landmark":
-        if template.n_vertices != target.n_vertices:
-            raise ValueError("landmark similarity needs equal vertex counts")
-        targets = target.vertices
+    """Current distance of a deformed template to the target, as a
+    function of the deformed vertex positions."""
+    faces = template.faces
+    kernel = GaussianKernel(sigma=config.sigma_z)
+    tc = target.face_centers
+    tn = target.face_area_normals
+    # the target self-term of the current metric never changes
+    self_term = float(np.sum(kernel.gram(tc) * (tn @ tn.T)))
 
-        def fn(endpoint):
-            return landmark_distance(endpoint, targets)
-    elif config.similarity == "current":
-        faces = template.faces
-        kernel = GaussianKernel(sigma=config.sigma_z)
-        tc = target.face_centers
-        tn = target.face_area_normals
-        # the target self-term of the current metric never changes
-        self_term = float(np.sum(kernel.gram(tc) * (tn @ tn.T)))
-
-        def fn(endpoint):
-            return _current_core(np.asarray(endpoint, float), faces, tc, tn,
-                                 kernel, target_self_term=self_term)
-    else:
-        raise ValueError("fcurrent registration requires register_geometry_fcurrent")
+    def fn(endpoint):
+        return _current_core(np.asarray(endpoint, float), faces, tc, tn,
+                             kernel, target_self_term=self_term)
     return fn
 
 
@@ -192,54 +182,6 @@ def register_geometry(template: TriangleMesh, target: TriangleMesh,
     return _minimize(objective, config)
 
 
-def register_geometry_fcurrent(template: TriangleMesh,
-                               template_field: ScalarField,
-                               target: TriangleMesh,
-                               target_field: ScalarField,
-                               kernel: GaussianKernel,
-                               config: RegistrationConfig):
-    """register_geometry with the functional-current similarity.
-
-    Function values ride with the deformed template vertices, so the
-    per-face template values are fixed across the optimization.
-    """
-    faces = template.faces
-    y = template_field.face_values()
-    yt = target_field.face_values()
-    kernel_z = GaussianKernel(sigma=config.sigma_z)
-    kf = scalar_gaussian(config.sigma_f)
-    kf_self = kf(y[:, None], y[None, :])
-    kf_cross = kf(y[:, None], yt[None, :])
-    tc = target.face_centers
-    tn = target.face_area_normals
-    self_term = float(np.sum(kernel_z.gram(tc) * kf(yt[:, None], yt[None, :])
-                             * (tn @ tn.T)))
-
-    def fn(endpoint):
-        return _current_core(np.asarray(endpoint, float), faces, tc, tn,
-                             kernel_z, kf_self=kf_self, kf_cross=kf_cross,
-                             target_self_term=self_term)
-
-    objective = _Objective(template, fn, kernel, config)
-    return _minimize(objective, config)
-
-
-def objective_gradient(template, target, kernel, config, alpha):
-    """Gradient of the full registration objective at alpha (test hook)."""
-    objective = _Objective(template,
-                           _make_similarity(template, target, config),
-                           kernel, config)
-    _, sim, _, path, gram0 = objective.evaluate(alpha)
-    return objective.gradient(alpha, sim, path, gram0)
-
-
-def objective_value(template, target, kernel, config, alpha):
-    objective = _Objective(template,
-                           _make_similarity(template, target, config),
-                           kernel, config)
-    return objective.evaluate(alpha)[0]
-
-
 def pull_back_function(target_field: ScalarField,
                        deformed_template_vertices) -> np.ndarray:
     """Transport target values onto the template through the registration:
@@ -248,20 +190,3 @@ def pull_back_function(target_field: ScalarField,
     idx = target_field.mesh.nearest_vertices(
         np.asarray(deformed_template_vertices, float))
     return target_field.values[idx]
-
-
-def reencode_deformation(template: TriangleMesh, composed_vertex_targets,
-                         kernel: GaussianKernel,
-                         config: RegistrationConfig | None = None):
-    """Re-represent a composed deformation as initial momenta by landmark
-    registration against the composed per-vertex targets."""
-    targets = np.asarray(composed_vertex_targets, float)
-    if targets.shape != template.vertices.shape:
-        raise ValueError("target list length must equal vertex count")
-    if config is None:
-        config = RegistrationConfig(similarity="landmark", lam=1e-8,
-                                    max_iterations=200)
-    else:
-        config = RegistrationConfig(**{**config.__dict__, "similarity": "landmark"})
-    target_mesh = template.with_vertices(targets)
-    return register_geometry(template, target_mesh, kernel, config)

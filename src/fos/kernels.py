@@ -1,5 +1,4 @@
-"""Gaussian kernels for the deformation RKHS, the current metric and the
-functional-current weighting.
+"""Gaussian kernels for the deformation RKHS and the current metric.
 
 Isotropic matrix kernels are stored as their scalar factor; the implicit
 3x3-identity structure is applied in matrix-vector products.
@@ -39,14 +38,11 @@ class GaussianKernel:
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
 
-    def eval(self, x, y):
-        """Kernel value between two 3-vectors (or broadcastable arrays)."""
-        d2 = np.sum((np.asarray(x, float) - np.asarray(y, float)) ** 2, axis=-1)
-        return self._factors(d2, 0)[0]
-
     def _factors(self, d2, *orders):
         """Radial factors at squared distances d2, one per entry of orders:
-        0 the kernel value, 1 grad_factor, 2 grad_factor2. Each Gaussian's
+        0 the kernel value K; 1 gamma, with grad_1 K(x, y) = gamma (x - y);
+        2 gamma' = d gamma / d d2, with the kernel Hessian
+        grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. Each Gaussian's
         exp is computed once. A Gaussian of width s and weight w, with
         e = w exp(-d2 / (2 s^2)), adds e, -e / s^2 and e / (2 s^4)."""
         def scaled(e, s, k):
@@ -63,46 +59,13 @@ class GaussianKernel:
         """Dense |a| x |b| matrix of kernel values."""
         return self._factors(_sqdist(points_a, points_b), 0)[0]
 
-    def grad_factor(self, d2):
-        """Radial factor gamma(d2) with grad_1 K(x, y) = gamma * (x - y)."""
-        return self._factors(d2, 1)[0]
-
     def gram_pair(self, points_a, points_b=None):
-        """(gram, grad_factor) evaluated from a single distance computation."""
+        """(gram, gamma) evaluated from a single distance computation."""
         return tuple(self._factors(_sqdist(points_a, points_b), 0, 1))
 
-    def grad_factor2(self, d2):
-        """Radial derivative gamma'(d2) of grad_factor; appears in the
-        kernel Hessian grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I."""
-        return self._factors(d2, 2)[0]
-
     def gram_triple(self, points_a, points_b=None):
-        """(gram, grad_factor, grad_factor2) from one distance computation."""
+        """(gram, gamma, gamma') from one distance computation."""
         return tuple(self._factors(_sqdist(points_a, points_b), 0, 1, 2))
-
-    def gradient(self, x, y):
-        """Gradient of eval with respect to x."""
-        diff = np.asarray(x, float) - np.asarray(y, float)
-        d2 = np.sum(diff ** 2, axis=-1)
-        return diff * np.expand_dims(self.grad_factor(d2), -1)
-
-
-def scalar_gaussian(sigma):
-    """Scalar kernel on function values, exp(-(x-y)^2 / (2 sigma^2)).
-
-    sigma may be inf, in which case the kernel is identically 1 and the
-    functional-current metric degenerates to the plain current metric.
-    """
-    if sigma != np.inf and sigma <= 0:
-        raise ValueError("sigma must be positive or inf")
-
-    def k(x, y):
-        if np.isinf(sigma):
-            return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        d = np.asarray(x, float) - np.asarray(y, float)
-        return np.exp(-d ** 2 / (2.0 * sigma ** 2))
-
-    return k
 
 
 def default_deformation_kernel(mesh, large=0.4, small=0.1):

@@ -9,6 +9,11 @@ momenta evolve under the Hamiltonian system
 
 integrated with an explicit midpoint (RK2) scheme on a uniform grid over
 [0, 1]. The time-1 map is the deformation operator.
+
+`shoot` stores the state at every grid node and at every RK2 midpoint.
+The adjoint (`shoot_gradient`) and the flow of other points
+(`flow_points`) read those stored states instead of integrating the
+control system again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GaussianKernel
-from .mesh import TriangleMesh
 
 
 class ShootingError(RuntimeError):
@@ -49,19 +53,17 @@ class InitialMomenta:
                 and np.all(np.isfinite(self.momenta))):
             raise ValueError("non-finite entries")
 
-    def velocity_at(self, points):
-        """v0 evaluated at arbitrary points, shape (n, 3)."""
-        gram = self.kernel.gram(np.asarray(points, float), self.control_points)
-        return gram @ self.momenta
-
 
 @dataclass
 class GeodesicPath:
-    """Per-time control-point positions and momenta on a uniform grid."""
+    """Per-time control-point positions and momenta on a uniform grid, and
+    the RK2 midpoint state of every step."""
 
     times: np.ndarray          # (T+1,)
     points: np.ndarray         # (T+1, k, 3)
     momenta: np.ndarray        # (T+1, k, 3)
+    mid_points: np.ndarray     # (T, k, 3)
+    mid_momenta: np.ndarray    # (T, k, 3)
     kernel: GaussianKernel
 
     @property
@@ -119,14 +121,12 @@ def shoot_gradient(path: GeodesicPath, cbar_end, abar_end=None):
         np.asarray(abar_end, float).copy()
     kernel = path.kernel
     for t in range(path.steps - 1, -1, -1):
-        c, a = path.points[t], path.momenta[t]
-        dc, da = _rhs(kernel, c, a)
-        cm, am = c + 0.5 * dt * dc, a + 0.5 * dt * da
         # y1 = y + dt f(m), m = y + dt/2 f(y)
-        cmb, amb = _rhs_vjp(kernel, cm, am, cb, ab)
+        cmb, amb = _rhs_vjp(kernel, path.mid_points[t], path.mid_momenta[t],
+                            cb, ab)
         cmb *= dt
         amb *= dt
-        cyb, ayb = _rhs_vjp(kernel, c, a, cmb, amb)
+        cyb, ayb = _rhs_vjp(kernel, path.points[t], path.momenta[t], cmb, amb)
         cb = cb + cmb + 0.5 * dt * cyb
         ab = ab + amb + 0.5 * dt * ayb
     return cb, ab
@@ -146,8 +146,7 @@ def shoot(v0: InitialMomenta, steps: int = 20) -> GeodesicPath:
     dt = 1.0 / steps
     c = v0.control_points.copy()
     a = v0.momenta.copy()
-    cs = [c.copy()]
-    As = [a.copy()]
+    cs, As, cms, ams = [c.copy()], [a.copy()], [], []
     for _ in range(steps):
         dc, da = _rhs(v0.kernel, c, a)
         cm = c + 0.5 * dt * dc
@@ -158,70 +157,26 @@ def shoot(v0: InitialMomenta, steps: int = 20) -> GeodesicPath:
         _check_finite(c, a)
         cs.append(c.copy())
         As.append(a.copy())
+        cms.append(cm)
+        ams.append(am)
     return GeodesicPath(np.linspace(0.0, 1.0, steps + 1),
-                        np.array(cs), np.array(As), v0.kernel)
-
-
-def _advect(kernel, c0, a0, x0, dt, steps):
-    """Integrate controls and passive points jointly with midpoint RK2."""
-    c, a, x = c0.copy(), a0.copy(), x0.copy()
-    for _ in range(steps):
-        dc, da = _rhs(kernel, c, a)
-        dx = kernel.gram(x, c) @ a
-        cm, am, xm = c + 0.5 * dt * dc, a + 0.5 * dt * da, x + 0.5 * dt * dx
-        dc, da = _rhs(kernel, cm, am)
-        dx = kernel.gram(xm, cm) @ am
-        c, a, x = c + dt * dc, a + dt * da, x + dt * dx
-        _check_finite(c, a, x)
-    return c, a, x
+                        np.array(cs), np.array(As), np.array(cms),
+                        np.array(ams), v0.kernel)
 
 
 def flow_points(path: GeodesicPath, points) -> np.ndarray:
-    """Advect points through the flow ODE to t=1, same scheme and grid."""
-    x0 = np.asarray(points, float)
+    """Advect points through the flow ODE to t=1 with the same RK2 scheme
+    and grid, driven by the control states stored on the path."""
+    x = np.asarray(points, float)
     dt = 1.0 / path.steps
-    _, _, x = _advect(path.kernel, path.points[0], path.momenta[0], x0,
-                      dt, path.steps)
+    kernel = path.kernel
+    for t in range(path.steps):
+        dx = kernel.gram(x, path.points[t]) @ path.momenta[t]
+        xm = x + 0.5 * dt * dx
+        dx = kernel.gram(xm, path.mid_points[t]) @ path.mid_momenta[t]
+        x = x + dt * dx
+        _check_finite(x)
     return x
-
-
-def flow_points_inverse(path: GeodesicPath, points) -> np.ndarray:
-    """Advect points backward from t=1 to t=0 (the inverse deformation)."""
-    x1 = np.asarray(points, float)
-    dt = -1.0 / path.steps
-    _, _, x = _advect(path.kernel, path.points[-1], path.momenta[-1], x1,
-                      dt, path.steps)
-    return x
-
-
-def deformation_energy(v0: InitialMomenta) -> float:
-    """|v0|^2_V = sum_kl a_k . a_l K(c_k, c_l); conserved along geodesics."""
-    gram = v0.kernel.gram(v0.control_points)
-    return float(np.sum((gram @ v0.momenta) * v0.momenta))
-
-
-def path_energies(path: GeodesicPath) -> np.ndarray:
-    """Instantaneous energy at every stored time node."""
-    out = np.empty(path.steps + 1)
-    for t in range(path.steps + 1):
-        gram = path.kernel.gram(path.points[t])
-        out[t] = np.sum((gram @ path.momenta[t]) * path.momenta[t])
-    return out
-
-
-def deform_mesh(template: TriangleMesh, v0: InitialMomenta,
-                steps: int = 20) -> TriangleMesh:
-    """Flow the template vertices through the geodesic of v0.
-
-    Control points are the template vertices by convention, so the vertex
-    trajectories are the control trajectories themselves.
-    """
-    if v0.control_points.shape == template.vertices.shape and \
-            np.array_equal(v0.control_points, template.vertices):
-        path = shoot(v0, steps)
-        return template.with_vertices(path.points[-1])
-    path = shoot(v0, steps)
-    return template.with_vertices(flow_points(path, template.vertices))
 
 
 # -- serialization ----------------------------------------------------------

@@ -197,8 +197,7 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
     sigma_z = block.get("sigma_z")
     if sigma_z is None:
         sigma_z = block.get("sigma_z_rel", 0.11) * bbox
-    rcfg = RegistrationConfig(similarity="current", sigma_z=sigma_z,
-                              lam=block.get("lam", 0.05),
+    rcfg = RegistrationConfig(sigma_z=sigma_z, lam=block.get("lam", 0.05),
                               max_iterations=block.get("max_iterations", 120),
                               step_cap_rel=block.get("step_cap_rel", 0.02),
                               shooting_steps=block.get("shooting_steps", 10))

@@ -11,12 +11,12 @@ def config_file(tmp_path_factory):
     cfg = {
         "output_dir": str(root / "out"),
         "seed": 0,
-        "simulate": {"n": 4, "subdivisions": 1,
+        "simulate": {"n": 6, "subdivisions": 1,
                      "observation_subdivisions": 1},
         "register_geo": {"max_iterations": 4},
         "register_fun": {"max_iterations": 2},
-        "fpca_geo": {"n_components": 3},
-        "fpca_fun": {"n_components": 3, "lam": 0.0},
+        "fpca_geo": {"n_components": 2},
+        "fpca_fun": {"n_components": 2, "lam": 0.0},
         "cca": {},
     }
     path = root / "config.json"

@@ -106,3 +106,17 @@ def test_cca_input_validation():
         cca(rng.normal(size=2), rng.normal(size=2))
     with pytest.raises(ValueError):
         cca(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+
+
+def test_degenerate_cca_is_refused():
+    # with p + q >= n - 1 every canonical correlation reads 1
+    rng = np.random.default_rng(10)
+    for n, p, q in ((4, 3, 3), (5, 2, 2)):
+        with pytest.raises(ValueError):
+            cca(rng.normal(size=(n, p)), rng.normal(size=(n, q)))
+    res = cca(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
+    assert np.all(res.correlations < 1.0)
+    assert np.all(bartlett_test(res).p_values < 1.0)
+    # explicit sizes can still make the Bartlett factor non-positive
+    with pytest.raises(ValueError):
+        bartlett_test(res, p=5, q=5)

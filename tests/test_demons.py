@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from fos.demons import (DemonsConfig, SurfaceProjector, VertexMap,
+from fos.demons import (DemonsConfig, SurfaceProjector,
                         groupwise_template, register_functions,
                         surface_gradient, vertex_gradient)
 from fos.synthdata import graph_geodesic_distances, icosphere
 from fos.tangent_fem import build_frames
+
+
+def resample(proj, points, values):
+    """Vertex values interpolated at the closest surface points."""
+    _, fidx, bary = proj.project(points)
+    return proj.interpolate_at(fidx, bary, values)
 
 
 def test_surface_gradient_of_linear_function_is_exact():
@@ -49,16 +55,23 @@ def test_projector_recovers_nearby_offsets():
     assert np.linalg.norm(p - base, axis=1).max() <= 1e-3
 
 
-def test_vertex_map_forward_inverse_consistency():
+def test_vertex_map_apply_reproduces_registration():
+    # s(vertices) replayed from the stored updates carries the moving
+    # field onto the warped values the registration returned (up to the
+    # rounding of projecting the replayed points once more)
     mesh = icosphere(2)
-    rng = np.random.default_rng(1)
-    vm = VertexMap(mesh)
-    edge = np.linalg.norm(
-        mesh.vertices[mesh.faces[:, 0]] - mesh.vertices[mesh.faces[:, 1]],
-        axis=1).mean()
-    for _ in range(3):
-        vm.updates.append(0.1 * edge * rng.normal(size=mesh.vertices.shape))
-    assert vm.inverse_consistency() <= 0.2 * edge
+    src = int(np.argmax(mesh.vertices[:, 2]))
+    fixed = np.exp(-graph_geodesic_distances(mesh, src) ** 2 / 0.25)
+    proj = SurfaceProjector(mesh)
+    moving = resample(proj, mesh.vertices + np.array([0.1, -0.05, 0.0]),
+                      fixed)
+    res = register_functions(mesh, moving, fixed,
+                             DemonsConfig(lam=0.5, max_iterations=5))
+    assert len(res.mapping.updates) > 0
+    moved = res.mapping.apply(mesh.vertices)
+    assert np.abs(moving - res.warped.values).max() > 0.1
+    assert np.abs(resample(proj, moved, moving)
+                  - res.warped.values).max() <= 1e-12
 
 
 def test_register_functions_reduces_ssd():
@@ -71,7 +84,7 @@ def test_register_functions_reduces_ssd():
     rot = np.array([[np.cos(th), -np.sin(th), 0],
                     [np.sin(th), np.cos(th), 0], [0, 0, 1]])
     proj = SurfaceProjector(mesh)
-    moving = proj.interpolate(mesh.vertices @ rot.T, fixed)
+    moving = resample(proj, mesh.vertices @ rot.T, fixed)
     cfg = DemonsConfig(lam=0.2, max_iterations=40)
     res = register_functions(mesh, moving, fixed, cfg)
     assert res.ssd_trace[-1] <= 0.25 * res.ssd_trace[0]
@@ -103,7 +116,7 @@ def test_groupwise_template_reduces_spread():
         shift = 0.15 * rng.normal(size=3)
         proj = SurfaceProjector(mesh)
         f = np.exp(-d ** 2 / 0.25)
-        fields.append(proj.interpolate(mesh.vertices + shift, f))
+        fields.append(resample(proj, mesh.vertices + shift, f))
     template, results, aligned = groupwise_template(
         mesh, fields, config=DemonsConfig(lam=0.5, max_iterations=10))
     spread0 = np.var(np.asarray(fields), axis=0).mean()

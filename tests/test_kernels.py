@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
 
-from fos.kernels import (GaussianKernel, default_deformation_kernel,
-                         scalar_gaussian)
+from fos.kernels import GaussianKernel, default_deformation_kernel
+
+
+def pair(k, x, y):
+    """(K, gamma) at one pair of points, from gram_pair."""
+    g, f = k.gram_pair(np.atleast_2d(x), np.atleast_2d(y))
+    return g[0, 0], f[0, 0]
 
 
 def test_eval_matches_formula():
     k = GaussianKernel(sigma=2.0)
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([0.0, 2.0, 0.0])
-    assert np.isclose(k.eval(x, y), np.exp(-5.0 / 8.0))
+    x = np.array([[1.0, 0.0, 0.0]])
+    y = np.array([[0.0, 2.0, 0.0]])
+    assert np.isclose(k.gram(x, y)[0, 0], np.exp(-5.0 / 8.0))
 
 
 def test_two_kernel_sum():
     k = GaussianKernel(sigma=2.0, sigma2=0.5, weight=0.7)
-    x = np.zeros(3)
-    y = np.array([1.0, 0.0, 0.0])
+    x = np.zeros((1, 3))
+    y = np.array([[1.0, 0.0, 0.0]])
     expected = np.exp(-1.0 / 8.0) + 0.7 * np.exp(-1.0 / 0.5)
-    assert np.isclose(k.eval(x, y), expected)
+    assert np.isclose(k.gram(x, y)[0, 0], expected)
 
 
 def test_gram_symmetric_psd():
@@ -36,32 +41,39 @@ def test_gram_cross_shape():
 
 
 def test_gradient_matches_finite_differences():
+    # grad_1 K(x, y) = gamma (x - y), gamma the gram_pair factor
     rng = np.random.default_rng(2)
     k = GaussianKernel(sigma=0.9, sigma2=0.3, weight=0.5)
     x, y = rng.normal(size=3), rng.normal(size=3)
-    g = k.gradient(x, y)
+    g = pair(k, x, y)[1] * (x - y)
     eps = 1e-6
     for d in range(3):
         dx = np.zeros(3)
         dx[d] = eps
-        fd = (k.eval(x + dx, y) - k.eval(x - dx, y)) / (2 * eps)
+        fd = (pair(k, x + dx, y)[0] - pair(k, x - dx, y)[0]) / (2 * eps)
         assert np.isclose(g[d], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_grad_factor_consistent_with_gradient():
+    # one Gaussian: grad_1 K(x, y) = -K(x, y) (x - y) / sigma^2
     rng = np.random.default_rng(3)
     k = GaussianKernel(sigma=1.1)
     x, y = rng.normal(size=3), rng.normal(size=3)
-    d2 = np.sum((x - y) ** 2)
-    assert np.allclose(k.grad_factor(d2) * (x - y), k.gradient(x, y))
+    value, gamma = pair(k, x, y)
+    assert np.allclose(gamma * (x - y), -value * (x - y) / 1.1 ** 2)
 
 
 def test_grad_factor2_is_radial_derivative():
+    # gram_triple's third factor is d gamma / d(|x - y|^2)
     k = GaussianKernel(sigma=0.8, sigma2=0.4, weight=2.0)
     d2 = 0.73
     eps = 1e-6
-    fd = (k.grad_factor(d2 + eps) - k.grad_factor(d2 - eps)) / (2 * eps)
-    assert np.isclose(k.grad_factor2(d2), fd, rtol=1e-6)
+
+    def at(r2):
+        return np.array([[np.sqrt(r2), 0.0, 0.0]]), np.zeros((1, 3))
+
+    fd = (pair(k, *at(d2 + eps))[1] - pair(k, *at(d2 - eps))[1]) / (2 * eps)
+    assert np.isclose(k.gram_triple(*at(d2))[2][0, 0], fd, rtol=1e-6)
 
 
 def test_gram_pair_and_triple_agree_with_gram():
@@ -82,18 +94,6 @@ def test_invalid_parameters_raise():
         GaussianKernel(sigma=1.0, sigma2=-1.0)
     with pytest.raises(ValueError):
         GaussianKernel(sigma=1.0, weight=-0.1)
-    with pytest.raises(ValueError):
-        scalar_gaussian(-2.0)
-
-
-def test_scalar_gaussian_infinite_width_is_one():
-    k = scalar_gaussian(np.inf)
-    assert np.all(k(np.array([1.0, -3.0]), np.array([5.0, 5.0])) == 1.0)
-
-
-def test_scalar_gaussian_finite():
-    k = scalar_gaussian(2.0)
-    assert np.isclose(k(1.0, 3.0), np.exp(-0.5))
 
 
 def test_default_deformation_kernel_scales_with_mesh():

@@ -14,11 +14,11 @@ def tiny_config(out_dir):
     return PipelineConfig.from_dict({
         "output_dir": str(out_dir),
         "seed": 0,
-        "simulate": {"n": 4, "subdivisions": 1, "observation_subdivisions": 1},
+        "simulate": {"n": 6, "subdivisions": 1, "observation_subdivisions": 1},
         "register_geo": {"max_iterations": 4},
         "register_fun": {"max_iterations": 2},
-        "fpca_geo": {"n_components": 3},
-        "fpca_fun": {"n_components": 3, "lam": 0.0},
+        "fpca_geo": {"n_components": 2},
+        "fpca_fun": {"n_components": 2, "lam": 0.0},
         "cca": {},
     })
 
@@ -78,7 +78,7 @@ def test_manifest_structure(finished_run):
 def test_artifacts_exist(finished_run):
     _, out, _ = finished_run
     assert (out / "sim" / "template.off").exists()
-    for i in range(4):
+    for i in range(6):
         assert (out / "sim" / f"subject_{i:03d}.off").exists()
         assert (out / "reg_geo" / f"momenta_{i:03d}.csv").exists()
         assert (out / "reg_fun" / f"aligned_{i:03d}.csv").exists()
@@ -128,7 +128,7 @@ def test_emit_covariation_and_viz(finished_run):
 def test_pulled_fields_sample_the_subject_mesh(finished_run):
     _, out, _ = finished_run
     sim = out / "sim"
-    for i in range(4):
+    for i in range(6):
         subject = load_mesh(sim / f"subject_{i:03d}.off")
         field = load_field(subject, sim / f"field_{i:03d}.csv").values
         deformed = np.loadtxt(out / "reg_geo" / f"deformed_{i:03d}.csv",
