@@ -12,14 +12,18 @@ import numpy as np
 
 
 def _sqdist(points_a, points_b=None):
-    """Pairwise squared distances via the matmul expansion (BLAS-fast);
-    b defaults to a."""
+    """Pairwise squared distances via the matmul expansion (BLAS-fast),
+    built in place; b defaults to a and then shares a's row norms."""
     a = np.asarray(points_a, float)
-    b = a if points_b is None else np.asarray(points_b, float)
     aa = np.sum(a * a, axis=1)
-    bb = np.sum(b * b, axis=1)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    if points_b is None:
+        b, bb = a, aa
+    else:
+        b = np.asarray(points_b, float)
+        bb = np.sum(b * b, axis=1)
+    d2 = aa[:, None] + bb[None, :]
+    d2 -= 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @dataclass(frozen=True)
@@ -42,17 +46,30 @@ class GaussianKernel:
         """Radial factors at squared distances d2, one per entry of orders:
         0 the kernel value K; 1 gamma, with grad_1 K(x, y) = gamma (x - y);
         2 gamma' = d gamma / d d2, with the kernel Hessian
-        grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. Each Gaussian's
-        exp is computed once. A Gaussian of width s and weight w, with
-        e = w exp(-d2 / (2 s^2)), adds e, -e / s^2 and e / (2 s^4)."""
-        def scaled(e, s, k):
-            return e if k == 0 else -e / s ** 2 if k == 1 else e / (2.0 * s ** 4)
+        grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. A Gaussian of
+        width s and weight w, with e = w exp(-d2 / (2 s^2)), adds e,
+        -e / s^2 and e / (2 s^4).
 
-        e1 = np.exp(-d2 / (2.0 * self.sigma ** 2))
-        out = [scaled(e1, self.sigma, k) for k in orders]
+        Each Gaussian's exp is computed once and in place, and the second
+        Gaussian is added in place. The sign sits in the divisor,
+        d2 / (-2 s^2) and e / -s^2; IEEE division makes that bit-equal to
+        -d2 / (2 s^2) and -e / s^2, so the factors equal the plain formula
+        bit for bit."""
+        def gaussian(s):
+            e = d2 / (-2.0 * s ** 2)
+            return np.exp(e, out=e)
+
+        def divisor(s, k):
+            return -s ** 2 if k == 1 else 2.0 * s ** 4
+
+        e = gaussian(self.sigma)
+        # order 0 is e itself, so the scaled factors are taken first
+        out = [e if k == 0 else e / divisor(self.sigma, k) for k in orders]
         if self.sigma2 is not None:
-            e2 = self.weight * np.exp(-d2 / (2.0 * self.sigma2 ** 2))
-            out = [f + scaled(e2, self.sigma2, k) for f, k in zip(out, orders)]
+            e = gaussian(self.sigma2)
+            e *= self.weight
+            for f, k in zip(out, orders):
+                f += e if k == 0 else e / divisor(self.sigma2, k)
         return out
 
     def gram(self, points_a, points_b=None):

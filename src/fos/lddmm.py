@@ -87,26 +87,36 @@ def _rhs_vjp(kernel, c, a, p, q):
     All contractions reduce to row/column sums and matrix products thanks
     to the radial structure grad1 K = gamma (x - y) and
     grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I.
+
+    The k x k products are built in place, each with its operands in the
+    order of the formula beside it, so the result is that of the plain
+    expressions bit for bit.
     """
     k, g, g2 = kernel.gram_triple(c)
     s = a @ a.T
-    qc_diff = np.sum(q * c, axis=1)[:, None] - q @ c.T     # (q_k).(c_k - c_l)
+    qc_diff = q @ c.T
+    np.subtract(np.sum(q * c, axis=1)[:, None], qc_diff,
+                out=qc_diff)                        # (q_k).(c_k - c_l)
 
     # dc = K a: sensitivity to c through the kernel, to a through K itself
-    s1 = g * (p @ a.T)
+    s1 = p @ a.T
+    np.multiply(g, s1, out=s1)                      # g * (p a^T)
     cbar = c * (s1.sum(axis=1) + s1.sum(axis=0))[:, None] - s1 @ c - s1.T @ c
     abar = k @ p
 
-    # da = -1/2 gamma (c_k - c_l)(a_k.a_l): sensitivity to a
-    u = g * qc_diff
-    abar += -0.5 * (u @ a + u.T @ a)
-
-    # ... and to c, including the kernel-Hessian radial term
-    w = 2.0 * g2 * s * qc_diff
-    t = g * s
+    # da = -1/2 gamma (c_k - c_l)(a_k.a_l): sensitivity to c, including
+    # the kernel-Hessian radial term ...
+    w = np.multiply(2.0, g2, out=g2)
+    w *= s
+    w *= qc_diff                                    # 2 g2 * s * qc_diff
+    t = np.multiply(g, s, out=s)                    # g * s
     cbar += -0.5 * (c * (w.sum(axis=1) + w.sum(axis=0))[:, None]
                     - w @ c - w.T @ c
                     + q * t.sum(axis=1)[:, None] - t.T @ q)
+
+    # ... and to a
+    u = np.multiply(g, qc_diff, out=qc_diff)        # g * qc_diff
+    abar += -0.5 * (u @ a + u.T @ a)
     return cbar, abar
 
 

@@ -203,11 +203,6 @@ class ScalarField:
         self.mesh = mesh
         self.values = values
 
-    def face_values(self):
-        """Vertex-value mean per face (value at the face center under
-        linear interpolation)."""
-        return self.values[self.mesh.faces].mean(axis=1)
-
 
 # -- file I/O ---------------------------------------------------------------
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .covariation import bartlett_test, cca, covariation_sequence
 from .demons import DemonsConfig, groupwise_template
@@ -209,10 +211,24 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
         save_momenta(v0, reg / f"momenta_{i:03d}.csv")
         end = shoot(v0, rcfg.shooting_steps).points[-1]
         _write_csv(reg / f"deformed_{i:03d}.csv", end, "x,y,z")
-        diags[i] = diag.as_dict()
+        diags[i] = diag
     with open(reg / "diagnostics.json", "w") as fh:
-        json.dump(diags, fh)
-    return {"subjects": n, "sigma_z": sigma_z, "lam": rcfg.lam}
+        json.dump({i: d.as_dict() for i, d in diags.items()}, fh)
+    runs = diags.values()
+    capped = sum(d.iterations == rcfg.max_iterations and not d.converged
+                 for d in runs)
+    failed = sum(d.line_search_failed for d in runs)
+    warnings = []
+    if capped:
+        warnings.append(f"{capped}/{n} subjects stopped at max_iterations="
+                        f"{rcfg.max_iterations} without converging")
+    if failed:
+        warnings.append(f"{failed}/{n} subjects stopped on a failed line "
+                        "search")
+    return {"subjects": n, "sigma_z": sigma_z, "lam": rcfg.lam,
+            "iterations": sum(d.iterations for d in runs),
+            "converged": sum(d.converged for d in runs),
+            "line_search_failed": failed, "warnings": warnings}
 
 
 def _stage_register_fun(cfg: PipelineConfig, out: Path):
@@ -339,7 +355,9 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    manifest = {"parameter_hash": cfg.parameter_hash(), "stages": {}}
+    manifest = {"parameter_hash": cfg.parameter_hash(), "versions": {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__}, "stages": {}, "warnings": []}
     if manifest_path.exists():
         with open(manifest_path) as fh:
             previous = json.load(fh)
@@ -354,14 +372,20 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
             raise
         except Exception as exc:
             raise RuntimeError(f"stage {st!r} failed: {exc}") from exc
+        warnings = summary.pop("warnings", [])
         manifest["stages"][st] = {
             "summary": summary,
+            "warnings": warnings,
             "wall_time_s": time.time() - t0,
             "artifact_dir": str(out / st.replace("-", "_")
                                 .replace("register_geo", "reg_geo")
                                 .replace("register_fun", "reg_fun")
                                 .replace("simulate", "sim")),
         }
+        # the warnings of every stage on record, carried-over ones included
+        manifest["warnings"] = [
+            f"{name}: {text}" for name in STAGES
+            for text in manifest["stages"].get(name, {}).get("warnings", [])]
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1)
     return manifest

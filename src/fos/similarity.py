@@ -8,18 +8,30 @@ convention under which D(M, M) = 0 holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import GaussianKernel
 from .mesh import TriangleMesh
 
 
-@dataclass
 class SimilarityResult:
-    value: float
-    gradient: np.ndarray  # (n_deformed_vertices, 3)
+    """Current distance `value` and its `gradient` with respect to the
+    deformed vertex positions, (n_deformed_vertices, 3). The gradient is
+    computed on demand, the first time it is read, from the kernel blocks
+    the value was built from; a result whose gradient is never read
+    never pays for it."""
+
+    def __init__(self, value, gradient_fn):
+        self.value = value
+        self._gradient_fn = gradient_fn
+        self._gradient = None
+
+    @property
+    def gradient(self):
+        if self._gradient is None:
+            self._gradient = self._gradient_fn()
+            self._gradient_fn = None       # releases the kernel blocks
+        return self._gradient
 
 
 def _face_data(vertices, faces):
@@ -31,9 +43,9 @@ def _face_data(vertices, faces):
 
 def _current_core(vertices, faces, target_centers, target_normals, kernel,
                   *, target_self_term=None):
-    """Current distance and gradient of the surface (vertices, faces) to
-    the target given by its face centers and area normals. The target's
-    self-term is computed when not given."""
+    """Current distance of the surface (vertices, faces) to the target
+    given by its face centers and area normals, with its gradient on
+    demand. The target's self-term is computed when not given."""
     tri, c, n = _face_data(vertices, faces)
 
     k_ss, f_ss = kernel.gram_pair(c)
@@ -49,22 +61,25 @@ def _current_core(vertices, faces, target_centers, target_normals, kernel,
     value = float(np.sum(k_ss * m_ss) - 2.0 * np.sum(k_st * m_st)
                   + target_self_term)
 
-    # center sensitivity: grad1K(x, y) = gamma(|x-y|^2) (x - y), so the
-    # contractions reduce to row sums and matrix products
-    s_ss = f_ss * m_ss
-    s_st = f_st * m_st
-    a = 2.0 * (c * s_ss.sum(axis=1)[:, None] - s_ss @ c) \
-        - 2.0 * (c * s_st.sum(axis=1)[:, None] - s_st @ target_centers)
+    def gradient():
+        # center sensitivity: grad1K(x, y) = gamma(|x-y|^2) (x - y), so the
+        # contractions reduce to row sums and matrix products
+        s_ss = np.multiply(f_ss, m_ss, out=f_ss)
+        s_st = np.multiply(f_st, m_st, out=f_st)
+        a = 2.0 * (c * s_ss.sum(axis=1)[:, None] - s_ss @ c) \
+            - 2.0 * (c * s_st.sum(axis=1)[:, None] - s_st @ target_centers)
 
-    # normal sensitivity: coefficient of n_l in the quadratic form
-    w = 2.0 * (k_ss @ n) - 2.0 * (k_st @ target_normals)
+        # normal sensitivity: coefficient of n_l in the quadratic form
+        w = 2.0 * (k_ss @ n) - 2.0 * (k_st @ target_normals)
 
-    grad = np.zeros_like(vertices)
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    np.add.at(grad, faces[:, 0], a / 3.0 + 0.5 * np.cross(v1 - v2, w))
-    np.add.at(grad, faces[:, 1], a / 3.0 + 0.5 * np.cross(v2 - v0, w))
-    np.add.at(grad, faces[:, 2], a / 3.0 + 0.5 * np.cross(v0 - v1, w))
-    return SimilarityResult(value, grad)
+        grad = np.zeros_like(vertices)
+        v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
+        np.add.at(grad, faces[:, 0], a / 3.0 + 0.5 * np.cross(v1 - v2, w))
+        np.add.at(grad, faces[:, 1], a / 3.0 + 0.5 * np.cross(v2 - v0, w))
+        np.add.at(grad, faces[:, 2], a / 3.0 + 0.5 * np.cross(v0 - v1, w))
+        return grad
+
+    return SimilarityResult(value, gradient)
 
 
 def current_distance(deformed_mesh: TriangleMesh, target_mesh: TriangleMesh,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fos import georeg
 from fos.georeg import (RegistrationConfig, _make_similarity, _Objective,
                         pull_back_function, register_geometry)
 from fos.kernels import GaussianKernel
 from fos.lddmm import InitialMomenta, shoot
 from fos.mesh import ScalarField
+from fos.similarity import _current_core
 from fos.synthdata import ellipsoid_patch, icosphere
 
 
@@ -104,3 +106,27 @@ def test_pull_back_function_nearest_vertex():
     field = ScalarField(target, values)
     # query exactly at the vertices: pullback returns those values
     assert np.allclose(pull_back_function(field, target.vertices), values)
+
+
+def test_registration_computes_one_gradient_per_iteration(monkeypatch):
+    # rejected line-search trials read the value only
+    counts = {"evaluations": 0, "gradients": 0}
+
+    def counting_core(*args, **kwargs):
+        res = _current_core(*args, **kwargs)
+        counts["evaluations"] += 1
+        gradient_fn = res._gradient_fn
+
+        def counted():
+            counts["gradients"] += 1
+            return gradient_fn()
+        res._gradient_fn = counted
+        return res
+
+    monkeypatch.setattr(georeg, "_current_core", counting_core)
+    template, target, kernel, _ = small_problem(seed=2, scale=0.1)
+    cfg = RegistrationConfig(sigma_z=0.3, lam=1e-4, max_iterations=40)
+    _, diag = register_geometry(template, target, kernel, cfg)
+    assert diag.iterations == 40
+    assert counts["gradients"] == diag.iterations
+    assert counts["evaluations"] > diag.iterations + 1

