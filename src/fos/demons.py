@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .mesh import ScalarField, TriangleMesh, lumped_mass
 from .tangent_fem import (TangentField, TangentFrameAtlas, apply_dirichlet,
                           assemble_connection_matrices, build_frames,
-                          build_system, solve_update)
+                          build_system, eliminated_regulariser, solve_update)
 
 
 # -- surface geometry helpers -------------------------------------------------
@@ -186,6 +186,10 @@ class VertexMap:
 
 # -- registration -------------------------------------------------------------
 
+STALL_TOL = 1e-4          # relative SSD decrease defining a stall
+STALL_ITERATIONS = 3      # consecutive stalls before register_functions stops
+
+
 @dataclass
 class DemonsConfig:
     """Settings of the demons update. The driving force J is the symmetric
@@ -195,8 +199,6 @@ class DemonsConfig:
     lam: float = 1.0                 # regularization weight
     max_iterations: int = 60
     max_step_frac: float = 0.4      # step cap, fraction of mean edge length
-    tol: float = 1e-4               # relative SSD decrease defining a stall
-    stall_iterations: int = 3       # consecutive stalls before stopping
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -220,6 +222,7 @@ class _Demons:
     atlas: TangentFrameAtlas
     r0: object
     r1: object
+    reg: object                     # R1 R0^-1 R1
     lam: float
     step_cap: float
     mass: np.ndarray                # lumped vertex mass
@@ -231,8 +234,9 @@ def _demons_setup(mesh, config, atlas) -> _Demons:
         atlas = build_frames(mesh)
     r0, r1 = assemble_connection_matrices(mesh, atlas)
     step_cap = config.max_step_frac * float(mesh.edge_lengths.mean())
-    return _Demons(mesh, atlas, r0, r1, config.lam, step_cap,
-                   lumped_mass(mesh), SurfaceProjector(mesh))
+    return _Demons(mesh, atlas, r0, r1, eliminated_regulariser(r0, r1),
+                   config.lam, step_cap, lumped_mass(mesh),
+                   SurfaceProjector(mesh))
 
 
 def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
@@ -245,7 +249,7 @@ def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
     the update vanishes."""
     g_w = vertex_gradient(d.mesh, warped, d.atlas).coefficients
     j_field = TangentField(d.atlas, -0.5 * (g_w + g_fixed))
-    system = apply_dirichlet(build_system(d.mesh, d.atlas, d.r0, d.r1,
+    system = apply_dirichlet(build_system(d.mesh, d.atlas, d.r0, d.r1, d.reg,
                                           j_field, fixed - warped))
     amb = solve_update(system, d.lam).ambient()
     umax = float(np.linalg.norm(amb, axis=1).max())
@@ -294,9 +298,9 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
         amb, state, warped = step
         mapping.updates.append(amb)
         trace.append(_ssd(warped, f_vals, d.mass))
-        if trace[-2] - trace[-1] < config.tol * trace[0]:
+        if trace[-2] - trace[-1] < STALL_TOL * trace[0]:
             stalls += 1
-            if stalls >= config.stall_iterations:
+            if stalls >= STALL_ITERATIONS:
                 converged = True
                 break
         else:

@@ -1,6 +1,19 @@
 """Per-vertex tangent frames, vector finite-element matrices for tangent
-fields on a triangle mesh, and the mixed (saddle-point) solve of the
-linearized demons update.
+fields on a triangle mesh, and the solve of the linearized demons update.
+
+The update is the first field u of the mixed system
+
+    [Theta2   lam R1] [u]   [Theta1 z]
+    [lam R1  -lam R0] [h] = [   0    ].
+
+Its second row gives h = R0^-1 R1 u, so u solves the Schur complement
+
+    (Theta2 + lam R1 R0^-1 R1) u = Theta1 z,
+
+a 2K x 2K symmetric positive (semi-)definite system with half the unknowns
+of the 4K x 4K indefinite one. The elimination is exact and cheap because
+R0 is the diagonal lumped mass; a consistent (non-diagonal) R0 would make
+R0^-1 dense and need the mixed form back.
 
 Frames follow the angle-normalized one-ring construction: wedge angles
 around each interior vertex are scaled to sum to 2*pi, edges get intrinsic
@@ -232,25 +245,33 @@ def assemble_data_matrices(mesh: TriangleMesh, atlas: TangentFrameAtlas,
     return theta2, rhs
 
 
+def eliminated_regulariser(r0, r1):
+    """R1 R0^-1 R1 (symmetric PSD, 2K x 2K) for a diagonal R0: the
+    regulariser left once the mixed system's second field is eliminated.
+    It depends only on the surface, so it is built once per surface."""
+    return (r1 @ sparse.diags(1.0 / r0.diagonal()) @ r1).tocsc()
+
+
 @dataclass
 class FemSystem:
     mesh: TriangleMesh
     atlas: TangentFrameAtlas
     r0: sparse.spmatrix
     r1: sparse.spmatrix
+    reg: sparse.spmatrix             # R1 R0^-1 R1
     theta2: sparse.spmatrix
     rhs: np.ndarray                  # Theta1 z, length 2K
 
 
-def build_system(mesh, atlas, r0, r1, j_field, residual) -> FemSystem:
+def build_system(mesh, atlas, r0, r1, reg, j_field, residual) -> FemSystem:
     theta2, rhs = assemble_data_matrices(mesh, atlas, j_field, residual)
-    return FemSystem(mesh, atlas, r0, r1, theta2, rhs)
+    return FemSystem(mesh, atlas, r0, r1, reg, theta2, rhs)
 
 
 def apply_dirichlet(system: FemSystem, penalty: float | None = None) -> FemSystem:
     """Homogeneous Dirichlet conditions on boundary vertices by penalty:
-    add M to the two diagonal entries of the top-left block and zero the
-    matching right-hand-side entries. No boundary, no change."""
+    add M to the two diagonal entries of Theta2 at each boundary vertex and
+    zero the matching right-hand-side entries. No boundary, no change."""
     on_boundary = np.repeat(system.mesh.boundary_vertices, 2)
     if not on_boundary.any():
         return system
@@ -266,25 +287,21 @@ def apply_dirichlet(system: FemSystem, penalty: float | None = None) -> FemSyste
     theta2 = system.theta2 + sparse.diags(np.where(on_boundary, penalty, 0.0))
     rhs = np.where(on_boundary, 0.0, system.rhs)
     return FemSystem(system.mesh, system.atlas, system.r0, system.r1,
-                     theta2, rhs)
+                     system.reg, theta2, rhs)
 
 
 def solve_update(system: FemSystem, lam: float) -> TangentField:
-    """Solve the 4K x 4K mixed system
-
-        [Theta2   lam R1] [u]   [Theta1 z]
-        [lam R1  -lam R0] [h] = [   0    ]
-
-    with a sparse direct factorization; returns u as a TangentField."""
+    """Solve (Theta2 + lam R1 R0^-1 R1) u = Theta1 z, the mixed system with
+    its second field eliminated (see the module docstring), with a sparse
+    direct factorization in symmetric mode; returns u as a TangentField."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    n2 = system.rhs.shape[0]
-    a = sparse.bmat([[system.theta2, lam * system.r1],
-                     [lam * system.r1, -lam * system.r0]], format="csc")
-    b = np.concatenate([system.rhs, np.zeros(n2)])
+    b = system.rhs
     if not np.any(b):
-        return TangentField(system.atlas, np.zeros(n2))
-    factor = splu(a)
+        return TangentField(system.atlas, np.zeros(b.shape[0]))
+    a = (lam * system.reg + system.theta2).tocsc()
+    factor = splu(a, permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
     sol = factor.solve(b)
     if not np.all(np.isfinite(sol)):
         raise FemError("singular demons system; try a larger lambda")
@@ -296,4 +313,4 @@ def solve_update(system: FemSystem, lam: float) -> TangentField:
     if resid > 1e-8 * np.linalg.norm(b):
         raise FemError(f"linear solve residual too large ({resid:.3e}); "
                        "try a larger lambda")
-    return TangentField(system.atlas, sol[:n2])
+    return TangentField(system.atlas, sol)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fos import demons
 from fos.demons import (DemonsConfig, SurfaceProjector,
                         groupwise_template, register_functions,
                         surface_gradient, vertex_gradient)
-from fos.synthdata import graph_geodesic_distances, icosphere
+from fos.synthdata import (c_shape_images, ellipsoid_patch,
+                           graph_geodesic_distances, icosphere)
 from fos.tangent_fem import build_frames
+from test_tangent_fem import mixed_solve_update
 
 
 def resample(proj, points, values):
@@ -123,3 +126,39 @@ def test_groupwise_template_reduces_spread():
     spread1 = np.var(np.asarray(aligned), axis=0).mean()
     assert spread1 < spread0
     assert template.shape == (mesh.n_vertices,)
+
+
+def test_updates_match_the_mixed_solve(monkeypatch):
+    # groupwise on an open patch, then a single registration on a sphere,
+    # in one process: each surface and each lambda must get its own
+    # eliminated regulariser
+    patch = ellipsoid_patch(2)
+    src = int(np.argmin(np.linalg.norm(patch.vertices
+                                       - patch.vertices.mean(axis=0), axis=1)))
+    bump = np.exp(-graph_geodesic_distances(patch, src) ** 2 / 0.1)
+    proj = SurfaceProjector(patch)
+    rng = np.random.default_rng(5)
+    fields = [resample(proj, patch.vertices + 0.1 * rng.normal(size=3), bump)
+              for _ in range(4)]
+    sphere = icosphere(2)
+    moving, fixed = c_shape_images(sphere)
+
+    def run():
+        _, _, aligned = groupwise_template(
+            patch, fields, DemonsConfig(lam=3.0, max_iterations=3))
+        res = register_functions(sphere, moving, fixed,
+                                 DemonsConfig(lam=0.2, max_iterations=5))
+        return np.asarray(aligned), res
+
+    aligned, res = run()
+    monkeypatch.setattr(demons, "solve_update", mixed_solve_update)
+    ref_aligned, ref_res = run()
+
+    def rel(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    assert rel(np.asarray(fields), ref_aligned) > 1e-3
+    assert len(ref_res.ssd_trace) == 6
+    assert rel(aligned, ref_aligned) <= 1e-10
+    assert rel(res.warped.values, ref_res.warped.values) <= 1e-10
+    assert rel(res.ssd_trace, ref_res.ssd_trace) <= 1e-10

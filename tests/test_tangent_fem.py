@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from fos.mesh import TriangleMesh
 from fos.synthdata import ellipsoid_patch, icosphere
 from fos.tangent_fem import (FemError, TangentField, apply_dirichlet,
                              assemble_connection_matrices,
                              assemble_data_matrices, build_frames,
-                             build_system, solve_update, transport_rotation)
+                             build_system, eliminated_regulariser,
+                             solve_update, transport_rotation)
 
 
 def flat_patch(n=5):
@@ -21,6 +23,30 @@ def flat_patch(n=5):
             faces.append([a, a + 1, a + n])
             faces.append([a + 1, a + n + 1, a + n])
     return TriangleMesh(vv, np.array(faces))
+
+
+def connection(mesh, atlas):
+    """(R0, R1, R1 R0^-1 R1) as the demons set-up builds them."""
+    r0, r1 = assemble_connection_matrices(mesh, atlas)
+    return r0, r1, eliminated_regulariser(r0, r1)
+
+
+def mixed_solve_update(system, lam):
+    """The 4K x 4K mixed (saddle-point) solve that `solve_update` replaced:
+
+        [Theta2   lam R1] [u]   [Theta1 z]
+        [lam R1  -lam R0] [h] = [   0    ]
+
+    kept as an oracle for the eliminated form."""
+    n2 = system.rhs.shape[0]
+    a = sparse.bmat([[system.theta2, lam * system.r1],
+                     [lam * system.r1, -lam * system.r0]], format="csc")
+    b = np.concatenate([system.rhs, np.zeros(n2)])
+    factor = splu(a)
+    sol = factor.solve(b)
+    for _ in range(2):
+        sol = sol + factor.solve(b - a @ sol)
+    return TangentField(system.atlas, sol[:n2])
 
 
 def test_frames_are_orthonormal_tangent():
@@ -84,33 +110,40 @@ def test_transport_rotation_antisymmetric_on_flat_mesh():
         np.isclose((rij + rji) % (2 * np.pi), 2 * np.pi, atol=1e-9)
 
 
-def test_solve_update_matches_dense_oracle():
-    mesh = ellipsoid_patch(0)
+@pytest.mark.parametrize("lam", [0.2, 3.0])
+@pytest.mark.parametrize("make_mesh", [lambda: ellipsoid_patch(1),
+                                       lambda: icosphere(1)],
+                         ids=["patch", "sphere"])
+def test_solve_update_matches_dense_oracle(make_mesh, lam):
+    mesh = make_mesh()
     assert mesh.n_vertices <= 60
     atlas = build_frames(mesh)
-    r0, r1 = assemble_connection_matrices(mesh, atlas)
+    r0, r1, reg = connection(mesh, atlas)
     rng = np.random.default_rng(1)
     j_field = TangentField(atlas, rng.normal(size=(mesh.n_vertices, 2)))
     z = rng.normal(size=mesh.n_vertices)
-    system = apply_dirichlet(build_system(mesh, atlas, r0, r1, j_field, z))
-    lam = 0.5
+    plain = build_system(mesh, atlas, r0, r1, reg, j_field, z)
+    system = apply_dirichlet(plain)
+    # Dirichlet conditions on the open patch; a no-op on the closed sphere
+    assert (system is plain) == (not mesh.boundary_vertices.any())
     u = solve_update(system, lam)
     n2 = 2 * mesh.n_vertices
     dense = np.block([[system.theta2.toarray(), lam * r1.toarray()],
                       [lam * r1.toarray(), -lam * r0.toarray()]])
     rhs = np.concatenate([system.rhs, np.zeros(n2)])
     ref = np.linalg.solve(dense, rhs)[:n2].reshape(-1, 2)
-    assert np.abs(u.coefficients - ref).max() <= 1e-10
+    assert np.abs(u.coefficients - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_dirichlet_boundary_values_vanish():
     mesh = ellipsoid_patch(1)
     atlas = build_frames(mesh)
-    r0, r1 = assemble_connection_matrices(mesh, atlas)
+    r0, r1, reg = connection(mesh, atlas)
     rng = np.random.default_rng(2)
     j_field = TangentField(atlas, rng.normal(size=(mesh.n_vertices, 2)))
     z = rng.normal(size=mesh.n_vertices)
-    system = apply_dirichlet(build_system(mesh, atlas, r0, r1, j_field, z))
+    system = apply_dirichlet(build_system(mesh, atlas, r0, r1, reg, j_field,
+                                          z))
     u = solve_update(system, 1.0)
     boundary = np.linalg.norm(u.coefficients[mesh.boundary_vertices], axis=1)
     interior = np.linalg.norm(u.coefficients[~mesh.boundary_vertices], axis=1)
@@ -125,9 +158,9 @@ def test_frame_rotation_invariance_of_ambient_solution():
     j_ambient = rng.normal(size=(mesh.n_vertices, 3))
 
     def solve_in(atlas_k):
-        r0, r1 = assemble_connection_matrices(mesh, atlas_k)
+        r0, r1, reg = connection(mesh, atlas_k)
         j_field = TangentField(atlas_k, atlas_k.to_frame(j_ambient))
-        system = apply_dirichlet(build_system(mesh, atlas_k, r0, r1,
+        system = apply_dirichlet(build_system(mesh, atlas_k, r0, r1, reg,
                                               j_field, z))
         return solve_update(system, 1.0).ambient()
 
@@ -140,12 +173,12 @@ def test_frame_rotation_invariance_of_ambient_solution():
 def test_invalid_inputs_raise():
     mesh = ellipsoid_patch(0)
     atlas = build_frames(mesh)
-    r0, r1 = assemble_connection_matrices(mesh, atlas)
+    r0, r1, reg = connection(mesh, atlas)
     rng = np.random.default_rng(4)
     j_field = TangentField(atlas, rng.normal(size=(mesh.n_vertices, 2)))
     with pytest.raises(ValueError):
         assemble_data_matrices(mesh, atlas, j_field, np.zeros(3))
-    system = build_system(mesh, atlas, r0, r1, j_field,
+    system = build_system(mesh, atlas, r0, r1, reg, j_field,
                           rng.normal(size=mesh.n_vertices))
     with pytest.raises(ValueError):
         solve_update(system, 0.0)
