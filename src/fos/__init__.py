@@ -23,9 +23,9 @@ from .similarity import SimilarityResult, current_distance
 from .synthdata import (SimDataset, SimModes, SimSpec, c_shape_images,
                         ellipsoid_patch, generate_dataset, hemisphere,
                         icosphere, make_modes, make_template, refine_mesh)
-from .tangent_fem import (FemError, FemSystem, TangentField, TangentFrameAtlas,
+from .tangent_fem import (Connection, FemError, TangentFrameAtlas,
                           apply_dirichlet, assemble_connection_matrices,
-                          assemble_data_matrices, build_frames, build_system,
+                          build_frames, build_system, connection,
                           solve_update)
 
 __version__ = "0.1.0"

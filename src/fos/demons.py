@@ -15,9 +15,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .mesh import ScalarField, TriangleMesh, lumped_mass
-from .tangent_fem import (TangentField, TangentFrameAtlas, apply_dirichlet,
-                          assemble_connection_matrices, build_frames,
-                          build_system, eliminated_regulariser, solve_update)
+from .tangent_fem import (Connection, TangentFrameAtlas, apply_dirichlet,
+                          build_frames, build_system, connection,
+                          solve_update)
 
 
 # -- surface geometry helpers -------------------------------------------------
@@ -40,9 +40,9 @@ def surface_gradient(mesh: TriangleMesh, values) -> np.ndarray:
 
 
 def vertex_gradient(mesh: TriangleMesh, values,
-                    atlas: TangentFrameAtlas) -> TangentField:
+                    atlas: TangentFrameAtlas) -> np.ndarray:
     """Area-weighted one-ring average of face gradients, projected to the
-    vertex tangent planes."""
+    vertex tangent planes, as (K, 2) frame coefficients."""
     g = surface_gradient(mesh, values)
     acc = np.zeros_like(mesh.vertices)
     wsum = np.zeros(mesh.n_vertices)
@@ -51,7 +51,7 @@ def vertex_gradient(mesh: TriangleMesh, values,
         np.add.at(acc, mesh.faces[:, col], wa[:, None] * g)
         np.add.at(wsum, mesh.faces[:, col], wa)
     acc /= wsum[:, None]
-    return TangentField(atlas, atlas.to_frame(acc))
+    return atlas.to_frame(acc)
 
 
 def _closest_on_triangles(p, a, b, c):
@@ -194,10 +194,11 @@ STALL_ITERATIONS = 3      # consecutive stalls before register_functions stops
 class DemonsConfig:
     """Settings of the demons update. The driving force J is the symmetric
     mean of the moving and fixed gradients, and boundary vertices are held
-    fixed (a no-op on closed meshes)."""
+    fixed (a no-op on closed meshes). The defaults are the register-fun
+    stage's, whose config block takes these fields as its keys."""
 
-    lam: float = 1.0                 # regularization weight
-    max_iterations: int = 60
+    lam: float = 3.0                 # regularization weight
+    max_iterations: int = 15
     max_step_frac: float = 0.4      # step cap, fraction of mean edge length
 
     def __post_init__(self):
@@ -216,13 +217,12 @@ class DemonsResult:
 
 @dataclass
 class _Demons:
-    """What every update on one surface shares."""
+    """What every update on one surface shares: the surface's half of the
+    FEM system, the regularization weight, the step cap, the lumped vertex
+    mass of the SSD and the closest-point projector."""
 
     mesh: TriangleMesh
-    atlas: TangentFrameAtlas
-    r0: object
-    r1: object
-    reg: object                     # R1 R0^-1 R1
+    conn: Connection
     lam: float
     step_cap: float
     mass: np.ndarray                # lumped vertex mass
@@ -232,11 +232,9 @@ class _Demons:
 def _demons_setup(mesh, config, atlas) -> _Demons:
     if atlas is None:
         atlas = build_frames(mesh)
-    r0, r1 = assemble_connection_matrices(mesh, atlas)
     step_cap = config.max_step_frac * float(mesh.edge_lengths.mean())
-    return _Demons(mesh, atlas, r0, r1, eliminated_regulariser(r0, r1),
-                   config.lam, step_cap, lumped_mass(mesh),
-                   SurfaceProjector(mesh))
+    return _Demons(mesh, connection(mesh, atlas), config.lam, step_cap,
+                   lumped_mass(mesh), SurfaceProjector(mesh))
 
 
 def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
@@ -247,11 +245,11 @@ def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
 
     Returns (ambient update, new state, new warped values), or None when
     the update vanishes."""
-    g_w = vertex_gradient(d.mesh, warped, d.atlas).coefficients
-    j_field = TangentField(d.atlas, -0.5 * (g_w + g_fixed))
-    system = apply_dirichlet(build_system(d.mesh, d.atlas, d.r0, d.r1, d.reg,
-                                          j_field, fixed - warped))
-    amb = solve_update(system, d.lam).ambient()
+    conn = d.conn
+    g_w = vertex_gradient(d.mesh, warped, conn.atlas)
+    theta2, rhs = apply_dirichlet(
+        conn, *build_system(conn, -0.5 * (g_w + g_fixed), fixed - warped))
+    amb = conn.atlas.to_ambient(solve_update(conn, theta2, rhs, d.lam))
     umax = float(np.linalg.norm(amb, axis=1).max())
     if umax < 1e-14:
         return None
@@ -289,7 +287,7 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
     stalls = 0
     converged = False
     it = 0
-    g_f = vertex_gradient(mesh, f_vals, d.atlas).coefficients
+    g_f = vertex_gradient(mesh, f_vals, d.conn.atlas)
     for it in range(1, config.max_iterations + 1):
         step = _demons_step(d, state, m_vals, warped, f_vals, g_f)
         if step is None:
@@ -345,7 +343,7 @@ def groupwise_template(mesh: TriangleMesh, fields,
     prev_evals = None
     stable = 0
     for _ in range(config.max_iterations):
-        g_t = vertex_gradient(mesh, template, d.atlas).coefficients
+        g_t = vertex_gradient(mesh, template, d.conn.atlas)
         for i in range(n):
             step = _demons_step(d, states[i], vals[i], aligned[i], template,
                                 g_t)

@@ -28,7 +28,7 @@ GRAD_TOLERANCE = 1e-8
 @dataclass
 class RegistrationConfig:
     similarity: str = "current"        # the only similarity accepted
-    lam: float | None = None           # None: 1e-3 relative to initial D^2
+    lam: float = 0.05                  # weight of the energy |v0|^2_V
     sigma_z: float = 1.0
     max_iterations: int = 100
     shooting_steps: int = 10
@@ -39,7 +39,7 @@ class RegistrationConfig:
     step_cap_rel: float = 0.02
 
     def __post_init__(self):
-        if self.lam is not None and self.lam < 0:
+        if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -55,6 +55,9 @@ class Diagnostics:
     iterations: int = 0
     converged: bool = False
     line_search_failed: bool = False
+    # the deformed template at the returned momenta, from the last accepted
+    # evaluation; not part of as_dict
+    endpoint: np.ndarray | None = None
 
     def as_dict(self):
         return {
@@ -75,9 +78,6 @@ class _Objective:
         self.similarity_fn = similarity_fn
         self.kernel = kernel
         self.lam = config.lam
-        if self.lam is None:
-            d0 = similarity_fn(template.vertices).value
-            self.lam = 1e-3 * d0 if d0 > 0 else 1e-3
         self.steps = config.shooting_steps
         # constant across the optimization; recomputing it every evaluation
         # dominates the runtime on study-sized meshes
@@ -161,6 +161,7 @@ def _minimize(objective, config):
         diag.similarity_trace.append(sim.value)
         diag.energy_trace.append(energy)
         diag.iterations = it + 1
+    diag.endpoint = path.points[-1]
     return InitialMomenta(objective.template.vertices, alpha,
                           objective.kernel), diag
 
@@ -172,7 +173,8 @@ def register_geometry(template: TriangleMesh, target: TriangleMesh,
 
     Returns (InitialMomenta, Diagnostics). The objective trace is monotone
     non-increasing (Armijo backtracking); optimization starts at zero
-    momenta (the identity deformation).
+    momenta (the identity deformation). `Diagnostics.endpoint` is the
+    template shot along the returned momenta.
     """
     if config is None:
         config = RegistrationConfig()

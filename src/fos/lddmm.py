@@ -191,29 +191,26 @@ def flow_points(path: GeodesicPath, points) -> np.ndarray:
 
 # -- serialization ----------------------------------------------------------
 
-def save_momenta(v0: InitialMomenta, csv_path, sidecar_path=None):
-    """CSV `k,cx,cy,cz,ax,ay,az` plus a JSON sidecar with kernel parameters."""
+def save_momenta(v0: InitialMomenta, csv_path):
+    """CSV `k,cx,cy,cz,ax,ay,az` plus the JSON sidecar `<csv_path>.json`
+    with the kernel parameters."""
     csv_path = str(csv_path)
     with open(csv_path, "w") as fh:
         fh.write("k,cx,cy,cz,ax,ay,az\n")
         for k, (c, a) in enumerate(zip(v0.control_points, v0.momenta)):
             fh.write(f"{k},{c[0]:.17g},{c[1]:.17g},{c[2]:.17g},"
                      f"{a[0]:.17g},{a[1]:.17g},{a[2]:.17g}\n")
-    if sidecar_path is None:
-        sidecar_path = csv_path + ".json"
     kern = v0.kernel
-    with open(str(sidecar_path), "w") as fh:
+    with open(csv_path + ".json", "w") as fh:
         json.dump({"sigma": kern.sigma, "sigma2": kern.sigma2,
                    "weight": kern.weight}, fh)
 
 
-def load_momenta(csv_path, sidecar_path=None) -> InitialMomenta:
+def load_momenta(csv_path) -> InitialMomenta:
     csv_path = str(csv_path)
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
-    if sidecar_path is None:
-        sidecar_path = csv_path + ".json"
-    with open(str(sidecar_path)) as fh:
+    with open(csv_path + ".json") as fh:
         kp = json.load(fh)
     kernel = GaussianKernel(sigma=kp["sigma"], sigma2=kp["sigma2"],
                             weight=kp["weight"])

@@ -35,7 +35,7 @@ _BLOCK_KEYS = {
     "simulate": {f.name for f in fields(SimSpec)},
     "register_geo": {"sigma_z", "sigma_z_rel", "lam", "max_iterations",
                      "step_cap_rel", "shooting_steps"},
-    "register_fun": {"lam", "max_iterations", "max_step_frac"},
+    "register_fun": {f.name for f in fields(DemonsConfig)},
     "fpca_geo": {"n_components"},
     "fpca_fun": {"n_components", "lam", "cv_lambdas", "folds"},
     "cca": set(),
@@ -209,8 +209,7 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
         target = load_mesh(sim / f"subject_{i:03d}.off")
         v0, diag = register_geometry(template, target, kernel, rcfg)
         save_momenta(v0, reg / f"momenta_{i:03d}.csv")
-        end = shoot(v0, rcfg.shooting_steps).points[-1]
-        _write_csv(reg / f"deformed_{i:03d}.csv", end, "x,y,z")
+        _write_csv(reg / f"deformed_{i:03d}.csv", diag.endpoint, "x,y,z")
         diags[i] = diag
     with open(reg / "diagnostics.json", "w") as fh:
         json.dump({i: d.as_dict() for i, d in diags.items()}, fh)
@@ -245,10 +244,7 @@ def _stage_register_fun(cfg: PipelineConfig, out: Path):
         pulled.append(values)
         _write_csv(fun / f"pulled_{i:03d}.csv", values[None, :],
                    ",".join(f"v{k}" for k in range(template.n_vertices)))
-    block = cfg.register_fun
-    dcfg = DemonsConfig(lam=block.get("lam", 3.0),
-                        max_iterations=block.get("max_iterations", 15),
-                        max_step_frac=block.get("max_step_frac", 0.4))
+    dcfg = DemonsConfig(**cfg.register_fun)
     mean, _, aligned = groupwise_template(template, pulled, config=dcfg)
     for i in range(n):
         _write_csv(fun / f"aligned_{i:03d}.csv", aligned[i][None, :],

@@ -112,8 +112,8 @@ class SimModes:
     mu: ScalarField
     # same functional mode and mean sampled on the (finer) observation
     # mesh; equal to psi1_f / mu when observations live on the template
-    psi1_f_obs: ScalarField = None
-    mu_obs: ScalarField = None
+    psi1_f_obs: ScalarField
+    mu_obs: ScalarField
 
 
 def _v_inner(kernel, points, a1, a2):
@@ -246,7 +246,7 @@ def make_template(spec: SimSpec) -> TriangleMesh:
     return base.with_vertices(spec.scale * base.vertices)
 
 
-def generate_dataset(spec: SimSpec, template=None, modes=None) -> SimDataset:
+def generate_dataset(spec: SimSpec, template=None) -> SimDataset:
     """Draw n subjects from the generative model. Deterministic per spec:
     subject i uses the derived seed (spec.seed, i).
 
@@ -262,13 +262,7 @@ def generate_dataset(spec: SimSpec, template=None, modes=None) -> SimDataset:
                                         spec.kernel_small)
     obs = refine_mesh(template, spec.observation_subdivisions) \
         if spec.observation_subdivisions > 0 else template
-    if modes is None:
-        modes = make_modes(template, kernel, spec.seed, obs)
-    if modes.psi1_f_obs is None:
-        modes = SimModes(modes.psi1_g, modes.psi2_g, modes.psi1_f, modes.mu,
-                         modes.psi1_f, modes.mu)
-    if modes.psi1_f_obs.mesh.n_vertices != obs.n_vertices:
-        raise ValueError("modes were built for a different observation mesh")
+    modes = make_modes(template, kernel, spec.seed, obs)
 
     k_t = template.n_vertices
     meshes, fields = [], []

@@ -15,6 +15,13 @@ of the 4K x 4K indefinite one. The elimination is exact and cheap because
 R0 is the diagonal lumped mass; a consistent (non-diagonal) R0 would make
 R0^-1 dense and need the mixed form back.
 
+Half of the system depends only on the surface: the frames, R0, R1,
+R1 R0^-1 R1, the boundary coefficients and the surface's share of the
+Dirichlet penalty. `connection` builds that half once per surface as a
+`Connection`. The other half changes with every update: `build_system`
+makes Theta2 and Theta1 z from the driving force J and the residual z,
+`apply_dirichlet` holds the boundary at zero, and `solve_update` returns u.
+
 Frames follow the angle-normalized one-ring construction: wedge angles
 around each interior vertex are scaled to sum to 2*pi, edges get intrinsic
 polar coordinates, and parallel transport across an edge is the rotation
@@ -76,22 +83,6 @@ class TangentFrameAtlas:
         e2 = -sb * self.e1 + cb * self.e2
         edge_angle = {(i, j): a - b[i] for (i, j), a in self.edge_angle.items()}
         return TangentFrameAtlas(self.mesh, self.normals, e1, e2, edge_angle)
-
-
-class TangentField:
-    """Tangent vector field: 2 coefficients per vertex in the local frames."""
-
-    def __init__(self, atlas: TangentFrameAtlas, coefficients):
-        coefficients = np.asarray(coefficients, float).reshape(-1, 2)
-        if len(coefficients) != atlas.mesh.n_vertices:
-            raise ValueError("coefficient count must be 2 * vertex count")
-        if not np.all(np.isfinite(coefficients)):
-            raise ValueError("non-finite coefficients")
-        self.atlas = atlas
-        self.coefficients = coefficients
-
-    def ambient(self):
-        return self.atlas.to_ambient(self.coefficients)
 
 
 def _vertex_rings(mesh: TriangleMesh):
@@ -229,88 +220,83 @@ def assemble_connection_matrices(mesh: TriangleMesh,
     return r0, r1
 
 
-def assemble_data_matrices(mesh: TriangleMesh, atlas: TangentFrameAtlas,
-                           j_field: TangentField, residual):
-    """Sparse Theta2 (block-diagonal J J^T in frame coordinates) and the
-    right-hand side Theta1 z with entries -z_k J_k."""
-    z = np.asarray(residual, float)
-    if z.shape != (mesh.n_vertices,):
-        raise ValueError("residual length must equal vertex count")
-    jc = j_field.coefficients
-    k_n = mesh.n_vertices
-    theta2 = sparse.bsr_matrix(
-        (np.einsum("ka,kb->kab", jc, jc), np.arange(k_n), np.arange(k_n + 1)),
-        shape=(2 * k_n, 2 * k_n))
-    rhs = (-z[:, None] * jc).ravel()
-    return theta2, rhs
-
-
-def eliminated_regulariser(r0, r1):
-    """R1 R0^-1 R1 (symmetric PSD, 2K x 2K) for a diagonal R0: the
-    regulariser left once the mixed system's second field is eliminated.
-    It depends only on the surface, so it is built once per surface."""
-    return (r1 @ sparse.diags(1.0 / r0.diagonal()) @ r1).tocsc()
-
-
 @dataclass
-class FemSystem:
-    mesh: TriangleMesh
+class Connection:
+    """The half of the demons system fixed by the surface, built once per
+    surface: frames, R0, R1, the eliminated regulariser R1 R0^-1 R1, the
+    coefficients held at zero by the Dirichlet conditions, and the R0/R1
+    diagonal maximum that scales the Dirichlet penalty."""
+
     atlas: TangentFrameAtlas
     r0: sparse.spmatrix
     r1: sparse.spmatrix
     reg: sparse.spmatrix             # R1 R0^-1 R1
-    theta2: sparse.spmatrix
-    rhs: np.ndarray                  # Theta1 z, length 2K
+    boundary: np.ndarray             # (2K,) bool, boundary coefficients
+    diag_max: float                  # max(|diag R0|, |diag R1|)
 
 
-def build_system(mesh, atlas, r0, r1, reg, j_field, residual) -> FemSystem:
-    theta2, rhs = assemble_data_matrices(mesh, atlas, j_field, residual)
-    return FemSystem(mesh, atlas, r0, r1, reg, theta2, rhs)
+def connection(mesh: TriangleMesh, atlas: TangentFrameAtlas) -> Connection:
+    r0, r1 = assemble_connection_matrices(mesh, atlas)
+    # R0 is diagonal, so the elimination of h keeps the system sparse
+    reg = (r1 @ sparse.diags(1.0 / r0.diagonal()) @ r1).tocsc()
+    diag_max = max(abs(r0.diagonal()).max(), abs(r1.diagonal()).max())
+    return Connection(atlas, r0, r1, reg,
+                      np.repeat(mesh.boundary_vertices, 2), diag_max)
 
 
-def apply_dirichlet(system: FemSystem, penalty: float | None = None) -> FemSystem:
+def build_system(conn: Connection, j, z):
+    """The per-update half of the system for the driving force J, given as
+    (K, 2) frame coefficients, and the residual z: returns Theta2 (sparse
+    block-diagonal J J^T) and the right-hand side Theta1 z with entries
+    -z_k J_k."""
+    k_n = conn.atlas.mesh.n_vertices
+    j, z = np.asarray(j, float), np.asarray(z, float)
+    if j.shape != (k_n, 2) or z.shape != (k_n,):
+        raise ValueError("J and z must match the vertex count")
+    if not np.all(np.isfinite(j)):
+        raise ValueError("non-finite driving force")
+    theta2 = sparse.bsr_matrix(
+        (np.einsum("ka,kb->kab", j, j), np.arange(k_n), np.arange(k_n + 1)),
+        shape=(2 * k_n, 2 * k_n))
+    return theta2, (-z[:, None] * j).ravel()
+
+
+def apply_dirichlet(conn: Connection, theta2, rhs):
     """Homogeneous Dirichlet conditions on boundary vertices by penalty:
     add M to the two diagonal entries of Theta2 at each boundary vertex and
     zero the matching right-hand-side entries. No boundary, no change."""
-    on_boundary = np.repeat(system.mesh.boundary_vertices, 2)
-    if not on_boundary.any():
-        return system
-    if penalty is None:
-        # per-vertex coefficient-norm of the theta2 blocks (the block trace)
-        # rather than single diagonal entries, so the penalty — and with it
-        # the solution — does not depend on the in-plane frame choice
-        d2 = system.theta2.diagonal()
-        diag_max = max((d2[0::2] + d2[1::2]).max(),
-                       abs(system.r0.diagonal()).max(),
-                       abs(system.r1.diagonal()).max())
-        penalty = 1e8 * diag_max
-    theta2 = system.theta2 + sparse.diags(np.where(on_boundary, penalty, 0.0))
-    rhs = np.where(on_boundary, 0.0, system.rhs)
-    return FemSystem(system.mesh, system.atlas, system.r0, system.r1,
-                     system.reg, theta2, rhs)
+    if not conn.boundary.any():
+        return theta2, rhs
+    # per-vertex coefficient-norm of the theta2 blocks (the block trace)
+    # rather than single diagonal entries, so the penalty — and with it
+    # the solution — does not depend on the in-plane frame choice
+    d2 = theta2.diagonal()
+    penalty = 1e8 * max((d2[0::2] + d2[1::2]).max(), conn.diag_max)
+    theta2 = theta2 + sparse.diags(np.where(conn.boundary, penalty, 0.0))
+    return theta2, np.where(conn.boundary, 0.0, rhs)
 
 
-def solve_update(system: FemSystem, lam: float) -> TangentField:
+def solve_update(conn: Connection, theta2, rhs, lam: float) -> np.ndarray:
     """Solve (Theta2 + lam R1 R0^-1 R1) u = Theta1 z, the mixed system with
     its second field eliminated (see the module docstring), with a sparse
-    direct factorization in symmetric mode; returns u as a TangentField."""
+    direct factorization in symmetric mode; returns u as (K, 2) frame
+    coefficients."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    b = system.rhs
-    if not np.any(b):
-        return TangentField(system.atlas, np.zeros(b.shape[0]))
-    a = (lam * system.reg + system.theta2).tocsc()
+    if not np.any(rhs):
+        return np.zeros((len(rhs) // 2, 2))
+    a = (lam * conn.reg + theta2).tocsc()
     factor = splu(a, permc_spec="MMD_AT_PLUS_A",
                   options={"SymmetricMode": True})
-    sol = factor.solve(b)
+    sol = factor.solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise FemError("singular demons system; try a larger lambda")
     # two rounds of iterative refinement recover the accuracy lost to the
     # ill-conditioning introduced by the Dirichlet penalty
     for _ in range(2):
-        sol = sol + factor.solve(b - a @ sol)
-    resid = np.linalg.norm(a @ sol - b)
-    if resid > 1e-8 * np.linalg.norm(b):
+        sol = sol + factor.solve(rhs - a @ sol)
+    resid = np.linalg.norm(a @ sol - rhs)
+    if resid > 1e-8 * np.linalg.norm(rhs):
         raise FemError(f"linear solve residual too large ({resid:.3e}); "
                        "try a larger lambda")
-    return TangentField(system.atlas, sol)
+    return sol.reshape(-1, 2)

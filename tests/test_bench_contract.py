@@ -1,12 +1,17 @@
-"""The benchmark's tracer names the `fos` functions it wraps. A traced
-function that is renamed or deleted must fail here, in the tests, and not
-first in a benchmark run."""
+"""The benchmark's tracer names the `fos` functions it wraps and reads the
+results some of them return. A traced function that is renamed or deleted,
+or a result whose shape its count hook no longer reads, must fail here, in
+the tests, and not first in a benchmark run."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import fos  # noqa: F401  (imports every module the tracer patches)
+from fos.demons import DemonsConfig, groupwise_template, register_functions
+from fos.georeg import RegistrationConfig, register_geometry
+from fos.kernels import GaussianKernel
+from fos.synthdata import c_shape_images, ellipsoid_patch, icosphere
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -48,3 +53,28 @@ def test_tracer_wraps_every_target_and_restores_every_binding():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert not changed
+
+
+def test_count_hooks_read_the_results_they_count():
+    hooks = {name: hook for _, _, name, hook in load_tracing().TARGETS}
+    sphere = icosphere(1)
+    moving, fixed = c_shape_images(sphere)
+    cfg = DemonsConfig(lam=0.2, max_iterations=2)
+    res = register_functions(sphere, moving, fixed, cfg)
+    assert len(res.mapping.updates) == 2
+    assert hooks["demons.register_functions"]((), {}, res) == \
+        {"demons.updates": 2}
+    group = groupwise_template(sphere, [moving.values, fixed.values], cfg)
+    updates = sum(len(m.updates) for m in group[1])
+    assert updates > 0
+    assert hooks["demons.groupwise_template"]((), {}, group) == \
+        {"demons.updates": updates}
+    patch = ellipsoid_patch(1)
+    target = patch.with_vertices(1.1 * patch.vertices)
+    reg = register_geometry(patch, target, GaussianKernel(sigma=1.2),
+                            RegistrationConfig(sigma_z=0.6, max_iterations=3))
+    assert hooks["georeg.register_geometry"]((), {}, reg) == {
+        "georeg.iterations": reg[1].iterations,
+        "georeg.converged": int(reg[1].converged),
+        "georeg.line_search_failed": int(reg[1].line_search_failed)}
+    assert reg[1].iterations == 3

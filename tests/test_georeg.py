@@ -80,6 +80,20 @@ def test_landmark_registration_recovers_deformation():
     assert resid <= 0.02 * np.linalg.norm(hi - lo)
 
 
+def test_returned_endpoint_is_the_shot_momenta():
+    # the endpoint comes from the last accepted evaluation, so the caller
+    # need not shoot the returned momenta again
+    template, target, kernel, _ = small_problem(seed=1)
+    for iterations in (1, 12):
+        cfg = RegistrationConfig(sigma_z=0.6, lam=1e-4,
+                                 max_iterations=iterations)
+        v0, diag = register_geometry(template, target, kernel, cfg)
+        assert diag.iterations == iterations
+        assert np.array_equal(diag.endpoint,
+                              shoot(v0, cfg.shooting_steps).points[-1])
+        assert "endpoint" not in diag.as_dict()
+
+
 def test_objective_gradient_matches_finite_differences():
     template, target, kernel, true = small_problem(seed=3, scale=0.08)
     cfg = RegistrationConfig(similarity="current", sigma_z=0.6, lam=1e-3,
