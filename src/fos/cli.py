@@ -60,13 +60,11 @@ def build_parser():
 
 
 def _load_config(args) -> PipelineConfig:
-    if args.config:
-        cfg = PipelineConfig.from_json(args.config)
-    else:
-        cfg = PipelineConfig()
-    if getattr(args, "output_dir", None):
+    cfg = PipelineConfig.from_json(args.config) if args.config \
+        else PipelineConfig()
+    if args.output_dir:
         cfg.output_dir = args.output_dir
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
     return cfg

@@ -66,14 +66,10 @@ def cca(x_scores, y_scores) -> CcaResult:
     b = wy @ vt.T[:, :m]
     xv = xc @ a
     yv = yc @ b
-    for j in range(m):
-        i = int(np.argmax(np.abs(xv[:, j])))
-        if xv[i, j] < 0:
-            a[:, j] *= -1.0
-            b[:, j] *= -1.0
-            xv[:, j] *= -1.0
-            yv[:, j] *= -1.0
-    return CcaResult(corr, a, b, xv, yv, x_mean, y_mean, n)
+    top = xv[np.argmax(np.abs(xv), axis=0), np.arange(m)]
+    flip = np.where(top < 0, -1.0, 1.0)
+    return CcaResult(corr, a * flip, b * flip, xv * flip, yv * flip,
+                     x_mean, y_mean, n)
 
 
 @dataclass
@@ -120,20 +116,19 @@ def regression_coefficients(predictor, responses):
 
 
 def covariation_sequence(result: CcaResult, pair: int, t_values,
-                         x_scores=None, y_scores=None):
+                         x_scores, y_scores):
     """Score trajectories along the pair-th canonical direction.
 
     For each t in units of the canonical-variate standard deviation,
     returns the scores obtained by moving both blocks along their OLS
     regression on that variate: a dict with 'x' and 'y' arrays of shape
-    (len(t), p) and (len(t), q).
+    (len(t), p) and (len(t), q). x_scores and y_scores are the blocks the
+    CCA was fitted to.
     """
     x = result.x_variates[:, pair]
     sd = float(x.std(ddof=1))
-    xs = result.x_mean + result.x_variates @ np.linalg.pinv(result.x_weights) \
-        if x_scores is None else np.asarray(x_scores, float)
-    ys = result.y_mean + result.y_variates @ np.linalg.pinv(result.y_weights) \
-        if y_scores is None else np.asarray(y_scores, float)
+    xs = np.asarray(x_scores, float)
+    ys = np.asarray(y_scores, float)
     bx = regression_coefficients(x, xs)
     by = regression_coefficients(x, ys)
     t = np.asarray(t_values, float)

@@ -121,14 +121,15 @@ class SurfaceProjector:
         self.mesh = mesh
         self.tree = cKDTree(mesh.vertices)
         self.n_nearest = min(n_nearest, mesh.n_vertices)
-        vertex_faces = mesh.vertex_faces
-        width = max(len(fs) for fs in vertex_faces)
-        table = np.empty((mesh.n_vertices, width), dtype=int)
-        for k, fs in enumerate(vertex_faces):
-            fs = sorted(fs)
-            table[k, :len(fs)] = fs
-            table[k, len(fs):] = fs[0]
-        self._face_table = table
+        # row k: the faces around vertex k in index order, padded with the
+        # first of them
+        corners = mesh.faces.ravel()
+        order = np.argsort(corners, kind="stable")
+        counts = np.bincount(corners, minlength=mesh.n_vertices)
+        col = np.arange(counts.max())
+        pick = np.cumsum(counts)[:, None] - counts[:, None] \
+            + np.where(col < counts[:, None], col, 0)
+        self._face_table = order[pick] // 3
 
     def project(self, points):
         """Returns (projected points, face index, barycentric coords)."""
@@ -166,14 +167,8 @@ class VertexMap:
     per-vertex ambient update fields it was composed from."""
 
     mesh: TriangleMesh
+    projector: SurfaceProjector
     updates: list = field(default_factory=list)   # each (K, 3) ambient
-    _projector: SurfaceProjector | None = None
-
-    @property
-    def projector(self):
-        if self._projector is None:
-            self._projector = SurfaceProjector(self.mesh)
-        return self._projector
 
     def apply(self, points) -> np.ndarray:
         """s(points): run the update flows in composition order."""
@@ -204,6 +199,8 @@ class DemonsConfig:
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+        if self.max_step_frac <= 0:
+            raise ValueError("max_step_frac must be positive")
 
 
 @dataclass
@@ -280,7 +277,7 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
         raise ValueError("value arrays must match the vertex count")
 
     d = _demons_setup(mesh, config, atlas)
-    mapping = VertexMap(mesh, _projector=d.projector)
+    mapping = VertexMap(mesh, d.projector)
     state = d.projector.project(mesh.vertices)     # running s(vertices)
     warped = m_vals.copy()
     trace = [_ssd(warped, f_vals, d.mass)]
@@ -336,7 +333,7 @@ def groupwise_template(mesh: TriangleMesh, fields,
     if n < 2:
         raise ValueError("need at least two fields")
     d = _demons_setup(mesh, config, atlas)
-    mappings = [VertexMap(mesh, _projector=d.projector) for _ in range(n)]
+    mappings = [VertexMap(mesh, d.projector) for _ in range(n)]
     states = [d.projector.project(mesh.vertices)] * n
     aligned = [v.copy() for v in vals]
     template = np.mean(aligned, axis=0)

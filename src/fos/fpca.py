@@ -42,12 +42,10 @@ class GeometricFpca:
 def _fix_signs(components, scores):
     """Flip each component so its score vector's largest-magnitude entry is
     positive (ties to the lowest index, which argmax already gives)."""
-    for j in range(scores.shape[1]):
-        i = int(np.argmax(np.abs(scores[:, j])))
-        if scores[i, j] < 0:
-            scores[:, j] *= -1.0
-            components[j] *= -1.0
-    return components, scores
+    top = scores[np.argmax(np.abs(scores), axis=0), np.arange(scores.shape[1])]
+    flip = np.where(top < 0, -1.0, 1.0)
+    return components * flip.reshape(-1, *[1] * (components.ndim - 1)), \
+        scores * flip
 
 
 def geometric_fpca(momenta_list, control_points, kernel: GaussianKernel,

@@ -8,7 +8,7 @@ against full finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,24 +27,41 @@ GRAD_TOLERANCE = 1e-8
 
 @dataclass
 class RegistrationConfig:
+    """Settings of the geometric registration. The defaults are the
+    register-geo stage's, whose config block takes these fields, all but
+    `similarity`, as its keys."""
+
     similarity: str = "current"        # the only similarity accepted
     lam: float = 0.05                  # weight of the energy |v0|^2_V
-    sigma_z: float = 1.0
-    max_iterations: int = 100
+    # width of the current metric's kernel; when None, sigma_z_rel times
+    # the template bounding-box diagonal
+    sigma_z: float | None = None
+    sigma_z_rel: float = 0.11
+    max_iterations: int = 120
     shooting_steps: int = 10
     # per-iteration cap on the momentum update's max entry, as a fraction
     # of the template bounding-box diagonal; guards against the first
     # steps overshooting into tangled configurations when the similarity
-    # gradient is very large
+    # gradient is very large. 0 leaves the update uncapped.
     step_cap_rel: float = 0.02
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.similarity != "current":
             raise ValueError(f"unknown similarity {self.similarity!r}")
+        if min(self.lam, self.step_cap_rel) < 0:
+            raise ValueError("lam and step_cap_rel must be >= 0")
+        if self.sigma_z_rel <= 0 or (self.sigma_z is not None
+                                     and self.sigma_z <= 0):
+            raise ValueError("sigma_z and sigma_z_rel must be positive")
+        if min(self.max_iterations, self.shooting_steps) < 1:
+            raise ValueError("max_iterations and shooting_steps must be >= 1")
+
+    def resolved(self, template: TriangleMesh) -> "RegistrationConfig":
+        """These settings with sigma_z fixed for the given template."""
+        if self.sigma_z is not None:
+            return self
+        return replace(self,
+                       sigma_z=self.sigma_z_rel * template.bbox_diagonal)
 
 
 @dataclass
@@ -60,14 +77,8 @@ class Diagnostics:
     endpoint: np.ndarray | None = None
 
     def as_dict(self):
-        return {
-            "objective_trace": [float(x) for x in self.objective_trace],
-            "similarity_trace": [float(x) for x in self.similarity_trace],
-            "energy_trace": [float(x) for x in self.energy_trace],
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "line_search_failed": self.line_search_failed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "endpoint"}
 
 
 class _Objective:
@@ -88,15 +99,14 @@ class _Objective:
         path = shoot(v0, self.steps)
         endpoint = path.points[-1]
         sim = self.similarity_fn(endpoint)
-        gram0 = self.gram0
-        energy = float(np.sum((gram0 @ alpha) * alpha))
+        energy = float(np.sum((self.gram0 @ alpha) * alpha))
         value = sim.value + self.lam * energy
-        return value, sim, energy, path, gram0
+        return value, sim, energy, path
 
-    def gradient(self, alpha, sim: SimilarityResult, path, gram0):
+    def gradient(self, alpha, sim: SimilarityResult, path):
         # exact adjoint of the RK2 shooting map
         _, abar0 = shoot_gradient(path, sim.gradient)
-        return abar0 + 2.0 * self.lam * (gram0 @ alpha)
+        return abar0 + 2.0 * self.lam * (self.gram0 @ alpha)
 
 
 def _make_similarity(template, target, config):
@@ -119,32 +129,26 @@ def _minimize(objective, config):
     """Armijo descent from zero momenta (the identity deformation)."""
     diag = Diagnostics()
     alpha = np.zeros_like(objective.template.vertices)
-    value, sim, energy, path, gram0 = objective.evaluate(alpha)
+    value, sim, energy, path = objective.evaluate(alpha)
     diag.objective_trace.append(value)
     diag.similarity_trace.append(sim.value)
     diag.energy_trace.append(energy)
-    lo = objective.template.vertices.min(axis=0)
-    hi = objective.template.vertices.max(axis=0)
-    step_cap = config.step_cap_rel * float(np.linalg.norm(hi - lo))
+    step_cap = config.step_cap_rel * objective.template.bbox_diagonal
     step = INITIAL_STEP
-    first = True
     for it in range(config.max_iterations):
-        grad = objective.gradient(alpha, sim, path, gram0)
+        grad = objective.gradient(alpha, sim, path)
         gnorm2 = float(np.sum(grad ** 2))
         if np.sqrt(gnorm2) <= GRAD_TOLERANCE:
             diag.converged = True
             break
         gmax = float(np.abs(grad).max())
         capped = step_cap / gmax if step_cap > 0 else np.inf
-        if first:
-            step = min(step, capped)
-            first = False
         accepted = False
         trial = min(step, capped)
         for _ in range(MAX_SHRINKS):
             cand = alpha - trial * grad
             try:
-                cval, csim, cen, cpath, _ = objective.evaluate(cand)
+                cval, csim, cen, cpath = objective.evaluate(cand)
             except ShootingError:
                 trial *= ARMIJO_SHRINK
                 continue
@@ -174,10 +178,10 @@ def register_geometry(template: TriangleMesh, target: TriangleMesh,
     Returns (InitialMomenta, Diagnostics). The objective trace is monotone
     non-increasing (Armijo backtracking); optimization starts at zero
     momenta (the identity deformation). `Diagnostics.endpoint` is the
-    template shot along the returned momenta.
+    template shot along the returned momenta. Without a config the
+    register-geo stage's defaults apply.
     """
-    if config is None:
-        config = RegistrationConfig()
+    config = (config or RegistrationConfig()).resolved(template)
     objective = _Objective(template,
                            _make_similarity(template, target, config),
                            kernel, config)

@@ -87,7 +87,5 @@ class GaussianKernel:
 
 def default_deformation_kernel(mesh, large=0.4, small=0.1):
     """Two-kernel sum sized relative to the template bounding-box diagonal."""
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    diag = float(np.linalg.norm(hi - lo))
+    diag = mesh.bbox_diagonal
     return GaussianKernel(sigma=large * diag, sigma2=small * diag, weight=1.0)

@@ -19,7 +19,7 @@ control system again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -200,10 +200,8 @@ def save_momenta(v0: InitialMomenta, csv_path):
         for k, (c, a) in enumerate(zip(v0.control_points, v0.momenta)):
             fh.write(f"{k},{c[0]:.17g},{c[1]:.17g},{c[2]:.17g},"
                      f"{a[0]:.17g},{a[1]:.17g},{a[2]:.17g}\n")
-    kern = v0.kernel
     with open(csv_path + ".json", "w") as fh:
-        json.dump({"sigma": kern.sigma, "sigma2": kern.sigma2,
-                   "weight": kern.weight}, fh)
+        json.dump(asdict(v0.kernel), fh)
 
 
 def load_momenta(csv_path) -> InitialMomenta:
@@ -211,7 +209,5 @@ def load_momenta(csv_path) -> InitialMomenta:
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
     with open(csv_path + ".json") as fh:
-        kp = json.load(fh)
-    kernel = GaussianKernel(sigma=kp["sigma"], sigma2=kp["sigma2"],
-                            weight=kp["weight"])
+        kernel = GaussianKernel(**json.load(fh))
     return InitialMomenta(data[:, 1:4], data[:, 4:7], kernel)

@@ -54,7 +54,6 @@ class TriangleMesh:
         self.edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         self.boundary_vertices = self._boundary_flags()
         self._tree = None
-        self._vertex_faces = None
         self._vertex_normals = None
 
     # -- derived structure ------------------------------------------------
@@ -80,6 +79,11 @@ class TriangleMesh:
         return len(self.faces)
 
     @property
+    def bbox_diagonal(self):
+        lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
+        return float(np.linalg.norm(hi - lo))
+
+    @property
     def total_area(self):
         return float(self.face_areas.sum())
 
@@ -89,17 +93,6 @@ class TriangleMesh:
         e = self.edges
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]],
                               axis=1)
-
-    @property
-    def vertex_faces(self):
-        """List of incident face indices per vertex."""
-        if self._vertex_faces is None:
-            vf = [[] for _ in range(self.n_vertices)]
-            for fi, face in enumerate(self.faces):
-                for vi in face:
-                    vf[vi].append(fi)
-            self._vertex_faces = [np.array(x, dtype=int) for x in vf]
-        return self._vertex_faces
 
     @property
     def vertex_normals(self):
@@ -116,12 +109,9 @@ class TriangleMesh:
 
     # -- queries -----------------------------------------------------------
 
-    def nearest_vertex(self, point):
-        """Index of the closest vertex; ties broken by lowest index."""
-        return int(self.nearest_vertices(np.asarray(point)[None, :])[0])
-
     def nearest_vertices(self, points):
-        """Vectorized nearest_vertex. Matches an exhaustive scan exactly."""
+        """Index of each point's closest vertex, ties broken by lowest
+        index. Matches an exhaustive scan exactly."""
         points = np.asarray(points, dtype=float)
         if self._tree is None:
             self._tree = cKDTree(self.vertices)
@@ -206,19 +196,20 @@ class ScalarField:
 
 # -- file I/O ---------------------------------------------------------------
 
+def _format(path, fmt):
+    """"OFF" or "PLY": fmt in any case, or else the path's suffix."""
+    fmt = (fmt or ("PLY" if str(path).lower().endswith(".ply")
+                   else "OFF")).upper()
+    if fmt not in ("OFF", "PLY"):
+        raise MeshError(f"unsupported format {fmt!r}")
+    return fmt
+
+
 def load_mesh(path, fmt=None):
     """Load an OFF or ascii-PLY mesh. Format inferred from suffix if not given."""
-    path = str(path)
-    if fmt is None:
-        fmt = "PLY" if path.lower().endswith(".ply") else "OFF"
-    fmt = fmt.upper()
-    with open(path) as fh:
-        text = fh.read()
-    if fmt == "OFF":
-        return _parse_off(text)
-    if fmt == "PLY":
-        return _parse_ply(text)
-    raise MeshError(f"unsupported format {fmt!r}")
+    parse = _parse_off if _format(path, fmt) == "OFF" else _parse_ply
+    with open(str(path)) as fh:
+        return parse(fh.read())
 
 
 def _tokens(text):
@@ -286,22 +277,17 @@ def _parse_ply(text):
 
 def save_mesh(mesh, path, fmt=None):
     """Write OFF or ascii-PLY with 17 significant digits (round-trip exact)."""
-    path = str(path)
-    if fmt is None:
-        fmt = "PLY" if path.lower().endswith(".ply") else "OFF"
-    fmt = fmt.upper()
-    with open(path, "w") as fh:
+    fmt = _format(path, fmt)
+    with open(str(path), "w") as fh:
         if fmt == "OFF":
             fh.write("OFF\n")
             fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        elif fmt == "PLY":
+        else:
             fh.write("ply\nformat ascii 1.0\n")
             fh.write(f"element vertex {mesh.n_vertices}\n")
             fh.write("property double x\nproperty double y\nproperty double z\n")
             fh.write(f"element face {mesh.n_faces}\n")
             fh.write("property list uchar int vertex_indices\nend_header\n")
-        else:
-            raise MeshError(f"unsupported format {fmt!r}")
         for v in mesh.vertices:
             fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for f in mesh.faces:

@@ -4,6 +4,14 @@ Every stage reads its inputs from the output directory and writes its
 outputs there before the next stage starts, so any suffix of the stage
 list can be re-run from cached artifacts with bit-identical results.
 All randomness comes from one root seed expanded per stage.
+
+Each stage's config block holds the keyword arguments of one settings
+object, whose defaults and checks are the block's: simulate ->
+synthdata.SimSpec (seed defaults to the root seed), register_geo ->
+georeg.RegistrationConfig (every field but similarity), register_fun ->
+demons.DemonsConfig, and fpca_geo, fpca_fun, cca -> FpcaGeoSettings,
+FpcaFunSettings, CcaSettings below. `PipelineConfig.validate` builds all
+six, so a bad value is a ConfigError before any stage runs.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import scipy
@@ -29,17 +38,64 @@ from .synthdata import SimSpec, generate_dataset
 
 STAGES = ("simulate", "register-geo", "register-fun",
           "fpca-geo", "fpca-fun", "cca")
+_ARTIFACT_DIRS = dict(zip(STAGES, ("sim", "reg_geo", "reg_fun", "fpca_geo",
+                                   "fpca_fun", "cca")))
 
-# the keys each stage's config block accepts
-_BLOCK_KEYS = {
-    "simulate": {f.name for f in fields(SimSpec)},
-    "register_geo": {"sigma_z", "sigma_z_rel", "lam", "max_iterations",
-                     "step_cap_rel", "shooting_steps"},
-    "register_fun": {f.name for f in fields(DemonsConfig)},
-    "fpca_geo": {"n_components"},
-    "fpca_fun": {"n_components", "lam", "cv_lambdas", "folds"},
-    "cca": set(),
+
+def _is_number(value, kind=(int, float)):
+    """Whether value is a number >= 0 of the given kind; bools are not."""
+    return isinstance(value, kind) and not isinstance(value, bool) \
+        and value >= 0
+
+
+@dataclass
+class FpcaGeoSettings:
+    n_components: int = 5
+
+    def __post_init__(self):
+        if self.n_components < 1:
+            raise ValueError("n_components must be >= 1")
+
+
+@dataclass
+class FpcaFunSettings:
+    n_components: int = 3
+    lam: float = 100.0
+    # when given, lam is chosen among these by cross-validation over folds
+    cv_lambdas: list | None = None
+    folds: int = 5
+
+    def __post_init__(self):
+        if self.n_components < 1:
+            raise ValueError("n_components must be >= 1")
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
+        lams = self.cv_lambdas
+        if lams is not None and not (isinstance(lams, (list, tuple))
+                                     and lams and all(map(_is_number, lams))):
+            raise ValueError("cv_lambdas must be a non-empty list of "
+                             "numbers >= 0")
+
+
+@dataclass
+class CcaSettings:
+    """The cca stage takes no settings."""
+
+
+_SETTINGS = {
+    "simulate": SimSpec,
+    "register_geo": RegistrationConfig,
+    "register_fun": DemonsConfig,
+    "fpca_geo": FpcaGeoSettings,
+    "fpca_fun": FpcaFunSettings,
+    "cca": CcaSettings,
 }
+
+
+def _block_keys(block_name):
+    # similarity is set by library callers only
+    return [f.name for f in fields(_SETTINGS[block_name])
+            if f.name != "similarity"]
 
 
 class ConfigError(ValueError):
@@ -51,8 +107,31 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _settings(block_name, block):
+    """The settings object of one config block."""
+    _require(isinstance(block, dict), f"{block_name} block must be an object")
+    unknown = set(block) - set(_block_keys(block_name))
+    _require(not unknown, f"unknown {block_name} keys: {sorted(unknown)}")
+    cls = _SETTINGS[block_name]
+    hints = get_type_hints(cls)
+    for key, value in block.items():
+        name = f"{block_name}.{key}"
+        _require(value is not None, f"{name} must not be null")
+        if hints[key] is int:
+            _require(_is_number(value, int), f"{name} must be an int >= 0")
+        elif hints[key] in (float, float | None):
+            _require(_is_number(value), f"{name} must be a number >= 0")
+    try:
+        return cls(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {block_name} block: {exc}") from exc
+
+
 @dataclass
 class PipelineConfig:
+    """The run's JSON configuration. `validate` sets `settings`, the
+    settings object of every stage block keyed by block name."""
+
     output_dir: str = "fos_out"
     seed: int = 0
     stages: tuple = STAGES
@@ -66,11 +145,9 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         _require(isinstance(data, dict), "config must be a JSON object")
-        known = {"output_dir", "seed", "stages", "simulate", "register_geo",
-                 "register_fun", "fpca_geo", "fpca_fun", "cca"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**{k: data[k] for k in data})
+        cfg = cls(**data)
         cfg.validate()
         return cfg
 
@@ -90,49 +167,26 @@ class PipelineConfig:
         order = [STAGES.index(st) for st in self.stages]
         _require(order == sorted(order), "stages must be in pipeline order")
         _require(len(self.stages) >= 1, "stage list is empty")
-        _require(int(self.seed) >= 0, "seed must be >= 0")
-        for block_name, keys in _BLOCK_KEYS.items():
-            block = getattr(self, block_name)
-            _require(isinstance(block, dict),
-                     f"{block_name} block must be an object")
-            unknown = set(block) - keys
-            _require(not unknown,
-                     f"unknown {block_name} keys: {sorted(unknown)}")
-            for key, value in block.items():
-                if key in ("lam", "sigma_noise", "sigma_z", "sigma_z_rel",
-                           "delta", "sigma1", "sigma2", "max_step_frac"):
-                    _require(isinstance(value, (int, float)) and value >= 0,
-                             f"{block_name}.{key} must be >= 0")
-                if key in ("n", "max_iterations", "n_components", "folds",
-                           "subdivisions", "observation_subdivisions",
-                           "shooting_steps"):
-                    _require(isinstance(value, int) and value >= 0,
-                             f"{block_name}.{key} must be a non-negative int")
-                if key == "cv_lambdas":
-                    _require(isinstance(value, (list, tuple)) and value
-                             and all(isinstance(v, (int, float)) and v >= 0
-                                     for v in value),
-                             f"{block_name}.{key} must be a non-empty list "
-                             "of numbers >= 0")
-
-    def canonical(self) -> dict:
-        return {
-            "output_dir": self.output_dir, "seed": int(self.seed),
-            "stages": list(self.stages), "simulate": self.simulate,
-            "register_geo": self.register_geo,
-            "register_fun": self.register_fun, "fpca_geo": self.fpca_geo,
-            "fpca_fun": self.fpca_fun, "cca": self.cca,
-        }
+        _require(_is_number(self.seed, int), "seed must be an int >= 0")
+        self.settings = {name: _settings(name, getattr(self, name))
+                         for name in _SETTINGS}
+        if "seed" not in self.simulate:
+            self.settings["simulate"] = replace(self.settings["simulate"],
+                                                seed=self.seed)
 
     def parameter_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
 # -- artifact helpers ---------------------------------------------------------
 
-def _write_csv(path, array, header):
+def _write_csv(path, array, prefix="v", first=0, header=None):
+    """Rows of numbers under `header`, by default columns numbered from
+    `first` after `prefix` (v0, v1, ... for per-vertex values)."""
     arr = np.atleast_2d(np.asarray(array, float))
+    if header is None:
+        header = ",".join(f"{prefix}{j + first}" for j in range(arr.shape[1]))
     with open(str(path), "w") as fh:
         fh.write(header + "\n")
         for row in arr:
@@ -151,36 +205,27 @@ def _subject_count(sim_dir):
 
 def _load_kernel(sim_dir):
     with open(Path(sim_dir) / "kernel.json") as fh:
-        kp = json.load(fh)
-    return GaussianKernel(sigma=kp["sigma"], sigma2=kp["sigma2"],
-                          weight=kp["weight"])
+        return GaussianKernel(**json.load(fh))
 
 
 # -- stages -------------------------------------------------------------------
 
 def _stage_simulate(cfg: PipelineConfig, out: Path):
-    block = dict(cfg.simulate)
-    block.setdefault("seed", int(cfg.seed))
-    try:
-        spec = SimSpec(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid simulate block: {exc}") from exc
+    spec = cfg.settings["simulate"]
     ds = generate_dataset(spec)
     sim = out / "sim"
     sim.mkdir(parents=True, exist_ok=True)
     save_mesh(ds.template, sim / "template.off")
     save_mesh(ds.observation_template, sim / "observation.off")
     with open(sim / "kernel.json", "w") as fh:
-        json.dump({"sigma": ds.kernel.sigma, "sigma2": ds.kernel.sigma2,
-                   "weight": ds.kernel.weight}, fh)
+        json.dump(asdict(ds.kernel), fh)
     for i in range(spec.n):
         save_mesh(ds.meshes[i], sim / f"subject_{i:03d}.off")
         save_field(ds.fields[i], sim / f"field_{i:03d}.csv")
         _write_csv(sim / f"true_images_{i:03d}.csv",
-                   ds.true_vertex_images[i], "x,y,z")
-    _write_csv(sim / "true_scores.csv", ds.scores, "a1,a2")
-    _write_csv(sim / "true_fields.csv", np.asarray(ds.true_x),
-               ",".join(f"v{k}" for k in range(ds.template.n_vertices)))
+                   ds.true_vertex_images[i], header="x,y,z")
+    _write_csv(sim / "true_scores.csv", ds.scores, "a", 1)
+    _write_csv(sim / "true_fields.csv", ds.true_x)
     np.savez(sim / "modes.npz",
              psi1_g=ds.modes.psi1_g.momenta, psi2_g=ds.modes.psi2_g.momenta,
              psi1_f=ds.modes.psi1_f.values, mu=ds.modes.mu.values)
@@ -188,28 +233,19 @@ def _stage_simulate(cfg: PipelineConfig, out: Path):
 
 
 def _stage_register_geo(cfg: PipelineConfig, out: Path):
-    sim = out / "sim"
-    reg = out / "reg_geo"
+    sim, reg = out / "sim", out / "reg_geo"
     reg.mkdir(parents=True, exist_ok=True)
     template = load_mesh(sim / "template.off")
     kernel = _load_kernel(sim)
-    block = cfg.register_geo
-    lo, hi = template.vertices.min(axis=0), template.vertices.max(axis=0)
-    bbox = float(np.linalg.norm(hi - lo))
-    sigma_z = block.get("sigma_z")
-    if sigma_z is None:
-        sigma_z = block.get("sigma_z_rel", 0.11) * bbox
-    rcfg = RegistrationConfig(sigma_z=sigma_z, lam=block.get("lam", 0.05),
-                              max_iterations=block.get("max_iterations", 120),
-                              step_cap_rel=block.get("step_cap_rel", 0.02),
-                              shooting_steps=block.get("shooting_steps", 10))
+    rcfg = cfg.settings["register_geo"].resolved(template)
     n = _subject_count(sim)
     diags = {}
     for i in range(n):
         target = load_mesh(sim / f"subject_{i:03d}.off")
         v0, diag = register_geometry(template, target, kernel, rcfg)
         save_momenta(v0, reg / f"momenta_{i:03d}.csv")
-        _write_csv(reg / f"deformed_{i:03d}.csv", diag.endpoint, "x,y,z")
+        _write_csv(reg / f"deformed_{i:03d}.csv", diag.endpoint,
+                   header="x,y,z")
         diags[i] = diag
     with open(reg / "diagnostics.json", "w") as fh:
         json.dump({i: d.as_dict() for i, d in diags.items()}, fh)
@@ -224,7 +260,8 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
     if failed:
         warnings.append(f"{failed}/{n} subjects stopped on a failed line "
                         "search")
-    return {"subjects": n, "sigma_z": sigma_z, "lam": rcfg.lam,
+    settings = {key: getattr(rcfg, key) for key in _block_keys("register_geo")}
+    return {"subjects": n, **settings,
             "iterations": sum(d.iterations for d in runs),
             "converged": sum(d.converged for d in runs),
             "line_search_failed": failed, "warnings": warnings}
@@ -242,15 +279,12 @@ def _stage_register_fun(cfg: PipelineConfig, out: Path):
         end = _read_csv(reg / f"deformed_{i:03d}.csv")
         values = pull_back_function(target_field, end)
         pulled.append(values)
-        _write_csv(fun / f"pulled_{i:03d}.csv", values[None, :],
-                   ",".join(f"v{k}" for k in range(template.n_vertices)))
-    dcfg = DemonsConfig(**cfg.register_fun)
+        _write_csv(fun / f"pulled_{i:03d}.csv", values)
+    dcfg = cfg.settings["register_fun"]
     mean, _, aligned = groupwise_template(template, pulled, config=dcfg)
     for i in range(n):
-        _write_csv(fun / f"aligned_{i:03d}.csv", aligned[i][None, :],
-                   ",".join(f"v{k}" for k in range(template.n_vertices)))
-    _write_csv(fun / "template_field.csv", mean[None, :],
-               ",".join(f"v{k}" for k in range(template.n_vertices)))
+        _write_csv(fun / f"aligned_{i:03d}.csv", aligned[i])
+    _write_csv(fun / "template_field.csv", mean)
     return {"subjects": n, "demons_lam": dcfg.lam,
             "max_iterations": dcfg.max_iterations}
 
@@ -263,12 +297,10 @@ def _stage_fpca_geo(cfg: PipelineConfig, out: Path):
     n = _subject_count(sim)
     moms = [load_momenta(reg / f"momenta_{i:03d}.csv").momenta
             for i in range(n)]
-    k = int(cfg.fpca_geo.get("n_components", 5))
-    fit = geometric_fpca(moms, template.vertices, kernel, n_components=k)
-    _write_csv(fg / "scores.csv", fit.scores,
-               ",".join(f"pc{j+1}" for j in range(fit.scores.shape[1])))
-    _write_csv(fg / "variances.csv", fit.variances[None, :],
-               ",".join(f"pc{j+1}" for j in range(len(fit.variances))))
+    fit = geometric_fpca(moms, template.vertices, kernel,
+                         n_components=cfg.settings["fpca_geo"].n_components)
+    _write_csv(fg / "scores.csv", fit.scores, "pc", 1)
+    _write_csv(fg / "variances.csv", fit.variances, "pc", 1)
     np.savez(fg / "components.npz", components=fit.components,
              mean=fit.mean_momenta, control_points=template.vertices)
     return {"n_components": fit.scores.shape[1],
@@ -282,25 +314,21 @@ def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
     n = _subject_count(sim)
     fields = [_read_csv(fun / f"aligned_{i:03d}.csv").ravel()
               for i in range(n)]
-    block = cfg.fpca_fun
-    k = int(block.get("n_components", 3))
-    lam = block.get("lam", 100.0)
+    fcfg = cfg.settings["fpca_fun"]
+    lam = fcfg.lam
     info = {}
-    if "cv_lambdas" in block:
+    if fcfg.cv_lambdas is not None:
         lam, cv_errors = cross_validate_lambda(
-            fields, template, block["cv_lambdas"],
-            n_components=k, n_folds=int(block.get("folds", 5)),
-            seed=int(cfg.seed) + 4)
-        info["cv_errors"] = {str(k_): float(v) for k_, v in cv_errors.items()}
-    fit = functional_fpca(fields, template, lam=lam, n_components=k)
-    _write_csv(ff / "scores.csv", fit.scores,
-               ",".join(f"pc{j+1}" for j in range(fit.scores.shape[1])))
-    _write_csv(ff / "variances.csv", fit.variances[None, :],
-               ",".join(f"pc{j+1}" for j in range(len(fit.variances))))
-    _write_csv(ff / "components.csv", fit.components,
-               ",".join(f"v{j}" for j in range(template.n_vertices)))
-    _write_csv(ff / "mean.csv", fit.mean[None, :],
-               ",".join(f"v{j}" for j in range(template.n_vertices)))
+            fields, template, fcfg.cv_lambdas,
+            n_components=fcfg.n_components, n_folds=fcfg.folds,
+            seed=cfg.seed + 4)
+        info["cv_errors"] = {str(k): float(v) for k, v in cv_errors.items()}
+    fit = functional_fpca(fields, template, lam=lam,
+                          n_components=fcfg.n_components)
+    _write_csv(ff / "scores.csv", fit.scores, "pc", 1)
+    _write_csv(ff / "variances.csv", fit.variances, "pc", 1)
+    _write_csv(ff / "components.csv", fit.components)
+    _write_csv(ff / "mean.csv", fit.mean)
     info.update({"lam": float(lam), "n_components": fit.scores.shape[1]})
     with open(ff / "fit.json", "w") as fh:
         json.dump(info, fh)
@@ -314,16 +342,9 @@ def _stage_cca(cfg: PipelineConfig, out: Path):
     f = _read_csv(out / "fpca_fun" / "scores.csv")
     result = cca(g, f)
     test = bartlett_test(result)
-    _write_csv(cc / "correlations.csv", result.correlations[None, :],
-               ",".join(f"rho{j+1}" for j in range(len(result.correlations))))
-    _write_csv(cc / "x_weights.csv", result.x_weights,
-               ",".join(f"dir{j+1}" for j in range(result.x_weights.shape[1])))
-    _write_csv(cc / "y_weights.csv", result.y_weights,
-               ",".join(f"dir{j+1}" for j in range(result.y_weights.shape[1])))
-    _write_csv(cc / "x_variates.csv", result.x_variates,
-               ",".join(f"dir{j+1}" for j in range(result.x_variates.shape[1])))
-    _write_csv(cc / "y_variates.csv", result.y_variates,
-               ",".join(f"dir{j+1}" for j in range(result.y_variates.shape[1])))
+    _write_csv(cc / "correlations.csv", result.correlations, "rho", 1)
+    for name in ("x_weights", "y_weights", "x_variates", "y_variates"):
+        _write_csv(cc / f"{name}.csv", getattr(result, name), "dir", 1)
     with open(cc / "bartlett.json", "w") as fh:
         json.dump({"statistics": [float(s) for s in test.statistics],
                    "dof": [int(d) for d in test.dof],
@@ -364,8 +385,6 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         t0 = time.time()
         try:
             summary = _STAGE_FUNCS[st](cfg, out)
-        except ConfigError:
-            raise
         except Exception as exc:
             raise RuntimeError(f"stage {st!r} failed: {exc}") from exc
         warnings = summary.pop("warnings", [])
@@ -373,10 +392,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
             "summary": summary,
             "warnings": warnings,
             "wall_time_s": time.time() - t0,
-            "artifact_dir": str(out / st.replace("-", "_")
-                                .replace("register_geo", "reg_geo")
-                                .replace("register_fun", "reg_fun")
-                                .replace("simulate", "sim")),
+            "artifact_dir": str(out / _ARTIFACT_DIRS[st]),
         }
         # the warnings of every stage on record, carried-over ones included
         manifest["warnings"] = [
@@ -403,16 +419,22 @@ def emit_covariation(out_dir, pair: int = 0, t_values=(-2, -1, 0, 1, 2)):
     header = "t," + ",".join(f"g{j+1}" for j in range(g.shape[1])) \
         + "," + ",".join(f"f{j+1}" for j in range(f.shape[1]))
     path = cov / f"sequence_pair{pair + 1}.csv"
-    _write_csv(path, table, header)
+    _write_csv(path, table, header=header)
     return str(path)
 
 
-def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None,
-                            shooting_steps: int = 10):
+def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
     """Write mesh+field pairs showing the mode-th geometric mode of
     variation: the template deformed along c*sqrt(variance)*component for
-    each c on the grid, with the mean function attached."""
+    each c on the grid, with the mean function attached. Shoots with the
+    register-geo stage's recorded shooting_steps."""
     out = Path(out_dir)
+    with open(out / "manifest.json") as fh:
+        record = json.load(fh)["stages"].get("register-geo", {})
+    steps = record.get("summary", {}).get("shooting_steps")
+    if steps is None:
+        raise FileNotFoundError(f"{out / 'manifest.json'} records no "
+                                "register-geo shooting_steps")
     viz = out / "viz"
     viz.mkdir(parents=True, exist_ok=True)
     data = np.load(out / "fpca_geo" / "components.npz")
@@ -430,7 +452,7 @@ def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None,
     for idx, c in enumerate(c_grid):
         alpha = mean_mom + c * np.sqrt(variances[mode]) * comps[mode]
         v0 = InitialMomenta(points, alpha, kernel)
-        end = shoot(v0, shooting_steps).points[-1]
+        end = shoot(v0, steps).points[-1]
         mesh_path = viz / f"mode{mode + 1}_{idx:02d}.off"
         field_path = viz / f"mode{mode + 1}_{idx:02d}.csv"
         deformed = template.with_vertices(end)
@@ -455,17 +477,12 @@ def emit_sphere_benchmark(out_dir, lam: float = 0.2, max_iterations: int = 15):
     bench = Path(out_dir) / "benchmark"
     bench.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, bench / "sphere.off")
-    _write_csv(bench / "ssd_trace.csv", np.asarray(res.ssd_trace)[None, :],
-               ",".join(f"it{j}" for j in range(len(res.ssd_trace))))
-    _write_csv(bench / "warped.csv", res.warped.values[None, :],
-               ",".join(f"v{j}" for j in range(mesh.n_vertices)))
-    summary = {
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "initial_ssd": float(res.ssd_trace[0]),
-        "final_ssd": float(res.ssd_trace[-1]),
-        "fidelity_ratio": float(res.ssd_trace[-1] / res.ssd_trace[0]),
-    }
+    _write_csv(bench / "ssd_trace.csv", res.ssd_trace, "it")
+    _write_csv(bench / "warped.csv", res.warped.values)
+    first, last = float(res.ssd_trace[0]), float(res.ssd_trace[-1])
+    summary = {"iterations": res.iterations, "converged": res.converged,
+               "initial_ssd": first, "final_ssd": last,
+               "fidelity_ratio": last / first}
     with open(bench / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)
     return str(bench), summary

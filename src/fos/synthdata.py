@@ -192,15 +192,22 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel,
 
 # -- dataset generation --------------------------------------------------------
 
+TEMPLATES = {"ellipsoid-patch": ellipsoid_patch, "hemisphere": hemisphere,
+             "sphere": icosphere}
+
+
 @dataclass
 class SimSpec:
+    """Settings of the generative model. The defaults are the simulate
+    stage's, whose config block takes these fields as its keys."""
+
     n: int = 50
     sigma1: float = 15.0
     sigma2: float = 10.0
     delta: float = 0.1
     sigma_noise: float = 0.3
     seed: int = 0
-    template: str = "ellipsoid-patch"   # ellipsoid-patch | hemisphere | sphere
+    template: str = "ellipsoid-patch"   # a key of TEMPLATES
     subdivisions: int = 3
     # overall template size; unit-V-norm modes displace by O(1) length units
     # regardless of template size, so this sets the relative deformation scale
@@ -217,6 +224,12 @@ class SimSpec:
             raise ValueError("n must be >= 2")
         if min(self.sigma1, self.sigma2) <= 0:
             raise ValueError("score standard deviations must be positive")
+        if self.template not in TEMPLATES:
+            raise ValueError(f"unknown template kind {self.template!r}")
+        if self.shooting_steps < 1:
+            raise ValueError("shooting_steps must be >= 1")
+        if min(self.scale, self.kernel_large, self.kernel_small) <= 0:
+            raise ValueError("scale and kernel widths must be positive")
 
 
 @dataclass
@@ -235,14 +248,7 @@ class SimDataset:
 
 
 def make_template(spec: SimSpec) -> TriangleMesh:
-    if spec.template == "ellipsoid-patch":
-        base = ellipsoid_patch(spec.subdivisions)
-    elif spec.template == "hemisphere":
-        base = hemisphere(spec.subdivisions)
-    elif spec.template == "sphere":
-        base = icosphere(spec.subdivisions)
-    else:
-        raise ValueError(f"unknown template kind {spec.template!r}")
+    base = TEMPLATES[spec.template](spec.subdivisions)
     return base.with_vertices(spec.scale * base.vertices)
 
 

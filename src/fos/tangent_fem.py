@@ -267,12 +267,15 @@ def apply_dirichlet(conn: Connection, theta2, rhs):
     zero the matching right-hand-side entries. No boundary, no change."""
     if not conn.boundary.any():
         return theta2, rhs
+    # Theta2 from build_system holds vertex k's 2x2 block at data[k]
+    data = theta2.data.copy()
     # per-vertex coefficient-norm of the theta2 blocks (the block trace)
     # rather than single diagonal entries, so the penalty — and with it
     # the solution — does not depend on the in-plane frame choice
-    d2 = theta2.diagonal()
-    penalty = 1e8 * max((d2[0::2] + d2[1::2]).max(), conn.diag_max)
-    theta2 = theta2 + sparse.diags(np.where(conn.boundary, penalty, 0.0))
+    penalty = 1e8 * max((data[:, 0, 0] + data[:, 1, 1]).max(), conn.diag_max)
+    data[conn.boundary[0::2]] += penalty * np.eye(2)
+    theta2 = sparse.bsr_matrix((data, theta2.indices, theta2.indptr),
+                               shape=theta2.shape)
     return theta2, np.where(conn.boundary, 0.0, rhs)
 
 

@@ -73,6 +73,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad)]) == 2
 
 
+def test_out_of_range_setting_exits_2_before_any_stage(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                               "register_geo": {"max_iterations": 0}}))
+    assert main(["register-geo", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_inputs_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"output_dir": str(tmp_path / "empty")}))

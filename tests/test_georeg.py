@@ -32,8 +32,8 @@ def objective_value(template, target, kernel, config, alpha):
 
 def objective_gradient(template, target, kernel, config, alpha):
     obj = objective(template, target, kernel, config)
-    _, sim, _, path, gram0 = obj.evaluate(alpha)
-    return obj.gradient(alpha, sim, path, gram0)
+    _, sim, _, path = obj.evaluate(alpha)
+    return obj.gradient(alpha, sim, path)
 
 
 def test_config_validation():

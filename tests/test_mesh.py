@@ -122,7 +122,7 @@ def test_nearest_vertices_matches_linear_scan():
 
 def test_nearest_vertex_tie_breaks_to_lowest_index():
     mesh = TriangleMesh([[-1, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    assert mesh.nearest_vertex([0.0, 0.0, 0.0]) == 0
+    assert mesh.nearest_vertices([[0.0, 0.0, 0.0]]).tolist() == [0]
 
 
 def test_with_vertices_shares_faces_and_copies():

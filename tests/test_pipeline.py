@@ -5,9 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fos.georeg import register_geometry
+from fos.lddmm import InitialMomenta, load_momenta, shoot
 from fos.mesh import load_field, load_mesh
-from fos.pipeline import (ConfigError, PipelineConfig, emit_covariation,
-                          emit_mode_visualization, run_pipeline, STAGES)
+from fos.pipeline import (ConfigError, PipelineConfig, _load_kernel,
+                          emit_covariation, emit_mode_visualization,
+                          run_pipeline, STAGES)
 
 
 def tiny_config(out_dir):
@@ -43,9 +46,32 @@ def test_config_rejects_unknown_keys():
     for data in ({"no_such_block": {}},
                  {"fpca_geo": {"n_component": 3}},
                  {"fpca_fun": {"lamda": 10.0}},
-                 {"cca": {"n_components": 2}}):
+                 {"cca": {"n_components": 2}},
+                 {"register_geo": {"similarity": "current"}}):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("block,values", [
+    ("register_geo", {"max_iterations": 0}),
+    ("register_geo", {"shooting_steps": 0}),
+    ("register_geo", {"sigma_z": 0}),
+    ("register_fun", {"lam": 0}),
+    ("simulate", {"n": 1}),
+    ("simulate", {"template": "torus"}),
+    ("fpca_geo", {"n_components": 0}),
+    ("fpca_fun", {"folds": 0, "cv_lambdas": [0.0, 10.0]}),
+])
+def test_config_rejects_out_of_range_values(block, values):
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict({block: values})
+
+
+def test_config_rejects_null_values():
+    for block, key in (("register_geo", "sigma_z"), ("simulate", "n"),
+                       ("fpca_fun", "cv_lambdas")):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict({block: {key: None}})
 
 
 def test_config_rejects_bad_stage_order():
@@ -145,6 +171,31 @@ def test_emit_covariation_and_viz(finished_run):
         assert Path(f).exists()
     with pytest.raises(ConfigError):
         emit_mode_visualization(out, mode=99)
+
+
+def test_mode_visualization_shoots_with_the_stage_steps(tmp_path):
+    cfg = tiny_config(tmp_path)
+    cfg.register_geo["shooting_steps"] = 5
+    run_pipeline(cfg)
+    data = np.load(tmp_path / "fpca_geo" / "components.npz")
+    files = emit_mode_visualization(tmp_path, mode=0, c_grid=[0.0])
+    v0 = InitialMomenta(data["control_points"], data["mean"],
+                        _load_kernel(tmp_path / "sim"))
+    assert np.array_equal(load_mesh(files[0]).vertices,
+                          shoot(v0, 5).points[-1])
+
+
+def test_register_geometry_defaults_are_the_stage_defaults(tmp_path):
+    cfg = PipelineConfig.from_dict({
+        "output_dir": str(tmp_path), "seed": 0,
+        "simulate": {"n": 2, "subdivisions": 1}, "register_geo": {}})
+    run_pipeline(cfg, ("simulate", "register-geo"))
+    sim = tmp_path / "sim"
+    v0, _ = register_geometry(load_mesh(sim / "template.off"),
+                              load_mesh(sim / "subject_000.off"),
+                              _load_kernel(sim))
+    stage = load_momenta(tmp_path / "reg_geo" / "momenta_000.csv")
+    assert np.array_equal(v0.momenta, stage.momenta)
 
 
 def test_pulled_fields_sample_the_subject_mesh(finished_run):

@@ -140,6 +140,22 @@ def test_dirichlet_boundary_values_vanish():
     assert boundary.max() <= 1e-6 * max(interior.max(), 1e-300)
 
 
+def test_dirichlet_penalty_matches_a_diagonal_add():
+    # the penalty written into Theta2's blocks gives the same system as
+    # adding it as a sparse diagonal matrix
+    mesh = ellipsoid_patch(1)
+    conn = connection(mesh, build_frames(mesh))
+    rng = np.random.default_rng(3)
+    plain, rhs = build_system(conn, rng.normal(size=(mesh.n_vertices, 2)),
+                              rng.normal(size=mesh.n_vertices))
+    theta2, _ = apply_dirichlet(conn, plain, rhs)
+    d2 = plain.diagonal()
+    penalty = 1e8 * max((d2[0::2] + d2[1::2]).max(), conn.diag_max)
+    added = plain + sparse.diags(np.where(conn.boundary, penalty, 0.0))
+    assert np.array_equal((0.7 * conn.reg + theta2).toarray(),
+                          (0.7 * conn.reg + added).toarray())
+
+
 def test_frame_rotation_invariance_of_ambient_solution():
     mesh = ellipsoid_patch(1)
     atlas = build_frames(mesh)
