@@ -21,8 +21,8 @@ from .pipeline import (ConfigError, PipelineConfig, emit_covariation,
                        emit_mode_visualization, run_pipeline)
 from .similarity import SimilarityResult, current_distance
 from .synthdata import (SimDataset, SimModes, SimSpec, c_shape_images,
-                        ellipsoid_patch, generate_dataset, hemisphere,
-                        icosphere, make_modes, make_template, refine_mesh)
+                        ellipsoid_patch, generate_dataset, icosphere,
+                        make_modes, make_template, refine_mesh)
 from .tangent_fem import (Connection, FemError, TangentFrameAtlas,
                           apply_dirichlet, assemble_connection_matrices,
                           build_frames, build_system, connection,

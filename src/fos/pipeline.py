@@ -170,6 +170,11 @@ class PipelineConfig:
         _require(_is_number(self.seed, int), "seed must be an int >= 0")
         self.settings = {name: _settings(name, getattr(self, name))
                          for name in _SETTINGS}
+        ff = self.fpca_fun
+        _require("cv_lambdas" not in ff or "lam" not in ff,
+                 "give fpca_fun.lam or fpca_fun.cv_lambdas, not both")
+        _require("cv_lambdas" in ff or "folds" not in ff,
+                 "fpca_fun.folds needs fpca_fun.cv_lambdas")
         if "seed" not in self.simulate:
             self.settings["simulate"] = replace(self.settings["simulate"],
                                                 seed=self.seed)

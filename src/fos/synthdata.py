@@ -78,11 +78,6 @@ def ellipsoid_patch(subdivisions: int = 3, axes=(1.5, 1.0, 0.8),
     return TriangleMesh(verts, remap[faces])
 
 
-def hemisphere(subdivisions: int = 3, radius: float = 1.0,
-               zcut: float = 0.0) -> TriangleMesh:
-    return ellipsoid_patch(subdivisions, (radius, radius, radius), zcut)
-
-
 def refine_mesh(mesh: TriangleMesh, levels: int = 1) -> TriangleMesh:
     """Linear 1-to-4 subdivision. The input vertices keep their indices as
     the first block of the refined vertex list."""
@@ -192,8 +187,7 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel,
 
 # -- dataset generation --------------------------------------------------------
 
-TEMPLATES = {"ellipsoid-patch": ellipsoid_patch, "hemisphere": hemisphere,
-             "sphere": icosphere}
+TEMPLATES = {"ellipsoid-patch": ellipsoid_patch, "sphere": icosphere}
 
 
 @dataclass

@@ -27,7 +27,11 @@ around each interior vertex are scaled to sum to 2*pi, edges get intrinsic
 polar coordinates, and parallel transport across an edge is the rotation
 aligning the edge's coordinates at its two endpoints. Boundary vertices
 keep their actual angles (no scaling), which makes the connection exactly
-flat on planar patches.
+flat on planar patches. One walk over ring positions, vectorised over all
+vertices, orders every one-ring; the atlas keeps the rings and their polar
+angles as two padded (K, V) tables. A vertex whose faces do not form one
+fan (a bowtie, or a fan plus a separate face), a vertex on no face and an
+edge shared by more than two faces are a FemError.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import TriangleMesh, cotangent_stiffness, lumped_mass
+from .mesh import TriangleMesh, _dot, cotangent_stiffness, lumped_mass
 
 
 class FemError(RuntimeError):
@@ -47,17 +51,33 @@ class FemError(RuntimeError):
 
 @dataclass
 class TangentFrameAtlas:
-    """Orthonormal tangent frames plus intrinsic edge angle coordinates.
+    """Orthonormal tangent frames plus intrinsic polar angles of every
+    vertex's one-ring, as two (K, V) tables, V the largest ring size.
 
-    edge_angle[(i, j)] is the polar angle of the directed edge i->j in the
-    normalized tangent coordinates at vertex i, measured from e1_i.
+    Row k of `ring` lists k's neighbours counter-clockwise about k: from
+    its first face side's head around the closed fan of an interior
+    vertex, from the open end with the smallest index for a boundary one,
+    padded with -1. angles[k, m] is the polar angle of the directed edge
+    k -> ring[k, m] in k's normalized tangent coordinates, measured from
+    e1_k (so angles[k, 0] is 0), and NaN where `ring` is padded.
     """
 
     mesh: TriangleMesh
     normals: np.ndarray          # (K, 3)
     e1: np.ndarray               # (K, 3)
     e2: np.ndarray               # (K, 3)
-    edge_angle: dict
+    ring: np.ndarray             # (K, V) neighbour indices
+    angles: np.ndarray           # (K, V) their polar angles
+
+    def edge_angle(self, i, j):
+        """Polar angle of the directed edge i -> j at i; i and j may be
+        index arrays. Raises KeyError on a pair that is not an edge."""
+        i, j = np.broadcast_arrays(i, j)
+        hit = self.ring[i] == j[..., None]
+        bad = ~hit.any(axis=-1)
+        if bad.any():
+            raise KeyError(f"({i[bad][0]}, {j[bad][0]}) is not an edge")
+        return self.angles[i, hit.argmax(axis=-1)]
 
     def to_ambient(self, coefficients):
         """Per-vertex 2-coefficients -> ambient 3-vectors."""
@@ -81,114 +101,93 @@ class TangentFrameAtlas:
         cb, sb = np.cos(b)[:, None], np.sin(b)[:, None]
         e1 = cb * self.e1 + sb * self.e2
         e2 = -sb * self.e1 + cb * self.e2
-        edge_angle = {(i, j): a - b[i] for (i, j), a in self.edge_angle.items()}
-        return TangentFrameAtlas(self.mesh, self.normals, e1, e2, edge_angle)
+        return TangentFrameAtlas(self.mesh, self.normals, e1, e2, self.ring,
+                                 self.angles - b[:, None])
 
 
-def _vertex_rings(mesh: TriangleMesh):
-    """Ordered one-ring neighbors and wedge angles per vertex.
+def _one_rings(mesh: TriangleMesh):
+    """(ring, wedges, closed) for every vertex, by one walk.
 
-    Returns (rings, angles): rings[k] is the ccw-ordered neighbor list, and
-    angles[k][m] the wedge angle between rings[k][m] and rings[k][m+1].
-    Boundary rings are open chains. Raises FemError on non-manifold edges.
+    Face side (k, a, b) turns k's ring from a to b, so its successor around
+    k is the side (k, b). A walk starts at the smallest head among k's
+    sides with no predecessor (the open end of a boundary fan), else at
+    k's first side in face order; each pass advances every walk one side.
+    wedges[k, m] is the angle from ring[k, m] to the next neighbour, 0 past
+    the last side; closed says whether k's fan closes.
     """
-    v = mesh.vertices
-    succ = [dict() for _ in range(mesh.n_vertices)]
-    wedge = [dict() for _ in range(mesh.n_vertices)]
-    first_nb = [None] * mesh.n_vertices
-    for face in mesh.faces:
-        for k, a, b in ((face[0], face[1], face[2]),
-                        (face[1], face[2], face[0]),
-                        (face[2], face[0], face[1])):
-            if a in succ[k]:
-                raise FemError(f"non-manifold edge at vertex {k}")
-            succ[k][a] = b
-            ea, eb = v[a] - v[k], v[b] - v[k]
-            cosang = np.dot(ea, eb) / (np.linalg.norm(ea) * np.linalg.norm(eb))
-            wedge[k][a] = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-            if first_nb[k] is None:
-                first_nb[k] = a
+    k_n, v, f = mesh.n_vertices, mesh.vertices, mesh.faces
+    # side 3 * face + corner is (corner, next corner, the one after)
+    tail, head, nxt = np.stack([f, np.roll(f, -1, axis=1),
+                                np.roll(f, -2, axis=1)]).reshape(3, -1)
+    degree = np.bincount(tail, minlength=k_n)
+    if (degree == 0).any():
+        raise FemError(f"vertex {np.argmin(degree)} lies on no face")
+    code = tail * k_n + head
+    order = np.argsort(code)
+    code = code[order]
+    dup = np.flatnonzero(code[1:] == code[:-1])
+    if dup.size:
+        raise FemError(f"non-manifold edge at vertex {tail[order[dup[0]]]}")
+    want = tail * k_n + nxt
+    pos = np.minimum(np.searchsorted(code, want), len(code) - 1)
+    succ = np.where(code[pos] == want, order[pos], -1)
+    has_pred = np.bincount(succ[succ >= 0], minlength=len(succ)) > 0
+    # per vertex, open chain starts rank by head before any other side
+    key = np.where(has_pred, k_n + np.arange(len(succ)), head)
+    start = np.lexsort((key, tail))[np.cumsum(degree) - degree]
 
-    rings, angles = [], []
-    for k in range(mesh.n_vertices):
-        s = succ[k]
-        if not s:
-            rings.append([])
-            angles.append([])
-            continue
-        targets = set(s.values())
-        starts = [nb for nb in s if nb not in targets]
-        if starts:                       # boundary: open chain
-            start = min(starts)
-        else:                            # interior: closed ring
-            start = first_nb[k]
-        ring = [start]
-        ang = []
-        cur = start
-        while cur in s:
-            ang.append(wedge[k][cur])
-            cur = s[cur]
-            if cur == start:
-                break
-            ring.append(cur)
-        rings.append(ring)
-        angles.append(ang)
-    return rings, angles
+    ea, eb = v[head] - v[tail], v[nxt] - v[tail]
+    cosang = _dot(ea, eb) / (np.sqrt(_dot(ea, ea)) * np.sqrt(_dot(eb, eb)))
+    wedge = np.arccos(np.clip(cosang, -1.0, 1.0))
+    ring = np.full((k_n, degree.max() + 1), -1)
+    wedges = np.zeros(ring.shape)
+    visited = np.zeros(k_n, dtype=int)
+    ring[:, 0] = head[start]
+    live, side = np.arange(k_n), start
+    for m in range(degree.max()):
+        wedges[live, m] = wedge[side]
+        visited[live] = m + 1
+        on = nxt[side] != ring[live, 0]          # the fan has not closed
+        ring[live[on], m + 1] = nxt[side[on]]
+        keep = on & (succ[side] >= 0)
+        live, side = live[keep], succ[side[keep]]
+    if (visited < degree).any():
+        raise FemError(f"the faces at vertex {np.argmax(visited < degree)} "
+                       "do not form one fan")
+    return ring, wedges, has_pred[start]
 
 
 def build_frames(mesh: TriangleMesh) -> TangentFrameAtlas:
     """Frames and intrinsic edge coordinates for every vertex.
 
-    e1 seeds from the first edge of the ordered ring (the chain start on
-    the boundary), projected to the plane orthogonal to the vertex normal.
+    Interior wedge angles are scaled to sum to 2*pi; boundary ones keep
+    their sizes. e1 seeds from the first ring neighbour, projected to the
+    plane orthogonal to the vertex normal.
     """
-    rings, angles = _vertex_rings(mesh)
-    v = mesh.vertices
-    normals = mesh.vertex_normals
-    e1 = np.zeros_like(v)
-    e2 = np.zeros_like(v)
-    edge_angle = {}
-    boundary = mesh.boundary_vertices
-    for k in range(mesh.n_vertices):
-        ring = rings[k]
-        if not ring:
-            e1[k] = [1.0, 0.0, 0.0]
-            e2[k] = np.cross(normals[k], e1[k])
-            continue
-        total = sum(angles[k])
-        closed = len(angles[k]) == len(ring) and not boundary[k]
-        scale = (2.0 * np.pi / total) if closed and total > 0 else 1.0
-        cum = 0.0
-        edge_angle[(k, ring[0])] = 0.0
-        for m, th in enumerate(angles[k]):
-            cum += th * scale
-            if m + 1 < len(ring):
-                edge_angle[(k, ring[m + 1])] = cum
-        d = v[ring[0]] - v[k]
-        d = d - np.dot(d, normals[k]) * normals[k]
-        nd = np.linalg.norm(d)
-        if nd < 1e-14:
-            raise FemError(f"degenerate tangent seed at vertex {k}")
-        e1[k] = d / nd
-        e2[k] = np.cross(normals[k], e1[k])
-    return TangentFrameAtlas(mesh, normals, e1, e2, edge_angle)
+    ring, wedges, closed = _one_rings(mesh)
+    # cumulative sums add in ring order, as a walk around the vertex does
+    total = np.cumsum(wedges, axis=1)[:, -1]
+    scale = np.where(closed, 2.0 * np.pi / total, 1.0)
+    turn = np.cumsum(wedges * scale[:, None], axis=1)
+    angles = np.concatenate([np.zeros((len(ring), 1)), turn[:, :-1]], axis=1)
+    angles[ring < 0] = np.nan
 
-
-def _edge_angles(atlas: TangentFrameAtlas, i, j):
-    """atlas.edge_angle[(i, j)] looked up for index arrays i and j."""
-    keys = np.array(list(atlas.edge_angle), dtype=int).reshape(-1, 2)
-    angles = np.fromiter(atlas.edge_angle.values(), float, len(keys))
-    k = atlas.mesh.n_vertices
-    code = keys[:, 0] * k + keys[:, 1]
-    order = np.argsort(code)
-    pos = np.searchsorted(code, np.asarray(i) * k + j, sorter=order)
-    return angles[order[pos]]
+    v, normals = mesh.vertices, mesh.vertex_normals
+    d = v[ring[:, 0]] - v
+    d = d - _dot(d, normals)[:, None] * normals
+    nd = np.sqrt(_dot(d, d))
+    if (nd < 1e-14).any():
+        raise FemError("degenerate tangent seed at vertex "
+                       f"{np.argmax(nd < 1e-14)}")
+    e1 = d / nd[:, None]
+    return TangentFrameAtlas(mesh, normals, e1, np.cross(normals, e1), ring,
+                             angles)
 
 
 def transport_rotation(atlas: TangentFrameAtlas, i, j):
     """Rotation angle carrying coefficients at i to coefficients at j
     across edge (i, j); i and j may be index arrays."""
-    return _edge_angles(atlas, j, i) + np.pi - _edge_angles(atlas, i, j)
+    return atlas.edge_angle(j, i) + np.pi - atlas.edge_angle(i, j)
 
 
 def assemble_connection_matrices(mesh: TriangleMesh,

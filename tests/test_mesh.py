@@ -66,8 +66,7 @@ def element_operators(mesh):
         for i in range(3):
             a, b = face[i], face[(i + 1) % 3]
             w = -k_e[i, (i + 1) % 3]
-            rho = (atlas.edge_angle[(b, a)] + np.pi
-                   - atlas.edge_angle[(a, b)])
+            rho = atlas.edge_angle(b, a) + np.pi - atlas.edge_angle(a, b)
             rot = np.array([[np.cos(rho), -np.sin(rho)],
                             [np.sin(rho), np.cos(rho)]])
             sa, sb = slice(2 * a, 2 * a + 2), slice(2 * b, 2 * b + 2)

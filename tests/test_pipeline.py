@@ -61,6 +61,11 @@ def test_config_rejects_unknown_keys():
     ("simulate", {"template": "torus"}),
     ("fpca_geo", {"n_components": 0}),
     ("fpca_fun", {"folds": 0, "cv_lambdas": [0.0, 10.0]}),
+    # settings the stage would drop: lam is chosen among cv_lambdas, and
+    # folds is read only when it is
+    ("fpca_fun", {"lam": 5.0, "cv_lambdas": [0.0, 100.0]}),
+    ("fpca_fun", {"folds": 2}),
+    ("simulate", {"template": "hemisphere"}),
 ])
 def test_config_rejects_out_of_range_values(block, values):
     with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from fos.demons import register_functions
 from fos.mesh import TriangleMesh
 from fos.synthdata import ellipsoid_patch, icosphere
 from fos.tangent_fem import (FemError, apply_dirichlet,
@@ -61,13 +62,95 @@ def test_frame_round_trip():
     assert np.allclose(back, coeffs, atol=1e-12)
 
 
-def test_interior_edge_angles_cover_full_turn():
-    mesh = icosphere(1)
+def per_vertex_frames(mesh):
+    """e1, e2 and the edge angles {(i, j): angle} from a walk around each
+    vertex in turn, kept as an oracle for the vectorised `build_frames`:
+    the ring starts at the open end with the smallest index, else at the
+    head of the vertex's first face side; wedges add up in ring order."""
+    v, normals = mesh.vertices, mesh.vertex_normals
+    succ = [dict() for _ in v]
+    wedge = [dict() for _ in v]
+    for face in mesh.faces.tolist():
+        for k, a, b in (face, face[1:] + face[:1], face[2:] + face[:2]):
+            succ[k][a] = b
+            ea, eb = v[a] - v[k], v[b] - v[k]
+            cos = np.dot(ea, eb) / (np.linalg.norm(ea) * np.linalg.norm(eb))
+            wedge[k][a] = np.arccos(np.clip(cos, -1.0, 1.0))
+    e1, e2, edge_angle = np.zeros_like(v), np.zeros_like(v), {}
+    for k, s in enumerate(succ):
+        starts = set(s) - set(s.values())
+        ring = [min(starts) if starts else next(iter(s))]
+        angles, cur = [], ring[0]
+        while cur in s:
+            angles.append(wedge[k][cur])
+            cur = s[cur]
+            if cur == ring[0]:
+                break
+            ring.append(cur)
+        scale = 1.0 if starts else 2.0 * np.pi / sum(angles)
+        cum = edge_angle[(k, ring[0])] = 0.0
+        for nb, th in zip(ring[1:], angles):
+            cum += th * scale
+            edge_angle[(k, nb)] = cum
+        d = v[ring[0]] - v[k]
+        d = d - np.dot(d, normals[k]) * normals[k]
+        e1[k] = d / np.linalg.norm(d)
+        e2[k] = np.cross(normals[k], e1[k])
+    return e1, e2, edge_angle
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(1),
+                                       lambda: ellipsoid_patch(2),
+                                       flat_patch],
+                         ids=["sphere", "patch", "flat_grid"])
+def test_frames_match_the_per_vertex_walk(make_mesh):
+    mesh = make_mesh()
     atlas = build_frames(mesh)
+    e1, e2, edge_angle = per_vertex_frames(mesh)
+    assert np.array_equal(atlas.e1, e1) and np.array_equal(atlas.e2, e2)
+    keys = np.array(list(edge_angle))
+    assert np.array_equal(atlas.edge_angle(keys[:, 0], keys[:, 1]),
+                          list(edge_angle.values()))
+    assert (atlas.ring >= 0).sum() == len(edge_angle)
+
+
+def test_interior_edge_angles_cover_full_turn():
+    for mesh in (icosphere(1), ellipsoid_patch(1)):
+        check_ring_tables(mesh, build_frames(mesh))
+
+
+def check_ring_tables(mesh, atlas):
+    """Every ring is ordered counter-clockwise about its vertex, its angles
+    rise from 0 by the wedge angles, scaled to a full turn on an interior
+    vertex and unscaled on a boundary one, and edge_angle reads them."""
+    v = mesh.vertices
+    faces = {tuple(np.roll(f, -r)) for f in mesh.faces.tolist()
+             for r in range(3)}
     for k in range(mesh.n_vertices):
-        angles = sorted(a for (i, _), a in atlas.edge_angle.items() if i == k)
+        ring = atlas.ring[k][atlas.ring[k] >= 0]
+        angles = atlas.angles[k, :len(ring)]
         assert angles[0] == 0.0
+        assert np.all(np.diff(angles) > 0.0)
         assert angles[-1] < 2.0 * np.pi
+        interior = not mesh.boundary_vertices[k]
+        # consecutive neighbours share a face counter-clockwise about k
+        pairs = list(zip(ring, np.roll(ring, -1)))[:len(ring) - 1 + interior]
+        assert all((k, a, b) in faces for a, b in pairs)
+        e = v[ring] - v[k]
+        e /= np.linalg.norm(e, axis=1)[:, None]
+        cos = [e[m] @ e[(m + 1) % len(ring)] for m in range(len(pairs))]
+        wedges = np.arccos(np.clip(cos, -1.0, 1.0))
+        if interior:
+            scale = 2.0 * np.pi / wedges.sum()
+            assert np.isclose(angles[-1] + scale * wedges[-1], 2.0 * np.pi,
+                              rtol=0, atol=1e-12)
+        else:
+            assert np.isclose(angles[-1], wedges.sum(), rtol=0, atol=1e-12)
+        assert np.array_equal(atlas.edge_angle(np.full(len(ring), k), ring),
+                              angles)
+    far = np.setdiff1d(np.arange(1, mesh.n_vertices), atlas.ring[0])[0]
+    with pytest.raises(KeyError):
+        atlas.edge_angle(0, far)
 
 
 def test_connection_matrices_structure():
@@ -95,7 +178,7 @@ def test_flat_patch_constant_field_has_zero_energy():
 def test_transport_rotation_antisymmetric_on_flat_mesh():
     mesh = flat_patch(4)
     atlas = build_frames(mesh)
-    i, j = next(iter(atlas.edge_angle))
+    i, j = 0, atlas.ring[0, 0]
     rij = transport_rotation(atlas, i, j)
     rji = transport_rotation(atlas, j, i)
     # transporting there and back is the identity rotation
@@ -194,3 +277,23 @@ def test_non_manifold_mesh_rejected():
     mesh = TriangleMesh(verts, faces)
     with pytest.raises(FemError):
         build_frames(mesh)
+
+
+def test_bowtie_vertex_rejected():
+    # two triangles meeting only at vertex 0: its faces form two fans
+    verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]]
+    mesh = TriangleMesh(verts, [[0, 1, 2], [0, 3, 4]])
+    with pytest.raises(FemError, match="vertex 0 do not form one fan"):
+        build_frames(mesh)
+
+
+def test_vertex_on_no_face_rejected():
+    sphere = icosphere(1)
+    k = sphere.n_vertices
+    mesh = TriangleMesh(np.vstack([sphere.vertices, [[3.0, 0.0, 0.0]]]),
+                        sphere.faces)
+    with pytest.raises(FemError, match=f"vertex {k} lies on no face"):
+        build_frames(mesh)
+    values = np.zeros(k + 1)
+    with pytest.raises(FemError, match=f"vertex {k} lies on no face"):
+        register_functions(mesh, values, values)
