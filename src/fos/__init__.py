@@ -14,11 +14,11 @@ from .georeg import (Diagnostics, RegistrationConfig, pull_back_function,
                      register_geometry)
 from .kernels import GaussianKernel, default_deformation_kernel
 from .lddmm import (GeodesicPath, InitialMomenta, ShootingError, flow_points,
-                    load_momenta, save_momenta, shoot, shoot_gradient)
-from .mesh import (MeshError, ScalarField, TriangleMesh, load_field,
-                   load_mesh, lumped_mass, save_field, save_mesh)
-from .pipeline import (ConfigError, PipelineConfig, emit_covariation,
-                       emit_mode_visualization, run_pipeline)
+                    shoot, shoot_gradient)
+from .mesh import (MeshError, ScalarField, TriangleMesh, load_mesh,
+                   lumped_mass, save_mesh)
+from .pipeline import (ArtifactError, ConfigError, PipelineConfig,
+                       emit_covariation, emit_mode_visualization, run_pipeline)
 from .similarity import SimilarityResult, current_distance
 from .synthdata import (SimDataset, SimModes, SimSpec, c_shape_images,
                         ellipsoid_patch, generate_dataset, icosphere,

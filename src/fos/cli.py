@@ -1,7 +1,8 @@
 """Command-line entry point: per-stage subcommands plus the end-to-end
 pipeline driver. Exit codes: 0 success, 2 invalid configuration or a
-missing input file (such as an artifact of an earlier stage that has not
-run), 3 numerical failure.
+missing, malformed or stale input file (such as an artifact of an earlier
+stage that has not run, or that was written for other inputs), 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -10,9 +11,15 @@ import argparse
 import json
 import sys
 
-from .pipeline import (ConfigError, PipelineConfig, emit_covariation,
-                       emit_mode_visualization, emit_sphere_benchmark,
-                       run_pipeline, STAGES)
+from .mesh import MeshError
+from .pipeline import (ArtifactError, ConfigError, PipelineConfig,
+                       emit_covariation, emit_mode_visualization,
+                       emit_sphere_benchmark, run_pipeline, STAGES)
+
+# errors in the run's inputs, which exit 2, and their message prefixes
+_INPUT_ERRORS = {ConfigError: "configuration error",
+                 FileNotFoundError: "missing input",
+                 MeshError: "invalid input", ArtifactError: "invalid input"}
 
 
 def _add_config_args(parser):
@@ -98,18 +105,15 @@ def main(argv=None) -> int:
             files = emit_mode_visualization(cfg.output_dir, args.mode - 1,
                                             grid)
             print("\n".join(files))
-    except (ConfigError, FileNotFoundError, RuntimeError,
-            FloatingPointError) as exc:
+    except (*_INPUT_ERRORS, RuntimeError, FloatingPointError) as exc:
         # run_pipeline wraps a failing stage's exception in a RuntimeError
         if isinstance(exc, RuntimeError) and isinstance(
-                exc.__cause__, (ConfigError, FileNotFoundError)):
+                exc.__cause__, tuple(_INPUT_ERRORS)):
             exc = exc.__cause__
-        if isinstance(exc, ConfigError):
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(exc, FileNotFoundError):
-            print(f"missing input: {exc}", file=sys.stderr)
-            return 2
+        for kind, prefix in _INPUT_ERRORS.items():
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return 2
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -23,6 +23,9 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_SHRINKS = 30
 GRAD_TOLERANCE = 1e-8
+# width of the current metric's kernel, when not given, as a fraction of the
+# template bounding-box diagonal
+SIGMA_Z_REL = 0.11
 
 
 @dataclass
@@ -33,10 +36,9 @@ class RegistrationConfig:
 
     similarity: str = "current"        # the only similarity accepted
     lam: float = 0.05                  # weight of the energy |v0|^2_V
-    # width of the current metric's kernel; when None, sigma_z_rel times
+    # width of the current metric's kernel; when None, SIGMA_Z_REL times
     # the template bounding-box diagonal
     sigma_z: float | None = None
-    sigma_z_rel: float = 0.11
     max_iterations: int = 120
     shooting_steps: int = 10
     # per-iteration cap on the momentum update's max entry, as a fraction
@@ -50,9 +52,8 @@ class RegistrationConfig:
             raise ValueError(f"unknown similarity {self.similarity!r}")
         if min(self.lam, self.step_cap_rel) < 0:
             raise ValueError("lam and step_cap_rel must be >= 0")
-        if self.sigma_z_rel <= 0 or (self.sigma_z is not None
-                                     and self.sigma_z <= 0):
-            raise ValueError("sigma_z and sigma_z_rel must be positive")
+        if self.sigma_z is not None and self.sigma_z <= 0:
+            raise ValueError("sigma_z must be positive")
         if min(self.max_iterations, self.shooting_steps) < 1:
             raise ValueError("max_iterations and shooting_steps must be >= 1")
 
@@ -60,8 +61,7 @@ class RegistrationConfig:
         """These settings with sigma_z fixed for the given template."""
         if self.sigma_z is not None:
             return self
-        return replace(self,
-                       sigma_z=self.sigma_z_rel * template.bbox_diagonal)
+        return replace(self, sigma_z=SIGMA_Z_REL * template.bbox_diagonal)
 
 
 @dataclass

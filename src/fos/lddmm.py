@@ -18,8 +18,7 @@ control system again.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,15 +119,15 @@ def _rhs_vjp(kernel, c, a, p, q):
     return cbar, abar
 
 
-def shoot_gradient(path: GeodesicPath, cbar_end, abar_end=None):
-    """Exact adjoint of the RK2 shooting map: pulls cotangents at t=1 back
-    to t=0. Returns (cbar0, abar0); abar0 is the gradient of any endpoint
-    functional with gradient cbar_end with respect to the initial momenta.
+def shoot_gradient(path: GeodesicPath, cbar_end):
+    """Exact adjoint of the RK2 shooting map: pulls the cotangent of the
+    control points at t=1 back to t=0. Returns (cbar0, abar0); abar0 is
+    the gradient of any endpoint functional with gradient cbar_end with
+    respect to the initial momenta.
     """
     dt = 1.0 / path.steps
     cb = np.asarray(cbar_end, float).copy()
-    ab = np.zeros_like(cb) if abar_end is None else \
-        np.asarray(abar_end, float).copy()
+    ab = np.zeros_like(cb)
     kernel = path.kernel
     for t in range(path.steps - 1, -1, -1):
         # y1 = y + dt f(m), m = y + dt/2 f(y)
@@ -188,26 +187,3 @@ def flow_points(path: GeodesicPath, points) -> np.ndarray:
         _check_finite(x)
     return x
 
-
-# -- serialization ----------------------------------------------------------
-
-def save_momenta(v0: InitialMomenta, csv_path):
-    """CSV `k,cx,cy,cz,ax,ay,az` plus the JSON sidecar `<csv_path>.json`
-    with the kernel parameters."""
-    csv_path = str(csv_path)
-    with open(csv_path, "w") as fh:
-        fh.write("k,cx,cy,cz,ax,ay,az\n")
-        for k, (c, a) in enumerate(zip(v0.control_points, v0.momenta)):
-            fh.write(f"{k},{c[0]:.17g},{c[1]:.17g},{c[2]:.17g},"
-                     f"{a[0]:.17g},{a[1]:.17g},{a[2]:.17g}\n")
-    with open(csv_path + ".json", "w") as fh:
-        json.dump(asdict(v0.kernel), fh)
-
-
-def load_momenta(csv_path) -> InitialMomenta:
-    csv_path = str(csv_path)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    with open(csv_path + ".json") as fh:
-        kernel = GaussianKernel(**json.load(fh))
-    return InitialMomenta(data[:, 1:4], data[:, 4:7], kernel)

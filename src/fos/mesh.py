@@ -1,4 +1,4 @@
-"""Triangle mesh representation, OFF/PLY-ascii I/O and geometric queries."""
+"""Triangle mesh representation, OFF I/O and geometric queries."""
 
 from __future__ import annotations
 
@@ -82,10 +82,6 @@ class TriangleMesh:
     def bbox_diagonal(self):
         lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-    @property
-    def total_area(self):
-        return float(self.face_areas.sum())
 
     @property
     def edge_lengths(self):
@@ -187,7 +183,8 @@ class ScalarField:
     def __init__(self, mesh: TriangleMesh, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (mesh.n_vertices,):
-            raise MeshError("value count must equal vertex count")
+            raise MeshError(f"{values.size} values for {mesh.n_vertices} "
+                            "vertices")
         if not np.all(np.isfinite(values)):
             raise MeshError("non-finite field value")
         self.mesh = mesh
@@ -196,20 +193,14 @@ class ScalarField:
 
 # -- file I/O ---------------------------------------------------------------
 
-def _format(path, fmt):
-    """"OFF" or "PLY": fmt in any case, or else the path's suffix."""
-    fmt = (fmt or ("PLY" if str(path).lower().endswith(".ply")
-                   else "OFF")).upper()
-    if fmt not in ("OFF", "PLY"):
-        raise MeshError(f"unsupported format {fmt!r}")
-    return fmt
-
-
-def load_mesh(path, fmt=None):
-    """Load an OFF or ascii-PLY mesh. Format inferred from suffix if not given."""
-    parse = _parse_off if _format(path, fmt) == "OFF" else _parse_ply
+def load_mesh(path):
+    """Load a triangle OFF mesh; a MeshError names the file."""
     with open(str(path)) as fh:
-        return parse(fh.read())
+        text = fh.read()
+    try:
+        return _parse_off(text)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
 
 
 def _tokens(text):
@@ -240,71 +231,12 @@ def _parse_off(text):
     return TriangleMesh(verts, np.array(faces, dtype=int).reshape(nf, 3))
 
 
-def _parse_ply(text):
-    lines = iter(text.splitlines())
-    try:
-        if next(lines).strip() != "ply":
-            raise MeshError("missing ply magic")
-        nv = nf = None
-        for line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "format" and parts[1] != "ascii":
-                raise MeshError("only ascii PLY is supported")
-            if parts[0] == "element" and parts[1] == "vertex":
-                nv = int(parts[2])
-            if parts[0] == "element" and parts[1] == "face":
-                nf = int(parts[2])
-            if parts[0] == "end_header":
-                break
-        if nv is None or nf is None:
-            raise MeshError("missing vertex/face elements")
-        verts = np.empty((nv, 3))
-        for i in range(nv):
-            vals = next(lines).split()
-            verts[i] = [float(x) for x in vals[:3]]
-        faces = np.empty((nf, 3), dtype=int)
-        for i in range(nf):
-            vals = next(lines).split()
-            if int(vals[0]) != 3:
-                raise MeshError("only triangle faces are supported")
-            faces[i] = [int(x) for x in vals[1:4]]
-    except (StopIteration, ValueError, IndexError) as exc:
-        raise MeshError(f"malformed PLY file: {exc}") from exc
-    return TriangleMesh(verts, faces)
-
-
-def save_mesh(mesh, path, fmt=None):
-    """Write OFF or ascii-PLY with 17 significant digits (round-trip exact)."""
-    fmt = _format(path, fmt)
+def save_mesh(mesh, path):
+    """Write OFF with 17 significant digits (round-trip exact)."""
     with open(str(path), "w") as fh:
-        if fmt == "OFF":
-            fh.write("OFF\n")
-            fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        else:
-            fh.write("ply\nformat ascii 1.0\n")
-            fh.write(f"element vertex {mesh.n_vertices}\n")
-            fh.write("property double x\nproperty double y\nproperty double z\n")
-            fh.write(f"element face {mesh.n_faces}\n")
-            fh.write("property list uchar int vertex_indices\nend_header\n")
+        fh.write("OFF\n")
+        fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
         for v in mesh.vertices:
             fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for f in mesh.faces:
             fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-
-
-def save_field(field, path):
-    """Persist a ScalarField as CSV with header vertex_id,value."""
-    with open(str(path), "w") as fh:
-        fh.write("vertex_id,value\n")
-        for i, v in enumerate(field.values):
-            fh.write(f"{i},{v:.17g}\n")
-
-
-def load_field(mesh, path):
-    data = np.loadtxt(str(path), delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    values = np.empty(mesh.n_vertices)
-    values[data[:, 0].astype(int)] = data[:, 1]
-    return ScalarField(mesh, values)

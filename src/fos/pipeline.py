@@ -12,6 +12,53 @@ georeg.RegistrationConfig (every field but similarity), register_fun ->
 demons.DemonsConfig, and fpca_geo, fpca_fun, cca -> FpcaGeoSettings,
 FpcaFunSettings, CcaSettings below. `PipelineConfig.validate` builds all
 six, so a bad value is a ConfigError before any stage runs.
+
+This module alone reads and writes the artifacts below, under the output
+directory. A table is a header row, then rows of numbers with 17
+significant digits (`_write_csv`, `_read_csv`); a field is one row
+`v0,v1,...` read back as a ScalarField of its mesh, which checks the
+count; meshes are OFF (`mesh.save_mesh`, `mesh.load_mesh`). A file that
+does not fit the run raises an ArtifactError naming it. Each stage writes
+its own directory, and each export (covary, viz-mode, the sphere
+benchmark of register-fun) one more. "bench" is the benchmark's check.
+
+  artifact                    layout                  readers
+  sim/template.off            OFF                     later stages, viz, bench
+  sim/observation.off         OFF                     -
+  sim/subject_NNN.off         OFF                     register-*, bench
+  sim/kernel.json             GaussianKernel fields   register-geo, fpca-geo,
+                                                      viz, bench
+  sim/field_NNN.csv           field of subject_NNN    register-fun
+  sim/true_images_NNN.csv     x,y,z per vertex        bench
+  sim/true_scores.csv         a1,a2 per subject       later stages, bench
+  sim/true_fields.csv         v0,... per subject      bench
+  sim/modes.npz               the planted modes       -
+  reg_geo/momenta_NNN.csv     k,cx,cy,cz,ax,ay,az     fpca-geo, bench
+  reg_geo/deformed_NNN.csv    x,y,z per vertex        register-fun, bench
+  reg_geo/diagnostics.json    Diagnostics by subject  bench
+  reg_fun/pulled_NNN.csv      field of the template   -
+  reg_fun/aligned_NNN.csv     field of the template   fpca-fun, bench
+  reg_fun/template_field.csv  field of the template   viz
+  fpca_geo/scores.csv         pc1,... per subject     cca, covary, bench
+  fpca_geo/variances.csv      one row pc1,...         viz
+  fpca_geo/components.npz     components, mean,       viz
+                              control_points
+  fpca_fun/scores.csv         pc1,... per subject     cca, covary, bench
+  fpca_fun/variances.csv      one row pc1,...         -
+  fpca_fun/components.csv     v0,... per component    -
+  fpca_fun/mean.csv           field of the template   -
+  fpca_fun/fit.json           the stage summary       -
+  cca/correlations.csv        one row rho1,...        bench
+  cca/{x,y}_weights.csv       dir1,... rows           -
+  cca/{x,y}_variates.csv      dir1,... rows           -
+  cca/bartlett.json           the Bartlett test       bench
+  manifest.json               a record per stage      run_pipeline, viz
+  covary/sequence_pairP.csv   t,g1,..,f1,.. rows      -
+  viz/modeM_II.off, .csv      OFF, field of the OFF   -
+  benchmark/sphere.off        OFF                     -
+  benchmark/ssd_trace.csv     one row it0,...         -
+  benchmark/warped.csv        field of sphere.off     -
+  benchmark/summary.json      fidelity summary        -
 """
 
 from __future__ import annotations
@@ -32,8 +79,8 @@ from .demons import DemonsConfig, groupwise_template
 from .fpca import cross_validate_lambda, functional_fpca, geometric_fpca
 from .georeg import RegistrationConfig, pull_back_function, register_geometry
 from .kernels import GaussianKernel
-from .lddmm import InitialMomenta, load_momenta, save_momenta, shoot
-from .mesh import ScalarField, load_field, load_mesh, save_field, save_mesh
+from .lddmm import InitialMomenta, shoot
+from .mesh import MeshError, ScalarField, load_mesh, save_mesh
 from .synthdata import SimSpec, generate_dataset
 
 STAGES = ("simulate", "register-geo", "register-fun",
@@ -100,6 +147,11 @@ def _block_keys(block_name):
 
 class ConfigError(ValueError):
     """Invalid pipeline configuration."""
+
+
+class ArtifactError(ValueError):
+    """An artifact file that is malformed, or stale: written for other
+    inputs than the ones it is read with."""
 
 
 def _require(cond, msg):
@@ -199,7 +251,35 @@ def _write_csv(path, array, prefix="v", first=0, header=None):
 
 
 def _read_csv(path):
-    return np.atleast_2d(np.loadtxt(str(path), delimiter=",", skiprows=1))
+    try:
+        return np.atleast_2d(np.loadtxt(str(path), delimiter=",",
+                                        skiprows=1))
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: malformed table: {exc}") from exc
+
+
+def _read_field(mesh, path):
+    """The field file at path as a ScalarField of mesh."""
+    values = _read_csv(path).ravel()
+    try:
+        return ScalarField(mesh, values)
+    except MeshError as exc:
+        raise ArtifactError(f"{path}: {exc}") from exc
+
+
+def _read_momenta(path, template):
+    """The (K, 3) momenta of a momenta file, whose control points must be
+    the template's vertices and whose entries must be finite."""
+    table = _read_csv(path)
+    if table.shape != (template.n_vertices, 7):
+        problem = f"{table.shape} table for {template.n_vertices} vertices"
+    elif not np.all(np.isfinite(table)):
+        problem = "non-finite entries"
+    elif not np.array_equal(table[:, 1:4], template.vertices):
+        problem = "control points are not the template vertices"
+    else:
+        return table[:, 4:7]
+    raise ArtifactError(f"{path}: {problem}; run register-geo again")
 
 
 def _subject_count(sim_dir):
@@ -226,7 +306,7 @@ def _stage_simulate(cfg: PipelineConfig, out: Path):
         json.dump(asdict(ds.kernel), fh)
     for i in range(spec.n):
         save_mesh(ds.meshes[i], sim / f"subject_{i:03d}.off")
-        save_field(ds.fields[i], sim / f"field_{i:03d}.csv")
+        _write_csv(sim / f"field_{i:03d}.csv", ds.fields[i].values)
         _write_csv(sim / f"true_images_{i:03d}.csv",
                    ds.true_vertex_images[i], header="x,y,z")
     _write_csv(sim / "true_scores.csv", ds.scores, "a", 1)
@@ -248,7 +328,10 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
     for i in range(n):
         target = load_mesh(sim / f"subject_{i:03d}.off")
         v0, diag = register_geometry(template, target, kernel, rcfg)
-        save_momenta(v0, reg / f"momenta_{i:03d}.csv")
+        _write_csv(reg / f"momenta_{i:03d}.csv",
+                   np.column_stack([np.arange(template.n_vertices),
+                                    v0.control_points, v0.momenta]),
+                   header="k,cx,cy,cz,ax,ay,az")
         _write_csv(reg / f"deformed_{i:03d}.csv", diag.endpoint,
                    header="x,y,z")
         diags[i] = diag
@@ -280,7 +363,7 @@ def _stage_register_fun(cfg: PipelineConfig, out: Path):
     pulled = []
     for i in range(n):
         subject = load_mesh(sim / f"subject_{i:03d}.off")
-        target_field = load_field(subject, sim / f"field_{i:03d}.csv")
+        target_field = _read_field(subject, sim / f"field_{i:03d}.csv")
         end = _read_csv(reg / f"deformed_{i:03d}.csv")
         values = pull_back_function(target_field, end)
         pulled.append(values)
@@ -300,7 +383,7 @@ def _stage_fpca_geo(cfg: PipelineConfig, out: Path):
     template = load_mesh(sim / "template.off")
     kernel = _load_kernel(sim)
     n = _subject_count(sim)
-    moms = [load_momenta(reg / f"momenta_{i:03d}.csv").momenta
+    moms = [_read_momenta(reg / f"momenta_{i:03d}.csv", template)
             for i in range(n)]
     fit = geometric_fpca(moms, template.vertices, kernel,
                          n_components=cfg.settings["fpca_geo"].n_components)
@@ -317,7 +400,7 @@ def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
     ff.mkdir(parents=True, exist_ok=True)
     template = load_mesh(sim / "template.off")
     n = _subject_count(sim)
-    fields = [_read_csv(fun / f"aligned_{i:03d}.csv").ravel()
+    fields = [_read_field(template, fun / f"aligned_{i:03d}.csv").values
               for i in range(n)]
     fcfg = cfg.settings["fpca_fun"]
     lam = fcfg.lam
@@ -450,7 +533,8 @@ def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
     variances = _read_csv(out / "fpca_geo" / "variances.csv").ravel()
     kernel = _load_kernel(out / "sim")
     template = load_mesh(out / "sim" / "template.off")
-    mean_field = _read_csv(out / "reg_fun" / "template_field.csv").ravel()
+    mean_field = _read_field(template,
+                             out / "reg_fun" / "template_field.csv").values
     if c_grid is None:
         c_grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
     written = []
@@ -462,7 +546,7 @@ def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
         field_path = viz / f"mode{mode + 1}_{idx:02d}.csv"
         deformed = template.with_vertices(end)
         save_mesh(deformed, mesh_path)
-        save_field(ScalarField(deformed, mean_field), field_path)
+        _write_csv(field_path, mean_field)
         written.extend([str(mesh_path), str(field_path)])
     return written
 

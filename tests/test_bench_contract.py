@@ -13,11 +13,13 @@ from fos.georeg import RegistrationConfig, register_geometry
 from fos.kernels import GaussianKernel
 from fos.synthdata import c_shape_images, ellipsoid_patch, icosphere
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    """The module bench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -38,7 +40,7 @@ def fos_bindings():
 
 
 def test_tracer_wraps_every_target_and_restores_every_binding():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     before = fos_bindings()
     tracer = tracing.Tracer()
     try:
@@ -56,7 +58,7 @@ def test_tracer_wraps_every_target_and_restores_every_binding():
 
 
 def test_count_hooks_read_the_results_they_count():
-    hooks = {name: hook for _, _, name, hook in load_tracing().TARGETS}
+    hooks = {name: hook for _, _, name, hook in load_bench("tracing").TARGETS}
     sphere = icosphere(1)
     moving, fixed = c_shape_images(sphere)
     cfg = DemonsConfig(lam=0.2, max_iterations=2)

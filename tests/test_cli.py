@@ -91,6 +91,31 @@ def test_missing_inputs_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("missing input: "), command
 
 
+def test_malformed_or_stale_inputs_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                               "simulate": {"n": 3, "subdivisions": 1},
+                               "register_geo": {"max_iterations": 1}}))
+    for command in ("simulate", "register-geo"):
+        assert main([command, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    # momenta whose first control point is not the template's
+    momenta = tmp_path / "out" / "reg_geo" / "momenta_000.csv"
+    lines = momenta.read_text().splitlines()
+    lines[1] = "0,1,2,3,0,0,0"
+    momenta.write_text("\n".join(lines) + "\n")
+    assert main(["fpca-geo", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ")
+    assert "momenta_000.csv" in err and "run register-geo again" in err
+    # a truncated subject mesh
+    subject = tmp_path / "out" / "sim" / "subject_001.off"
+    subject.write_text(subject.read_text()[:200])
+    assert main(["register-fun", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "subject_001.off" in err
+
+
 def test_single_stage_subcommand(config_file, capsys):
     path, out = config_file
     assert main(["cca", "--config", str(path)]) == 0

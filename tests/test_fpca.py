@@ -17,7 +17,7 @@ def v_inner(kernel, pts, a, b):
 def test_mass_matrix_total_and_spd():
     mesh = icosphere(2)
     m = consistent_mass(mesh)
-    assert np.isclose(m.sum(), mesh.total_area)
+    assert np.isclose(m.sum(), mesh.face_areas.sum())
     evals = np.linalg.eigvalsh(m.toarray())
     assert evals.min() > 0
 

@@ -3,8 +3,7 @@ import pytest
 
 from fos.kernels import GaussianKernel
 from fos.lddmm import (InitialMomenta, ShootingError, _rhs, _rhs_vjp,
-                       flow_points, load_momenta, save_momenta, shoot,
-                       shoot_gradient)
+                       flow_points, shoot, shoot_gradient)
 from fos.synthdata import ellipsoid_patch
 
 
@@ -149,16 +148,6 @@ def test_divergence_raises():
                         GaussianKernel(sigma=0.1))
     with pytest.raises(ShootingError), np.errstate(all="ignore"):
         shoot(v0, 5)
-
-
-def test_momenta_round_trip(tmp_path):
-    v0 = small_system(seed=9)
-    path = tmp_path / "mom.csv"
-    save_momenta(v0, path)
-    back = load_momenta(path)
-    assert np.allclose(back.control_points, v0.control_points)
-    assert np.allclose(back.momenta, v0.momenta)
-    assert back.kernel.sigma == v0.kernel.sigma
 
 
 def plain_rhs_vjp(kernel, c, a, p, q):

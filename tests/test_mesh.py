@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fos.mesh import (MeshError, ScalarField, TriangleMesh,
-                      consistent_mass, cotangent_stiffness, load_field,
-                      load_mesh, lumped_mass, save_field, save_mesh)
+                      consistent_mass, cotangent_stiffness, load_mesh,
+                      lumped_mass, save_mesh)
 from fos.synthdata import ellipsoid_patch, icosphere
 from fos.tangent_fem import assemble_connection_matrices, build_frames
 from test_tangent_fem import flat_patch
@@ -15,7 +15,7 @@ def unit_triangle():
 
 def test_face_geometry():
     mesh = unit_triangle()
-    assert np.isclose(mesh.total_area, 0.5)
+    assert np.isclose(mesh.face_areas.sum(), 0.5)
     assert np.allclose(mesh.face_normals[0], [0, 0, 1])
     assert np.allclose(mesh.face_centers[0], [1 / 3, 1 / 3, 0])
     assert np.allclose(mesh.face_area_normals[0], [0, 0, 0.5])
@@ -42,7 +42,7 @@ def test_boundary_detection():
 
 def test_lumped_mass_partitions_total_area():
     mesh = ellipsoid_patch(2)
-    assert np.isclose(lumped_mass(mesh).sum(), mesh.total_area)
+    assert np.isclose(lumped_mass(mesh).sum(), mesh.face_areas.sum())
 
 
 def element_operators(mesh):
@@ -98,7 +98,7 @@ def test_fe_operators_match_element_formulas(make):
 
 def test_sphere_area_approaches_analytic():
     mesh = icosphere(3, radius=2.0)
-    assert abs(mesh.total_area - 4 * np.pi * 4.0) / (16 * np.pi) < 0.01
+    assert abs(mesh.face_areas.sum() - 4 * np.pi * 4.0) / (16 * np.pi) < 0.01
 
 
 def test_vertex_normals_point_outward_on_sphere():
@@ -150,25 +150,6 @@ def test_off_round_trip(tmp_path):
     back = load_mesh(path)
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.faces, mesh.faces)
-
-
-def test_ply_round_trip(tmp_path):
-    mesh = icosphere(1)
-    path = tmp_path / "sphere.ply"
-    save_mesh(mesh, path, fmt="ply")
-    back = load_mesh(path)
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.faces, mesh.faces)
-
-
-def test_field_round_trip(tmp_path):
-    mesh = icosphere(1)
-    rng = np.random.default_rng(1)
-    field = ScalarField(mesh, rng.normal(size=mesh.n_vertices))
-    path = tmp_path / "f.csv"
-    save_field(field, path)
-    back = load_field(mesh, path)
-    assert np.allclose(back.values, field.values)
 
 
 def test_load_mesh_rejects_garbage(tmp_path):

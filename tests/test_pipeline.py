@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from fos.georeg import register_geometry
-from fos.lddmm import InitialMomenta, load_momenta, shoot
-from fos.mesh import load_field, load_mesh
-from fos.pipeline import (ConfigError, PipelineConfig, _load_kernel,
+from fos.lddmm import InitialMomenta, shoot
+from fos.mesh import load_mesh
+from fos.pipeline import (ArtifactError, ConfigError, PipelineConfig,
+                          _load_kernel, _read_csv, _write_csv,
                           emit_covariation, emit_mode_visualization,
                           run_pipeline, STAGES)
+from test_bench_contract import load_bench
 
 
 def tiny_config(out_dir):
@@ -47,7 +49,8 @@ def test_config_rejects_unknown_keys():
                  {"fpca_geo": {"n_component": 3}},
                  {"fpca_fun": {"lamda": 10.0}},
                  {"cca": {"n_components": 2}},
-                 {"register_geo": {"similarity": "current"}}):
+                 {"register_geo": {"similarity": "current"}},
+                 {"register_geo": {"sigma_z_rel": 0.2}}):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(data)
 
@@ -127,16 +130,39 @@ def test_manifest_structure(finished_run):
 
 
 def test_artifacts_exist(finished_run):
+    # every file the benchmark's population check reads, read with the
+    # benchmark's own readers: a layout change fails here first
+    ref = load_bench("reference")
     _, out, _ = finished_run
-    assert (out / "sim" / "template.off").exists()
+    sim, reg = out / "sim", out / "reg_geo"
+    tv, _ = ref.read_off(sim / "template.off")
+    k = len(tv)
+    kernel = json.loads((sim / "kernel.json").read_text())
+    assert {"sigma", "sigma2", "weight"} <= set(kernel)
+    diags = json.loads((reg / "diagnostics.json").read_text())
+    assert sorted(diags) == [str(i) for i in range(6)]
     for i in range(6):
-        assert (out / "sim" / f"subject_{i:03d}.off").exists()
-        assert (out / "reg_geo" / f"momenta_{i:03d}.csv").exists()
-        assert (out / "reg_fun" / f"aligned_{i:03d}.csv").exists()
-    assert (out / "fpca_geo" / "scores.csv").exists()
-    assert (out / "fpca_fun" / "scores.csv").exists()
-    cca_summary = json.loads((out / "cca" / "bartlett.json").read_text())
-    assert "p_values" in cca_summary
+        momenta = ref.read_csv(reg / f"momenta_{i:03d}.csv")
+        assert momenta.shape == (k, 7)
+        assert np.array_equal(momenta[:, 1:4], tv)
+        subject, _ = ref.read_off(sim / f"subject_{i:03d}.off")
+        field = ref.read_csv(sim / f"field_{i:03d}.csv")
+        assert field.shape == (1, len(subject))
+        for rel in (f"reg_geo/deformed_{i:03d}.csv",
+                    f"sim/true_images_{i:03d}.csv"):
+            assert ref.read_csv(out / rel).shape == (k, 3)
+        aligned = ref.read_csv(out / "reg_fun" / f"aligned_{i:03d}.csv")
+        assert aligned.shape == (1, k)
+        trace = diags[str(i)]["objective_trace"]
+        assert len(diags[str(i)]["similarity_trace"]) == len(trace)
+        assert len(diags[str(i)]["energy_trace"]) == len(trace)
+    assert ref.read_csv(sim / "true_scores.csv").shape == (6, 2)
+    assert ref.read_csv(sim / "true_fields.csv").shape == (6, k)
+    for stage in ("fpca_geo", "fpca_fun"):
+        assert ref.read_csv(out / stage / "scores.csv").shape == (6, 2)
+    assert ref.read_csv(out / "cca" / "correlations.csv").shape == (1, 2)
+    bartlett = json.loads((out / "cca" / "bartlett.json").read_text())
+    assert len(bartlett["statistics"]) == len(bartlett["p_values"]) == 2
 
 
 def _digest(path):
@@ -199,8 +225,8 @@ def test_register_geometry_defaults_are_the_stage_defaults(tmp_path):
     v0, _ = register_geometry(load_mesh(sim / "template.off"),
                               load_mesh(sim / "subject_000.off"),
                               _load_kernel(sim))
-    stage = load_momenta(tmp_path / "reg_geo" / "momenta_000.csv")
-    assert np.array_equal(v0.momenta, stage.momenta)
+    stage = _read_csv(tmp_path / "reg_geo" / "momenta_000.csv")
+    assert np.array_equal(v0.momenta, stage[:, 4:7])
 
 
 def test_pulled_fields_sample_the_subject_mesh(finished_run):
@@ -208,7 +234,7 @@ def test_pulled_fields_sample_the_subject_mesh(finished_run):
     sim = out / "sim"
     for i in range(6):
         subject = load_mesh(sim / f"subject_{i:03d}.off")
-        field = load_field(subject, sim / f"field_{i:03d}.csv").values
+        field = _read_csv(sim / f"field_{i:03d}.csv").ravel()
         deformed = np.loadtxt(out / "reg_geo" / f"deformed_{i:03d}.csv",
                               delimiter=",", skiprows=1)
         pulled = np.loadtxt(out / "reg_fun" / f"pulled_{i:03d}.csv",
@@ -244,6 +270,43 @@ def test_manifest_drops_stages_of_another_config(tmp_path):
     assert set(manifest["stages"]) == {"simulate"}
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert set(on_disk["stages"]) == {"simulate"}
+
+
+def test_field_file_of_wrong_length_fails(tmp_path):
+    cfg = PipelineConfig.from_dict({
+        "output_dir": str(tmp_path), "seed": 0,
+        "simulate": {"n": 2, "subdivisions": 1},
+        "register_geo": {"max_iterations": 1}})
+    run_pipeline(cfg, ("simulate", "register-geo"))
+    path = tmp_path / "sim" / "field_000.csv"
+    values = _read_csv(path).ravel()
+    for wrong in (values[:-5], np.append(values, 1.0)):
+        _write_csv(path, wrong)
+        with pytest.raises(RuntimeError, match="field_000.csv") as info:
+            run_pipeline(cfg, ("register-fun",))
+        assert isinstance(info.value.__cause__, ArtifactError)
+
+
+def test_fpca_geo_rejects_stale_momenta(tmp_path):
+    def config(scale):
+        return PipelineConfig.from_dict({
+            "output_dir": str(tmp_path), "seed": 0,
+            "simulate": {"n": 6, "subdivisions": 1, "scale": scale},
+            "register_geo": {"max_iterations": 1}})
+
+    # momenta registered to the template of another simulate run
+    run_pipeline(config(12.0), ("simulate", "register-geo"))
+    run_pipeline(config(9.0), ("simulate",))
+    with pytest.raises(RuntimeError, match=r"momenta_000\.csv: control "
+                       "points are not .*; run register-geo again"):
+        run_pipeline(config(9.0), ("fpca-geo",))
+    run_pipeline(config(9.0), ("register-geo",))
+    path = tmp_path / "reg_geo" / "momenta_003.csv"
+    table = _read_csv(path)
+    table[2, 5] = np.nan
+    _write_csv(path, table, header="k,cx,cy,cz,ax,ay,az")
+    with pytest.raises(RuntimeError, match=r"momenta_003\.csv: non-finite"):
+        run_pipeline(config(9.0), ("fpca-geo",))
 
 
 def test_stage_failure_raises_runtime_error(tmp_path):

@@ -163,7 +163,7 @@ def test_connection_matrices_structure():
     assert np.all(np.linalg.eigvalsh(r1d) >= -1e-12)
     assert np.all(r0.diagonal() > 0)
     # lumped mass accounts for the total area twice (two coefficients)
-    assert np.isclose(r0.diagonal().sum(), 2.0 * mesh.total_area)
+    assert np.isclose(r0.diagonal().sum(), 2.0 * mesh.face_areas.sum())
 
 
 def test_flat_patch_constant_field_has_zero_energy():
