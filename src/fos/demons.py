@@ -19,6 +19,8 @@ from .tangent_fem import (Connection, TangentFrameAtlas, apply_dirichlet,
                           build_frames, build_system, connection,
                           solve_update)
 
+N_NEAREST = 2       # nearest vertices whose one-rings SurfaceProjector tries
+
 
 # -- surface geometry helpers -------------------------------------------------
 
@@ -117,10 +119,9 @@ class SurfaceProjector:
     vertices, so projection is exact for points near the surface; ties
     resolve to the lowest face index."""
 
-    def __init__(self, mesh: TriangleMesh, n_nearest: int = 2):
+    def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
         self.tree = cKDTree(mesh.vertices)
-        self.n_nearest = min(n_nearest, mesh.n_vertices)
         # row k: the faces around vertex k in index order, padded with the
         # first of them
         corners = mesh.faces.ravel()
@@ -134,7 +135,7 @@ class SurfaceProjector:
     def project(self, points):
         """Returns (projected points, face index, barycentric coords)."""
         pts = np.atleast_2d(np.asarray(points, float))
-        _, nearest = self.tree.query(pts, k=self.n_nearest)
+        _, nearest = self.tree.query(pts, k=N_NEAREST)
         nearest = nearest.reshape(len(pts), -1)
         cand = np.sort(self._face_table[nearest].reshape(len(pts), -1), axis=1)
         tri = self.mesh.vertices[self.mesh.faces[cand]]     # (n, m, 3, 3)

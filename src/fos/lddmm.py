@@ -55,10 +55,9 @@ class InitialMomenta:
 
 @dataclass
 class GeodesicPath:
-    """Per-time control-point positions and momenta on a uniform grid, and
-    the RK2 midpoint state of every step."""
+    """Per-time control-point positions and momenta on a uniform grid of
+    T steps over [0, 1], and the RK2 midpoint state of every step."""
 
-    times: np.ndarray          # (T+1,)
     points: np.ndarray         # (T+1, k, 3)
     momenta: np.ndarray        # (T+1, k, 3)
     mid_points: np.ndarray     # (T, k, 3)
@@ -67,7 +66,7 @@ class GeodesicPath:
 
     @property
     def steps(self):
-        return len(self.times) - 1
+        return len(self.mid_points)
 
 
 def _rhs(kernel, c, a):
@@ -168,8 +167,7 @@ def shoot(v0: InitialMomenta, steps: int = 20) -> GeodesicPath:
         As.append(a.copy())
         cms.append(cm)
         ams.append(am)
-    return GeodesicPath(np.linspace(0.0, 1.0, steps + 1),
-                        np.array(cs), np.array(As), np.array(cms),
+    return GeodesicPath(np.array(cs), np.array(As), np.array(cms),
                         np.array(ams), v0.kernel)
 
 

@@ -33,7 +33,8 @@ benchmark of register-fun) one more. "bench" is the benchmark's check.
   sim/true_scores.csv         a1,a2 per subject       later stages, bench
   sim/true_fields.csv         v0,... per subject      bench
   sim/modes.npz               the planted modes       -
-  reg_geo/momenta_NNN.csv     k,cx,cy,cz,ax,ay,az     fpca-geo, bench
+  reg_geo/momenta_NNN.csv     k,cx,cy,cz,ax,ay,az     register-fun, fpca-geo,
+                                                      bench
   reg_geo/deformed_NNN.csv    x,y,z per vertex        register-fun, bench
   reg_geo/diagnostics.json    Diagnostics by subject  bench
   reg_fun/pulled_NNN.csv      field of the template   -
@@ -282,6 +283,15 @@ def _read_momenta(path, template):
     raise ArtifactError(f"{path}: {problem}; run register-geo again")
 
 
+def _read_deformed(path, template):
+    """The deformed template vertices: a finite (K, 3) table."""
+    table = _read_csv(path)
+    if table.shape == (template.n_vertices, 3) and np.all(np.isfinite(table)):
+        return table
+    raise ArtifactError(f"{path}: not a finite {template.n_vertices} x 3 "
+                        "table; run register-geo again")
+
+
 def _subject_count(sim_dir):
     """Subjects of the latest simulate run: every run rewrites the score
     table, while subject files of an earlier, larger run may remain."""
@@ -364,7 +374,9 @@ def _stage_register_fun(cfg: PipelineConfig, out: Path):
     for i in range(n):
         subject = load_mesh(sim / f"subject_{i:03d}.off")
         target_field = _read_field(subject, sim / f"field_{i:03d}.csv")
-        end = _read_csv(reg / f"deformed_{i:03d}.csv")
+        # the momenta's control points tie the endpoints to this template
+        _read_momenta(reg / f"momenta_{i:03d}.csv", template)
+        end = _read_deformed(reg / f"deformed_{i:03d}.csv", template)
         values = pull_back_function(target_field, end)
         pulled.append(values)
         _write_csv(fun / f"pulled_{i:03d}.csv", values)

@@ -4,23 +4,25 @@ fields on a triangle mesh, and the solve of the linearized demons update.
 The update is the first field u of the mixed system
 
     [Theta2   lam R1] [u]   [Theta1 z]
-    [lam R1  -lam R0] [h] = [   0    ].
+    [lam R1  -lam R0] [h] = [   0    ],
 
-Its second row gives h = R0^-1 R1 u, so u solves the Schur complement
+with u zero on the boundary vertices (homogeneous Dirichlet conditions):
+those coefficients are known, so they and their rows of the first equation
+leave the system. The second row gives h = R0^-1 R1 u, so the free
+coefficients of u solve the Schur complement
 
-    (Theta2 + lam R1 R0^-1 R1) u = Theta1 z,
+    (Theta2 + lam R1 R0^-1 R1) u = Theta1 z
 
-a 2K x 2K symmetric positive (semi-)definite system with half the unknowns
-of the 4K x 4K indefinite one. The elimination is exact and cheap because
-R0 is the diagonal lumped mass; a consistent (non-diagonal) R0 would make
-R0^-1 dense and need the mixed form back.
+on the free rows and columns, a symmetric positive definite system that
+one direct factorization solves with no iterative refinement. Eliminating
+h is exact and keeps the system sparse because R0 is the diagonal lumped
+mass; a consistent R0 would make R0^-1 dense and need the mixed form back.
 
-Half of the system depends only on the surface: the frames, R0, R1,
-R1 R0^-1 R1, the boundary coefficients and the surface's share of the
-Dirichlet penalty. `connection` builds that half once per surface as a
-`Connection`. The other half changes with every update: `build_system`
-makes Theta2 and Theta1 z from the driving force J and the residual z,
-`apply_dirichlet` holds the boundary at zero, and `solve_update` returns u.
+Half of the system depends only on the surface: the frames, the boundary
+coefficients and R1 R0^-1 R1 on the free ones, built once per surface by
+`connection`. The other half changes with every update: `build_system`
+makes Theta2 and Theta1 z, `apply_dirichlet` keeps their free rows, and
+`solve_update` returns u, zero on the boundary.
 
 Frames follow the angle-normalized one-ring construction: wedge angles
 around each interior vertex are scaled to sum to 2*pi, edges get intrinsic
@@ -222,25 +224,20 @@ def assemble_connection_matrices(mesh: TriangleMesh,
 @dataclass
 class Connection:
     """The half of the demons system fixed by the surface, built once per
-    surface: frames, R0, R1, the eliminated regulariser R1 R0^-1 R1, the
-    coefficients held at zero by the Dirichlet conditions, and the R0/R1
-    diagonal maximum that scales the Dirichlet penalty."""
+    surface: the frames, the coefficients held at zero by the Dirichlet
+    conditions, and the eliminated regulariser R1 R0^-1 R1 restricted to
+    the free coefficients."""
 
     atlas: TangentFrameAtlas
-    r0: sparse.spmatrix
-    r1: sparse.spmatrix
-    reg: sparse.spmatrix             # R1 R0^-1 R1
     boundary: np.ndarray             # (2K,) bool, boundary coefficients
-    diag_max: float                  # max(|diag R0|, |diag R1|)
+    reg: sparse.spmatrix             # R1 R0^-1 R1, free rows and columns
 
 
 def connection(mesh: TriangleMesh, atlas: TangentFrameAtlas) -> Connection:
     r0, r1 = assemble_connection_matrices(mesh, atlas)
-    # R0 is diagonal, so the elimination of h keeps the system sparse
-    reg = (r1 @ sparse.diags(1.0 / r0.diagonal()) @ r1).tocsc()
-    diag_max = max(abs(r0.diagonal()).max(), abs(r1.diagonal()).max())
-    return Connection(atlas, r0, r1, reg,
-                      np.repeat(mesh.boundary_vertices, 2), diag_max)
+    free = ~np.repeat(mesh.boundary_vertices, 2)
+    reg = (r1 @ sparse.diags(1.0 / r0.diagonal()) @ r1).tocsr()
+    return Connection(atlas, ~free, reg[free][:, free].tocsc())
 
 
 def build_system(conn: Connection, j, z):
@@ -261,44 +258,35 @@ def build_system(conn: Connection, j, z):
 
 
 def apply_dirichlet(conn: Connection, theta2, rhs):
-    """Homogeneous Dirichlet conditions on boundary vertices by penalty:
-    add M to the two diagonal entries of Theta2 at each boundary vertex and
-    zero the matching right-hand-side entries. No boundary, no change."""
+    """Homogeneous Dirichlet conditions on boundary vertices, imposed
+    exactly: returns Theta2 and the right-hand side restricted to the free
+    coefficients. Theta2 is block-diagonal, so this keeps the free
+    vertices' 2x2 blocks. No boundary: the inputs themselves, unchanged."""
     if not conn.boundary.any():
         return theta2, rhs
-    # Theta2 from build_system holds vertex k's 2x2 block at data[k]
-    data = theta2.data.copy()
-    # per-vertex coefficient-norm of the theta2 blocks (the block trace)
-    # rather than single diagonal entries, so the penalty — and with it
-    # the solution — does not depend on the in-plane frame choice
-    penalty = 1e8 * max((data[:, 0, 0] + data[:, 1, 1]).max(), conn.diag_max)
-    data[conn.boundary[0::2]] += penalty * np.eye(2)
-    theta2 = sparse.bsr_matrix((data, theta2.indices, theta2.indptr),
-                               shape=theta2.shape)
-    return theta2, np.where(conn.boundary, 0.0, rhs)
+    free = ~conn.boundary
+    return theta2.tocsr()[free][:, free], rhs[free]
 
 
 def solve_update(conn: Connection, theta2, rhs, lam: float) -> np.ndarray:
-    """Solve (Theta2 + lam R1 R0^-1 R1) u = Theta1 z, the mixed system with
-    its second field eliminated (see the module docstring), with a sparse
+    """Solve (Theta2 + lam R1 R0^-1 R1) u = Theta1 z on the free
+    coefficients, the mixed system with its second field and its boundary
+    coefficients eliminated (see the module docstring), with one sparse
     direct factorization in symmetric mode; returns u as (K, 2) frame
-    coefficients."""
+    coefficients, zero on the boundary."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    u = np.zeros(conn.boundary.shape)
     if not np.any(rhs):
-        return np.zeros((len(rhs) // 2, 2))
+        return u.reshape(-1, 2)
     a = (lam * conn.reg + theta2).tocsc()
-    factor = splu(a, permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True})
-    sol = factor.solve(rhs)
+    sol = splu(a, permc_spec="MMD_AT_PLUS_A",
+               options={"SymmetricMode": True}).solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise FemError("singular demons system; try a larger lambda")
-    # two rounds of iterative refinement recover the accuracy lost to the
-    # ill-conditioning introduced by the Dirichlet penalty
-    for _ in range(2):
-        sol = sol + factor.solve(rhs - a @ sol)
     resid = np.linalg.norm(a @ sol - rhs)
     if resid > 1e-8 * np.linalg.norm(rhs):
         raise FemError(f"linear solve residual too large ({resid:.3e}); "
                        "try a larger lambda")
-    return sol.reshape(-1, 2)
+    u[~conn.boundary] = sol
+    return u.reshape(-1, 2)

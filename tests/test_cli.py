@@ -101,13 +101,16 @@ def test_malformed_or_stale_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
     # momenta whose first control point is not the template's
     momenta = tmp_path / "out" / "reg_geo" / "momenta_000.csv"
-    lines = momenta.read_text().splitlines()
+    original = momenta.read_text()
+    lines = original.splitlines()
     lines[1] = "0,1,2,3,0,0,0"
     momenta.write_text("\n".join(lines) + "\n")
-    assert main(["fpca-geo", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid input: ")
-    assert "momenta_000.csv" in err and "run register-geo again" in err
+    for command in ("fpca-geo", "register-fun"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ")
+        assert "momenta_000.csv" in err and "run register-geo again" in err
+    momenta.write_text(original)
     # a truncated subject mesh
     subject = tmp_path / "out" / "sim" / "subject_001.off"
     subject.write_text(subject.read_text()[:200])

@@ -127,18 +127,37 @@ def test_groupwise_template_reduces_spread():
     assert template.shape == (mesh.n_vertices,)
 
 
-def test_updates_match_the_mixed_solve(monkeypatch):
-    # groupwise on an open patch, then a single registration on a sphere,
-    # in one process: each surface and each lambda must get its own
-    # eliminated regulariser
+def shifted_bumps_on_a_patch():
+    """An open patch and four copies of a bump at its centre, each
+    resampled at the vertices shifted by a random offset."""
     patch = ellipsoid_patch(2)
     src = int(np.argmin(np.linalg.norm(patch.vertices
                                        - patch.vertices.mean(axis=0), axis=1)))
     bump = np.exp(-graph_geodesic_distances(patch, src) ** 2 / 0.1)
     proj = SurfaceProjector(patch)
     rng = np.random.default_rng(5)
-    fields = [resample(proj, patch.vertices + 0.1 * rng.normal(size=3), bump)
-              for _ in range(4)]
+    return patch, [resample(proj, patch.vertices + 0.1 * rng.normal(size=3),
+                            bump) for _ in range(4)]
+
+
+def test_groupwise_template_holds_the_boundary_fixed():
+    # a zero update keeps a boundary vertex attached to itself, so its
+    # aligned value is its input value, bit for bit
+    patch, fields = shifted_bumps_on_a_patch()
+    _, mappings, aligned = groupwise_template(
+        patch, fields, DemonsConfig(lam=3.0, max_iterations=3))
+    edge = patch.boundary_vertices
+    for field, out, mapping in zip(fields, aligned, mappings):
+        assert mapping.updates
+        assert np.array_equal(out[edge], field[edge])
+        assert not np.allclose(out[~edge], field[~edge])
+
+
+def test_updates_match_the_mixed_solve(monkeypatch):
+    # groupwise on an open patch, then a single registration on a sphere,
+    # in one process: each surface and each lambda must get its own
+    # eliminated regulariser
+    patch, fields = shifted_bumps_on_a_patch()
     sphere = icosphere(2)
     moving, fixed = c_shape_images(sphere)
 

@@ -309,6 +309,44 @@ def test_fpca_geo_rejects_stale_momenta(tmp_path):
         run_pipeline(config(9.0), ("fpca-geo",))
 
 
+@pytest.mark.parametrize("change,problem", [
+    ({"scale": 9.0}, "control points are not the template vertices"),
+    ({"subdivisions": 2}, r"\(\d+, 7\) table for \d+ vertices")],
+    ids=["scale", "subdivisions"])
+def test_register_fun_rejects_stale_geometry(tmp_path, change, problem):
+    def config(**simulate):
+        return PipelineConfig.from_dict({
+            "output_dir": str(tmp_path), "seed": 0,
+            "simulate": {"n": 3, "subdivisions": 1, **simulate},
+            "register_geo": {"max_iterations": 1}})
+
+    # endpoints shot from the template of another simulate run
+    run_pipeline(config(), ("simulate", "register-geo"))
+    run_pipeline(config(**change), ("simulate",))
+    with pytest.raises(RuntimeError, match=rf"momenta_000\.csv: {problem}; "
+                       "run register-geo again") as info:
+        run_pipeline(config(**change), ("register-fun",))
+    assert isinstance(info.value.__cause__, ArtifactError)
+
+
+def test_register_fun_rejects_malformed_endpoints(tmp_path):
+    cfg = PipelineConfig.from_dict({
+        "output_dir": str(tmp_path), "seed": 0,
+        "simulate": {"n": 2, "subdivisions": 1},
+        "register_geo": {"max_iterations": 1}})
+    run_pipeline(cfg, ("simulate", "register-geo"))
+    path = tmp_path / "reg_geo" / "deformed_001.csv"
+    table = _read_csv(path)
+    poisoned = table.copy()
+    poisoned[4, 1] = np.inf
+    for wrong in (table[:-1], table[:, :2], poisoned):
+        _write_csv(path, wrong, header="x,y,z")
+        with pytest.raises(RuntimeError, match=r"deformed_001\.csv: not a "
+                           "finite .* table; run register-geo again") as info:
+            run_pipeline(cfg, ("register-fun",))
+        assert isinstance(info.value.__cause__, ArtifactError)
+
+
 def test_stage_failure_raises_runtime_error(tmp_path):
     cfg = tiny_config(tmp_path / "x")
     # register-geo without its simulate inputs must fail as a stage error
