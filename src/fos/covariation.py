@@ -79,8 +79,7 @@ class BartlettTest:
     p_values: np.ndarray            # (m,)
 
 
-def bartlett_test(result: CcaResult, p: int | None = None,
-                  q: int | None = None) -> BartlettTest:
+def bartlett_test(result: CcaResult) -> BartlettTest:
     """Sequential test of H0: the canonical correlations beyond index l are
     all zero, for l = 0..m-1.
 
@@ -89,8 +88,7 @@ def bartlett_test(result: CcaResult, p: int | None = None,
     """
     rho = result.correlations
     m = len(rho)
-    p = result.x_weights.shape[0] if p is None else p
-    q = result.y_weights.shape[0] if q is None else q
+    p, q = result.x_weights.shape[0], result.y_weights.shape[0]
     factor = result.n - 1 - (p + q + 1) / 2.0
     if factor <= 0:
         raise ValueError(f"Bartlett factor n - 1 - (p + q + 1)/2 = {factor} "

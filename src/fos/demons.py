@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .mesh import ScalarField, TriangleMesh, lumped_mass
+from .mesh import ScalarField, TriangleMesh, _dot, lumped_mass
 from .tangent_fem import (Connection, TangentFrameAtlas, apply_dirichlet,
                           build_frames, build_system, connection,
                           solve_update)
@@ -28,9 +27,8 @@ def surface_gradient(mesh: TriangleMesh, values) -> np.ndarray:
     """Per-face gradient of a piecewise-linear scalar, shape (F, 3)."""
     f = np.asarray(values, float)
     tri = mesh.vertices[mesh.faces]
-    n = mesh.face_area_normals
     a2 = 2.0 * mesh.face_areas
-    nhat = n / (0.5 * a2)[:, None]
+    nhat = mesh.face_normals
     # gradient = sum_i f_i (nhat x e_i) / (2A), e_i the edge opposite vertex i
     e0 = tri[:, 2] - tri[:, 1]
     e1 = tri[:, 0] - tri[:, 2]
@@ -45,29 +43,23 @@ def vertex_gradient(mesh: TriangleMesh, values,
                     atlas: TangentFrameAtlas) -> np.ndarray:
     """Area-weighted one-ring average of face gradients, projected to the
     vertex tangent planes, as (K, 2) frame coefficients."""
-    g = surface_gradient(mesh, values)
-    acc = np.zeros_like(mesh.vertices)
-    wsum = np.zeros(mesh.n_vertices)
     wa = mesh.face_areas
-    for col in range(3):
-        np.add.at(acc, mesh.faces[:, col], wa[:, None] * g)
-        np.add.at(wsum, mesh.faces[:, col], wa)
-    acc /= wsum[:, None]
-    return atlas.to_frame(acc)
+    acc = mesh.incidence @ (wa[:, None] * surface_gradient(mesh, values))
+    return atlas.to_frame(acc / (mesh.incidence @ wa)[:, None])
 
 
 def _closest_on_triangles(p, a, b, c):
-    """Vectorized closest point on triangles; all inputs broadcast to
-    (..., 3). Returns closest points of the same shape."""
+    """Barycentric coordinates (..., 3) of the closest point to p on the
+    triangles (a, b, c); all inputs broadcast to (..., 3). Ericson's
+    Voronoi-region test gives them region by region: (1, 0, 0) at corner
+    a, (1 - t, t, 0) on side ab, (1 - v - w, v, w) inside, so a point
+    attached to a side or corner carries exact zeros."""
     ab, ac, ap = b - a, c - a, p - a
-    d1 = np.sum(ab * ap, axis=-1)
-    d2 = np.sum(ac * ap, axis=-1)
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
     bp = p - b
-    d3 = np.sum(ab * bp, axis=-1)
-    d4 = np.sum(ac * bp, axis=-1)
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
     cp = p - c
-    d5 = np.sum(ab * cp, axis=-1)
-    d6 = np.sum(ac * cp, axis=-1)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
@@ -82,74 +74,56 @@ def _closest_on_triangles(p, a, b, c):
     for t in (t_ab, t_ac, t_bc, v_in, w_in):
         np.nan_to_num(t, copy=False)
 
-    out = a + v_in[..., None] * ab + w_in[..., None] * ac   # interior default
-    reg_bc = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    reg_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    reg_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    reg_c = (d6 >= 0) & (d5 <= d6)
-    reg_b = (d3 >= 0) & (d4 <= d3)
-    reg_a = (d1 <= 0) & (d2 <= 0)
-    out = np.where(reg_bc[..., None], b + t_bc[..., None] * (c - b), out)
-    out = np.where(reg_ac[..., None], a + t_ac[..., None] * ac, out)
-    out = np.where(reg_ab[..., None], a + t_ab[..., None] * ab, out)
-    out = np.where(reg_c[..., None], c, out)
-    out = np.where(reg_b[..., None], b, out)
-    out = np.where(reg_a[..., None], a, out)
-    return out
-
-
-def _barycentric_rows(p, tri):
-    """Barycentric coordinates of points (n, 3) in triangles (n, 3, 3)."""
-    v0, v1 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    v2 = p - tri[:, 0]
-    d00 = np.sum(v0 * v0, axis=1)
-    d01 = np.sum(v0 * v1, axis=1)
-    d11 = np.sum(v1 * v1, axis=1)
-    d20 = np.sum(v2 * v0, axis=1)
-    d21 = np.sum(v2 * v1, axis=1)
-    denom = d00 * d11 - d01 * d01
-    v = (d11 * d20 - d01 * d21) / denom
-    w = (d00 * d21 - d01 * d20) / denom
-    return np.clip(np.stack([1.0 - v - w, v, w], axis=1), 0.0, 1.0)
+    zero = np.zeros_like(t_ab)
+    bary = np.stack([1.0 - v_in - w_in, v_in, w_in], axis=-1)  # interior
+    # a later region takes precedence over an earlier one
+    for region, weights in (
+            ((va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0),
+             np.stack([zero, 1.0 - t_bc, t_bc], axis=-1)),
+            ((vb <= 0) & (d2 >= 0) & (d6 <= 0),
+             np.stack([1.0 - t_ac, zero, t_ac], axis=-1)),
+            ((vc <= 0) & (d1 >= 0) & (d3 <= 0),
+             np.stack([1.0 - t_ab, t_ab, zero], axis=-1)),
+            ((d6 >= 0) & (d5 <= d6), np.eye(3)[2]),
+            ((d3 >= 0) & (d4 <= d3), np.eye(3)[1]),
+            ((d1 <= 0) & (d2 <= 0), np.eye(3)[0])):
+        bary = np.where(region[..., None], weights, bary)
+    return bary
 
 
 class SurfaceProjector:
     """Closest-point projection onto a triangle mesh with barycentric
     attachment lookup. Candidate faces are the one-rings of the nearest
     vertices, so projection is exact for points near the surface; ties
-    resolve to the lowest face index."""
+    resolve to the lowest face index. The barycentric coordinates are the
+    ones the closest-point region test yields, and the projected points
+    are the corners weighted by them."""
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
-        self.tree = cKDTree(mesh.vertices)
         # row k: the faces around vertex k in index order, padded with the
         # first of them
-        corners = mesh.faces.ravel()
-        order = np.argsort(corners, kind="stable")
-        counts = np.bincount(corners, minlength=mesh.n_vertices)
+        inc = mesh.incidence
+        counts = np.diff(inc.indptr)
         col = np.arange(counts.max())
-        pick = np.cumsum(counts)[:, None] - counts[:, None] \
-            + np.where(col < counts[:, None], col, 0)
-        self._face_table = order[pick] // 3
+        self._face_table = inc.indices[
+            inc.indptr[:-1, None] + np.where(col < counts[:, None], col, 0)]
 
     def project(self, points):
         """Returns (projected points, face index, barycentric coords)."""
         pts = np.atleast_2d(np.asarray(points, float))
-        _, nearest = self.tree.query(pts, k=N_NEAREST)
-        nearest = nearest.reshape(len(pts), -1)
+        _, nearest = self.mesh.tree.query(pts, k=N_NEAREST)
         cand = np.sort(self._face_table[nearest].reshape(len(pts), -1), axis=1)
         tri = self.mesh.vertices[self.mesh.faces[cand]]     # (n, m, 3, 3)
-        q = _closest_on_triangles(pts[:, None, :], tri[:, :, 0],
-                                  tri[:, :, 1], tri[:, :, 2])
+        bary = _closest_on_triangles(pts[:, None, :], tri[:, :, 0],
+                                     tri[:, :, 1], tri[:, :, 2])
+        q = np.einsum("nmi,nmij->nmj", bary, tri)
         d = np.sum((pts[:, None, :] - q) ** 2, axis=-1)
         # argmin takes the first minimum; candidates are index-sorted, so
         # ties already resolve to the lowest face index
         best = np.argmin(d, axis=1)
         rows = np.arange(len(pts))
-        out = q[rows, best]
-        fidx = cand[rows, best]
-        bary = _barycentric_rows(out, self.mesh.vertices[self.mesh.faces[fidx]])
-        return out, fidx, bary
+        return q[rows, best], cand[rows, best], bary[rows, best]
 
     def interpolate_at(self, fidx, bary, vertex_values):
         """Barycentric interpolation of per-vertex values (scalar or

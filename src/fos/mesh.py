@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
@@ -18,6 +20,10 @@ class TriangleMesh:
     per-face quantities (centers, unit normals, areas), the face-edge list
     and per-vertex boundary flags are computed once at construction.
     Counter-clockwise winding is taken to define the outward normal.
+
+    Per-vertex sums over faces are products with the (K, F) `incidence`.
+    A vertex is on the boundary when it shares exactly one face with some
+    other vertex. `incidence`, `tree` and `vertex_normals` are cached.
     """
 
     def __init__(self, vertices, faces):
@@ -53,22 +59,28 @@ class TriangleMesh:
         # every (1, 2), then every (2, 0). Interior edges appear twice.
         self.edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         self.boundary_vertices = self._boundary_flags()
-        self._tree = None
-        self._vertex_normals = None
 
     # -- derived structure ------------------------------------------------
 
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        """(K, F) CSR matrix with a 1 at (k, j) when face j has corner k;
+        row k lists k's faces in index order."""
+        f = self.faces
+        corners = (f.ravel(), np.arange(f.size) // 3)     # (vertex, face)
+        return sparse.csr_matrix((np.ones(f.size), corners),
+                                 shape=(len(self.vertices), len(f)))
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree over the vertices."""
+        return cKDTree(self.vertices)
+
     def _boundary_flags(self):
-        flags = np.zeros(len(self.vertices), dtype=bool)
-        if not len(self.faces):
-            return flags
-        e = np.sort(self.edges, axis=1)
-        _, inv, counts = np.unique(e, axis=0, return_inverse=True,
-                                   return_counts=True)
-        boundary_edges = np.unique(e[counts[inv] == 1], axis=0)
-        if len(boundary_edges):
-            flags[boundary_edges.ravel()] = True
-        return flags
+        # entry (i, j) counts the faces with side {i, j}
+        shared = (self.incidence @ self.incidence.T).tocoo()
+        once = (shared.data == 1) & (shared.row != shared.col)
+        return np.bincount(shared.row[once], minlength=len(self.vertices)) > 0
 
     @property
     def n_vertices(self):
@@ -90,18 +102,13 @@ class TriangleMesh:
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]],
                               axis=1)
 
-    @property
+    @cached_property
     def vertex_normals(self):
         """Area-weighted average of incident face normals, unit length."""
-        if self._vertex_normals is None:
-            n = np.zeros((self.n_vertices, 3))
-            np.add.at(n, self.faces[:, 0], self.face_area_normals)
-            np.add.at(n, self.faces[:, 1], self.face_area_normals)
-            np.add.at(n, self.faces[:, 2], self.face_area_normals)
-            lens = np.linalg.norm(n, axis=1)
-            lens[lens == 0.0] = 1.0
-            self._vertex_normals = n / lens[:, None]
-        return self._vertex_normals
+        n = self.incidence @ self.face_area_normals
+        lens = np.linalg.norm(n, axis=1)
+        lens[lens == 0.0] = 1.0
+        return n / lens[:, None]
 
     # -- queries -----------------------------------------------------------
 
@@ -109,14 +116,12 @@ class TriangleMesh:
         """Index of each point's closest vertex, ties broken by lowest
         index. Matches an exhaustive scan exactly."""
         points = np.asarray(points, dtype=float)
-        if self._tree is None:
-            self._tree = cKDTree(self.vertices)
-        dist, idx = self._tree.query(points)
+        dist, idx = self.tree.query(points)
         # kd-tree tie-breaking is unspecified; re-resolve near-exact ties
         # by lowest vertex index
         out = np.asarray(idx, dtype=int).copy()
         for i, (d, p) in enumerate(zip(np.atleast_1d(dist), points)):
-            cand = self._tree.query_ball_point(p, d * (1.0 + 1e-12) + 1e-300)
+            cand = self.tree.query_ball_point(p, d * (1.0 + 1e-12) + 1e-300)
             if len(cand) > 1:
                 cand = np.sort(np.asarray(cand, dtype=int))
                 dd = np.linalg.norm(self.vertices[cand] - p, axis=1)
@@ -139,11 +144,7 @@ def _dot(x, y):
 
 def lumped_mass(mesh: TriangleMesh) -> np.ndarray:
     """Barycentric vertex areas (1/3 of incident face areas)."""
-    # column-major order adds each vertex's (0), (1), (2) corner shares in
-    # the same order as three per-column scatters would
-    return np.bincount(mesh.faces.T.ravel(),
-                       weights=np.tile(mesh.face_areas / 3.0, 3),
-                       minlength=mesh.n_vertices)
+    return mesh.incidence @ (mesh.face_areas / 3.0)
 
 
 def cotangent_stiffness(mesh: TriangleMesh) -> sparse.csr_matrix:

@@ -37,6 +37,7 @@ benchmark of register-fun) one more. "bench" is the benchmark's check.
                                                       bench
   reg_geo/deformed_NNN.csv    x,y,z per vertex        register-fun, bench
   reg_geo/diagnostics.json    Diagnostics by subject  bench
+  reg_geo/subjects.json       sha256 by subject_NNN   register-fun, fpca-geo
   reg_fun/pulled_NNN.csv      field of the template   -
   reg_fun/aligned_NNN.csv     field of the template   fpca-fun, bench
   reg_fun/template_field.csv  field of the template   viz
@@ -292,6 +293,20 @@ def _read_deformed(path, template):
                         "table; run register-geo again")
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _check_subject(sim, reg, i):
+    """ArtifactError unless subject i's mesh is the one register-geo read."""
+    path = sim / f"subject_{i:03d}.off"
+    with open(reg / "subjects.json") as fh:
+        registered = json.load(fh).get(path.name)
+    if registered != _sha256(path):
+        raise ArtifactError(f"{path}: changed since register-geo registered "
+                            "it; run register-geo again")
+
+
 def _subject_count(sim_dir):
     """Subjects of the latest simulate run: every run rewrites the score
     table, while subject files of an earlier, larger run may remain."""
@@ -334,9 +349,11 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
     kernel = _load_kernel(sim)
     rcfg = cfg.settings["register_geo"].resolved(template)
     n = _subject_count(sim)
-    diags = {}
+    diags, hashes = {}, {}
     for i in range(n):
-        target = load_mesh(sim / f"subject_{i:03d}.off")
+        path = sim / f"subject_{i:03d}.off"
+        hashes[path.name] = _sha256(path)
+        target = load_mesh(path)
         v0, diag = register_geometry(template, target, kernel, rcfg)
         _write_csv(reg / f"momenta_{i:03d}.csv",
                    np.column_stack([np.arange(template.n_vertices),
@@ -347,6 +364,8 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
         diags[i] = diag
     with open(reg / "diagnostics.json", "w") as fh:
         json.dump({i: d.as_dict() for i, d in diags.items()}, fh)
+    with open(reg / "subjects.json", "w") as fh:
+        json.dump(hashes, fh)
     runs = diags.values()
     capped = sum(d.iterations == rcfg.max_iterations and not d.converged
                  for d in runs)
@@ -377,6 +396,7 @@ def _stage_register_fun(cfg: PipelineConfig, out: Path):
         # the momenta's control points tie the endpoints to this template
         _read_momenta(reg / f"momenta_{i:03d}.csv", template)
         end = _read_deformed(reg / f"deformed_{i:03d}.csv", template)
+        _check_subject(sim, reg, i)
         values = pull_back_function(target_field, end)
         pulled.append(values)
         _write_csv(fun / f"pulled_{i:03d}.csv", values)
@@ -397,6 +417,8 @@ def _stage_fpca_geo(cfg: PipelineConfig, out: Path):
     n = _subject_count(sim)
     moms = [_read_momenta(reg / f"momenta_{i:03d}.csv", template)
             for i in range(n)]
+    for i in range(n):
+        _check_subject(sim, reg, i)
     fit = geometric_fpca(moms, template.vertices, kernel,
                          n_components=cfg.settings["fpca_geo"].n_components)
     _write_csv(fg / "scores.csv", fit.scores, "pc", 1)

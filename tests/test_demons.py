@@ -57,6 +57,26 @@ def test_projector_recovers_nearby_offsets():
     assert np.linalg.norm(p - base, axis=1).max() <= 1e-3
 
 
+def test_projection_past_a_boundary_side_lands_on_it():
+    # a point pushed off a boundary side, in its face's plane, projects to
+    # that side: the third corner's weight is exactly zero
+    mesh = ellipsoid_patch(2)
+    sides = np.sort(mesh.edges, axis=1)
+    _, inv, counts = np.unique(sides, axis=0, return_inverse=True,
+                               return_counts=True)
+    rows = np.flatnonzero(counts[inv] == 1)
+    assert len(rows) == 22
+    # row r of `edges` is side (s, s + 1) of face r % F, s = r // F
+    face, side = rows % mesh.n_faces, rows // mesh.n_faces
+    ends = mesh.vertices[mesh.edges[rows]]
+    out = np.cross(ends[:, 1] - ends[:, 0], mesh.face_normals[face])
+    points = ends.mean(axis=1) \
+        + 0.05 * out / np.linalg.norm(out, axis=1)[:, None]
+    _, fidx, bary = SurfaceProjector(mesh).project(points)
+    assert np.array_equal(fidx, face)
+    assert np.all(bary[np.arange(len(rows)), (side + 2) % 3] == 0.0)
+
+
 def test_vertex_map_apply_reproduces_registration():
     # s(vertices) replayed from the stored updates carries the moving
     # field onto the warped values the registration returned (up to the

@@ -32,12 +32,31 @@ def test_invalid_meshes_raise():
         TriangleMesh([[np.nan, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
 
 
+def boundary_oracle(mesh):
+    """The ends of every side that occurs once among the face sides."""
+    sides = np.sort(mesh.edges, axis=1)
+    unique, counts = np.unique(sides, axis=0, return_counts=True)
+    flags = np.zeros(mesh.n_vertices, dtype=bool)
+    flags[unique[counts == 1].ravel()] = True
+    return flags
+
+
 def test_boundary_detection():
     closed = icosphere(1)
     assert not closed.boundary_vertices.any()
     patch = ellipsoid_patch(2)
     assert patch.boundary_vertices.any()
     assert not patch.boundary_vertices.all()
+    patch = ellipsoid_patch(3)
+    assert np.array_equal(patch.boundary_vertices, boundary_oracle(patch))
+    # three cones on one triangle (0, 1, 2): each triangle side lies on
+    # three faces, each cone side on two, so no side is a boundary side
+    apexes = [[0.3, 0.3, 1.0], [0.3, 0.3, -1.0], [2.0, 2.0, 0.5]]
+    cones = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]] + apexes,
+                         [[i, (i + 1) % 3, apex] for apex in (3, 4, 5)
+                          for i in range(3)])
+    assert not cones.boundary_vertices.any()
+    assert not boundary_oracle(cones).any()
 
 
 def test_lumped_mass_partitions_total_area():

@@ -288,10 +288,11 @@ def test_field_file_of_wrong_length_fails(tmp_path):
 
 
 def test_fpca_geo_rejects_stale_momenta(tmp_path):
-    def config(scale):
+    def config(scale, seed=0):
         return PipelineConfig.from_dict({
             "output_dir": str(tmp_path), "seed": 0,
-            "simulate": {"n": 6, "subdivisions": 1, "scale": scale},
+            "simulate": {"n": 6, "subdivisions": 1, "scale": scale,
+                         "seed": seed},
             "register_geo": {"max_iterations": 1}})
 
     # momenta registered to the template of another simulate run
@@ -301,6 +302,11 @@ def test_fpca_geo_rejects_stale_momenta(tmp_path):
                        "points are not .*; run register-geo again"):
         run_pipeline(config(9.0), ("fpca-geo",))
     run_pipeline(config(9.0), ("register-geo",))
+    # momenta registered to other subjects on the same template
+    run_pipeline(config(9.0, seed=1), ("simulate",))
+    with pytest.raises(RuntimeError, match=r"subject_000\.off: changed "
+                       "since register-geo registered it"):
+        run_pipeline(config(9.0, seed=1), ("fpca-geo",))
     path = tmp_path / "reg_geo" / "momenta_003.csv"
     table = _read_csv(path)
     table[2, 5] = np.nan
@@ -310,9 +316,14 @@ def test_fpca_geo_rejects_stale_momenta(tmp_path):
 
 
 @pytest.mark.parametrize("change,problem", [
-    ({"scale": 9.0}, "control points are not the template vertices"),
-    ({"subdivisions": 2}, r"\(\d+, 7\) table for \d+ vertices")],
-    ids=["scale", "subdivisions"])
+    ({"scale": 9.0},
+     r"momenta_000\.csv: control points are not the template vertices"),
+    ({"subdivisions": 2}, r"momenta_000\.csv: \(\d+, 7\) table for \d+ "
+     "vertices"),
+    # the same template with other subjects: only the subject meshes tell
+    ({"seed": 1}, r"subject_000\.off: changed since register-geo "
+     "registered it")],
+    ids=["scale", "subdivisions", "seed"])
 def test_register_fun_rejects_stale_geometry(tmp_path, change, problem):
     def config(**simulate):
         return PipelineConfig.from_dict({
@@ -320,10 +331,10 @@ def test_register_fun_rejects_stale_geometry(tmp_path, change, problem):
             "simulate": {"n": 3, "subdivisions": 1, **simulate},
             "register_geo": {"max_iterations": 1}})
 
-    # endpoints shot from the template of another simulate run
+    # endpoints registered in another simulate run
     run_pipeline(config(), ("simulate", "register-geo"))
     run_pipeline(config(**change), ("simulate",))
-    with pytest.raises(RuntimeError, match=rf"momenta_000\.csv: {problem}; "
+    with pytest.raises(RuntimeError, match=rf"{problem}; "
                        "run register-geo again") as info:
         run_pipeline(config(**change), ("register-fun",))
     assert isinstance(info.value.__cause__, ArtifactError)
