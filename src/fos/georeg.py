@@ -1,5 +1,11 @@
-"""Geometric registration: gradient descent on initial momenta minimizing
+"""Geometric registration: L-BFGS on initial momenta minimizing
 D^2(deformed template, target) + lambda |v0|^2_V.
+
+The search direction is the two-loop recursion of limited-memory BFGS
+(Nocedal & Wright, Alg. 7.4) over the last MEMORY (s, y) pairs, with a
+backtracking line search under the sufficient-decrease condition. The
+iteration budget `max_iterations` is the stopping rule: optimizing this
+objective to its minimum moves vertices away from their true images.
 
 The objective gradient is the exact adjoint of the RK2 shooting map
 (reverse-mode differentiation through every integration step), validated
@@ -8,21 +14,27 @@ against full finite differences in the test suite.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, ShootingError, shoot, shoot_gradient
-from .mesh import ScalarField, TriangleMesh
+from .mesh import ScalarField, TriangleMesh, folded_faces
 from .similarity import SimilarityResult, _current_core
 
-# Armijo descent: first step, sufficient decrease, backtracking, convergence
-INITIAL_STEP = 1.0
+# L-BFGS: stored (s, y) pairs, the curvature test a pair must pass,
+# sufficient decrease, backtracking, convergence
+MEMORY = 10
+CURVATURE_TOL = 1e-12
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_SHRINKS = 30
 GRAD_TOLERANCE = 1e-8
+# what can stop the optimization: the iteration budget, a vanishing
+# gradient (converged), a line search that finds no acceptable step
+STOP_RULES = ("iterations", "gradient", "line_search")
 # width of the current metric's kernel, when not given, as a fraction of the
 # template bounding-box diagonal
 SIGMA_Z_REL = 0.11
@@ -39,7 +51,7 @@ class RegistrationConfig:
     # width of the current metric's kernel; when None, SIGMA_Z_REL times
     # the template bounding-box diagonal
     sigma_z: float | None = None
-    max_iterations: int = 120
+    max_iterations: int = 30
     shooting_steps: int = 10
     # per-iteration cap on the momentum update's max entry, as a fraction
     # of the template bounding-box diagonal; guards against the first
@@ -72,6 +84,10 @@ class Diagnostics:
     iterations: int = 0
     converged: bool = False
     line_search_failed: bool = False
+    stop: str = "iterations"           # one of STOP_RULES
+    # faces of the deformed template whose normal turned against the
+    # template's
+    folded_faces: int = 0
     # the deformed template at the returned momenta, from the last accepted
     # evaluation; not part of as_dict
     endpoint: np.ndarray | None = None
@@ -125,8 +141,34 @@ def _make_similarity(template, target, config):
     return fn
 
 
+def _two_loop(grad, pairs):
+    """-H grad, with H the L-BFGS inverse-Hessian approximation built from
+    the stored (s, y, 1 / s.y) triples, oldest first, on H0 = (s.y / y.y) I
+    of the newest pair (the identity when none is stored)."""
+    q = grad.copy()
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * np.vdot(s, q)
+        q -= a * y
+        coefs.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= np.vdot(s, y) / np.vdot(y, y)
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        q += (a - rho * np.vdot(y, q)) * s
+    return -q
+
+
 def _minimize(objective, config):
-    """Armijo descent from zero momenta (the identity deformation)."""
+    """L-BFGS from zero momenta (the identity deformation).
+
+    Each iteration searches along d = -H g, with first trial step
+    min(1, step_cap / max|d|), halving on a `ShootingError` or an
+    insufficient decrease. A pair (s, y) is stored only when s.y is
+    positive against |s||y|; a direction that is not a descent direction
+    restarts the memory from -g. The gradient is computed at the start of
+    each iteration, so none is spent on the returned momenta.
+    """
     diag = Diagnostics()
     alpha = np.zeros_like(objective.template.vertices)
     value, sim, energy, path = objective.evaluate(alpha)
@@ -134,38 +176,49 @@ def _minimize(objective, config):
     diag.similarity_trace.append(sim.value)
     diag.energy_trace.append(energy)
     step_cap = config.step_cap_rel * objective.template.bbox_diagonal
-    step = INITIAL_STEP
+    pairs = deque(maxlen=MEMORY)
+    previous = None            # (momenta, gradient) of the last iterate
     for it in range(config.max_iterations):
         grad = objective.gradient(alpha, sim, path)
-        gnorm2 = float(np.sum(grad ** 2))
-        if np.sqrt(gnorm2) <= GRAD_TOLERANCE:
+        if np.linalg.norm(grad) <= GRAD_TOLERANCE:
             diag.converged = True
+            diag.stop = "gradient"
             break
-        gmax = float(np.abs(grad).max())
-        capped = step_cap / gmax if step_cap > 0 else np.inf
-        accepted = False
-        trial = min(step, capped)
+        if previous is not None:
+            s, y = alpha - previous[0], grad - previous[1]
+            sy = np.vdot(s, y)
+            if sy > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs.append((s, y, 1.0 / sy))
+        direction = _two_loop(grad, pairs)
+        slope = np.vdot(grad, direction)
+        if not slope < 0:
+            pairs.clear()
+            direction, slope = -grad, -np.vdot(grad, grad)
+        dmax = float(np.abs(direction).max())
+        trial = min(1.0, step_cap / dmax) if step_cap > 0 else 1.0
         for _ in range(MAX_SHRINKS):
-            cand = alpha - trial * grad
+            cand = alpha + trial * direction
             try:
                 cval, csim, cen, cpath = objective.evaluate(cand)
             except ShootingError:
                 trial *= ARMIJO_SHRINK
                 continue
-            if cval <= value - ARMIJO_C * trial * gnorm2:
-                alpha, value, sim, energy, path = cand, cval, csim, cen, cpath
-                accepted = True
+            if cval <= value + ARMIJO_C * trial * slope:
                 break
             trial *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             diag.line_search_failed = True
+            diag.stop = "line_search"
             break
-        step = min(trial * 2.0, INITIAL_STEP * 1e3)
+        previous = alpha, grad
+        alpha, value, sim, energy, path = cand, cval, csim, cen, cpath
         diag.objective_trace.append(value)
         diag.similarity_trace.append(sim.value)
         diag.energy_trace.append(energy)
         diag.iterations = it + 1
     diag.endpoint = path.points[-1]
+    diag.folded_faces = int(folded_faces(objective.template,
+                                         diag.endpoint).sum())
     return InitialMomenta(objective.template.vertices, alpha,
                           objective.kernel), diag
 
@@ -175,11 +228,14 @@ def register_geometry(template: TriangleMesh, target: TriangleMesh,
                       config: RegistrationConfig | None = None):
     """Estimate initial momenta deforming the template onto the target.
 
-    Returns (InitialMomenta, Diagnostics). The objective trace is monotone
-    non-increasing (Armijo backtracking); optimization starts at zero
-    momenta (the identity deformation). `Diagnostics.endpoint` is the
-    template shot along the returned momenta. Without a config the
-    register-geo stage's defaults apply.
+    Returns (InitialMomenta, Diagnostics). L-BFGS starts at zero momenta
+    (the identity deformation) and runs `max_iterations` iterations unless
+    the gradient vanishes or the line search finds no step; every accepted
+    step decreases the objective, so the objective trace is monotone.
+    `Diagnostics.endpoint` is the template shot along the returned
+    momenta, `Diagnostics.stop` the rule that stopped it and
+    `Diagnostics.folded_faces` its count of folded faces. Without a config
+    the register-geo stage's defaults apply.
     """
     config = (config or RegistrationConfig()).resolved(template)
     objective = _Objective(template,

@@ -113,25 +113,33 @@ class TriangleMesh:
     # -- queries -----------------------------------------------------------
 
     def nearest_vertices(self, points):
-        """Index of each point's closest vertex, ties broken by lowest
-        index. Matches an exhaustive scan exactly."""
+        """Index of each (n, 3) point's closest vertex, ties broken by
+        lowest index. Matches an exhaustive scan exactly."""
         points = np.asarray(points, dtype=float)
-        dist, idx = self.tree.query(points)
+        dist, idx = self.tree.query(points, k=2)
+        out = idx[:, 0].astype(int)
         # kd-tree tie-breaking is unspecified; re-resolve near-exact ties
-        # by lowest vertex index
-        out = np.asarray(idx, dtype=int).copy()
-        for i, (d, p) in enumerate(zip(np.atleast_1d(dist), points)):
-            cand = self.tree.query_ball_point(p, d * (1.0 + 1e-12) + 1e-300)
-            if len(cand) > 1:
-                cand = np.sort(np.asarray(cand, dtype=int))
-                dd = np.linalg.norm(self.vertices[cand] - p, axis=1)
-                best = dd.min()
-                out[i] = int(cand[dd <= best][0])
+        # by lowest vertex index, where the second-nearest vertex is as near
+        radius = dist[:, 0] * (1.0 + 1e-12) + 1e-300
+        for i in np.flatnonzero(dist[:, 1] <= radius):
+            p = points[i]
+            cand = np.sort(np.asarray(self.tree.query_ball_point(p, radius[i]),
+                                      dtype=int))
+            dd = np.linalg.norm(self.vertices[cand] - p, axis=1)
+            out[i] = int(cand[dd <= dd.min()][0])
         return out
 
     def with_vertices(self, new_vertices):
         """New mesh sharing this mesh's faces (deformations copy, never mutate)."""
         return TriangleMesh(new_vertices, self.faces)
+
+
+def folded_faces(reference: TriangleMesh, vertices) -> np.ndarray:
+    """True where a face of `reference`, moved to `vertices`, has a normal
+    at 90 degrees or more to its reference normal (a folded face)."""
+    tri = np.asarray(vertices, dtype=float)[reference.faces]
+    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    return np.sum(reference.face_normals * cross, axis=1) <= 0.0
 
 
 # -- finite-element operators -------------------------------------------------

@@ -79,7 +79,8 @@ import scipy
 from .covariation import bartlett_test, cca, covariation_sequence
 from .demons import DemonsConfig, groupwise_template
 from .fpca import cross_validate_lambda, functional_fpca, geometric_fpca
-from .georeg import RegistrationConfig, pull_back_function, register_geometry
+from .georeg import (STOP_RULES, RegistrationConfig, pull_back_function,
+                     register_geometry)
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, shoot
 from .mesh import MeshError, ScalarField, load_mesh, save_mesh
@@ -367,21 +368,23 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
     with open(reg / "subjects.json", "w") as fh:
         json.dump(hashes, fh)
     runs = diags.values()
-    capped = sum(d.iterations == rcfg.max_iterations and not d.converged
-                 for d in runs)
     failed = sum(d.line_search_failed for d in runs)
+    folded = sum(d.folded_faces > 0 for d in runs)
     warnings = []
-    if capped:
-        warnings.append(f"{capped}/{n} subjects stopped at max_iterations="
-                        f"{rcfg.max_iterations} without converging")
     if failed:
         warnings.append(f"{failed}/{n} subjects stopped on a failed line "
                         "search")
+    if folded:
+        warnings.append(f"{folded}/{n} subjects end with folded faces")
     settings = {key: getattr(rcfg, key) for key in _block_keys("register_geo")}
     return {"subjects": n, **settings,
             "iterations": sum(d.iterations for d in runs),
             "converged": sum(d.converged for d in runs),
-            "line_search_failed": failed, "warnings": warnings}
+            "line_search_failed": failed,
+            "stop": {rule: sum(d.stop == rule for d in runs)
+                     for rule in STOP_RULES},
+            "folded_faces": sum(d.folded_faces for d in runs),
+            "warnings": warnings}
 
 
 def _stage_register_fun(cfg: PipelineConfig, out: Path):

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .kernels import GaussianKernel, default_deformation_kernel
 from .lddmm import InitialMomenta, ShootingError, flow_points, shoot
-from .mesh import ScalarField, TriangleMesh
+from .mesh import ScalarField, TriangleMesh, folded_faces
 
 
 # -- parametric templates ----------------------------------------------------
@@ -284,7 +284,7 @@ def generate_dataset(spec: SimSpec, template=None) -> SimDataset:
                 redraws += 1
                 continue
             deformed = obs.with_vertices(flowed)
-            if np.any(_signed_area_flip(obs, deformed)):
+            if np.any(folded_faces(obs, flowed)):
                 redraws += 1
                 continue
             break
@@ -300,12 +300,6 @@ def generate_dataset(spec: SimSpec, template=None) -> SimDataset:
         images[i] = flowed[:k_t]
     return SimDataset(template, kernel, modes, meshes, fields, scores,
                       true_x, redraws, obs, images)
-
-
-def _signed_area_flip(template: TriangleMesh, deformed: TriangleMesh):
-    """True where a face normal flipped sign relative to the template."""
-    dots = np.sum(template.face_normals * deformed.face_area_normals, axis=1)
-    return dots <= 0.0
 
 
 # -- C-shape benchmark ---------------------------------------------------------

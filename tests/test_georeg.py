@@ -1,12 +1,14 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from fos import georeg
 from fos.georeg import (RegistrationConfig, _make_similarity, _Objective,
-                        pull_back_function, register_geometry)
+                        _two_loop, pull_back_function, register_geometry)
 from fos.kernels import GaussianKernel
-from fos.lddmm import InitialMomenta, shoot
-from fos.mesh import ScalarField
+from fos.lddmm import InitialMomenta, ShootingError, shoot
+from fos.mesh import ScalarField, folded_faces
 from fos.similarity import _current_core
 from fos.synthdata import ellipsoid_patch, icosphere
 
@@ -55,6 +57,7 @@ def test_identity_target_stays_at_zero():
                              max_iterations=5)
     v0, diag = register_geometry(template, template, kernel, cfg)
     assert np.abs(v0.momenta).max() <= 1e-8
+    assert diag.folded_faces == 0
 
 
 def test_objective_trace_monotone_and_decreasing():
@@ -89,9 +92,12 @@ def test_returned_endpoint_is_the_shot_momenta():
                                  max_iterations=iterations)
         v0, diag = register_geometry(template, target, kernel, cfg)
         assert diag.iterations == iterations
+        assert diag.stop == "iterations"
         assert np.array_equal(diag.endpoint,
                               shoot(v0, cfg.shooting_steps).points[-1])
+        assert diag.folded_faces == folded_faces(template, diag.endpoint).sum()
         assert "endpoint" not in diag.as_dict()
+        assert diag.as_dict()["stop"] == "iterations"
 
 
 def test_objective_gradient_matches_finite_differences():
@@ -144,3 +150,75 @@ def test_registration_computes_one_gradient_per_iteration(monkeypatch):
     assert diag.iterations == 40
     assert counts["gradients"] == diag.iterations
     assert counts["evaluations"] > diag.iterations + 1
+
+
+def test_two_loop_direction_matches_dense_bfgs():
+    # the recursion against the dense inverse-Hessian update from the same
+    # pairs (the last MEMORY of them) and the same H0 = (s.y / y.y) I
+    rng = np.random.default_rng(6)
+    shape = (7, 3)
+    n = int(np.prod(shape))
+    a = rng.normal(size=(n, n))
+    hessian = a @ a.T + n * np.eye(n)
+    pairs = deque(maxlen=georeg.MEMORY)
+    for _ in range(georeg.MEMORY + 3):
+        s = rng.normal(size=shape)
+        y = (hessian @ s.ravel()).reshape(shape)
+        pairs.append((s, y, 1.0 / np.vdot(s, y)))
+    grad = rng.normal(size=shape)
+    s, y, _ = pairs[-1]
+    h = np.vdot(s, y) / np.vdot(y, y) * np.eye(n)
+    for s, y, rho in pairs:
+        s, y = s.ravel(), y.ravel()
+        v = np.eye(n) - rho * np.outer(y, s)
+        h = v.T @ h @ v + rho * np.outer(s, s)
+    oracle = -(h @ grad.ravel()).reshape(shape)
+    direction = _two_loop(grad, pairs)
+    assert np.linalg.norm(direction - oracle) <= \
+        1e-12 * np.linalg.norm(oracle)
+    # no pairs: steepest descent
+    assert np.array_equal(_two_loop(grad, deque()), -grad)
+
+
+def test_line_search_backtracks_past_a_shooting_error(monkeypatch):
+    # the first trial of the first iteration fails to shoot; the search
+    # shrinks the step and the registration goes on
+    template, target, kernel, _ = small_problem(seed=1)
+    trials = []
+
+    def failing_shoot(v0, steps):
+        trials.append(v0.momenta.copy())
+        if len(trials) == 2:
+            raise ShootingError("planted")
+        return shoot(v0, steps)
+
+    monkeypatch.setattr(georeg, "shoot", failing_shoot)
+    cfg = RegistrationConfig(sigma_z=0.6, lam=1e-4, max_iterations=3)
+    _, diag = register_geometry(template, target, kernel, cfg)
+    assert diag.iterations == 3 and diag.stop == "iterations"
+    assert not diag.line_search_failed
+    # trials[0] is the start at zero momenta, trials[1] the failed trial,
+    # capped to step_cap
+    step_cap = cfg.step_cap_rel * template.bbox_diagonal
+    assert np.abs(trials[1]).max() <= step_cap * (1 + 1e-12)
+    assert np.array_equal(trials[2], georeg.ARMIJO_SHRINK * trials[1])
+    assert diag.objective_trace[1] < diag.objective_trace[0]
+
+
+def test_failed_line_search_stops_the_registration(monkeypatch):
+    template, target, kernel, _ = small_problem(seed=1)
+    calls = []
+
+    def shoot_once(v0, steps):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ShootingError("planted")
+        return shoot(v0, steps)
+
+    monkeypatch.setattr(georeg, "shoot", shoot_once)
+    cfg = RegistrationConfig(sigma_z=0.6, lam=1e-4, max_iterations=3)
+    v0, diag = register_geometry(template, target, kernel, cfg)
+    assert diag.line_search_failed and diag.stop == "line_search"
+    assert diag.iterations == 0 and not diag.converged
+    assert len(calls) == 1 + georeg.MAX_SHRINKS
+    assert not np.any(v0.momenta)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fos.mesh import (MeshError, ScalarField, TriangleMesh,
-                      consistent_mass, cotangent_stiffness, load_mesh,
-                      lumped_mass, save_mesh)
+                      consistent_mass, cotangent_stiffness, folded_faces,
+                      load_mesh, lumped_mass, save_mesh)
 from fos.synthdata import ellipsoid_patch, icosphere
 from fos.tangent_fem import assemble_connection_matrices, build_frames
 from test_tangent_fem import flat_patch
@@ -141,6 +141,61 @@ def test_nearest_vertices_matches_linear_scan():
 def test_nearest_vertex_tie_breaks_to_lowest_index():
     mesh = TriangleMesh([[-1, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     assert mesh.nearest_vertices([[0.0, 0.0, 0.0]]).tolist() == [0]
+
+
+def nearest_vertices_loop(mesh, points):
+    """The per-point ball-query loop that `nearest_vertices` replaced, kept
+    as its oracle."""
+    points = np.asarray(points, dtype=float)
+    dist, idx = mesh.tree.query(points)
+    out = np.asarray(idx, dtype=int).copy()
+    for i, (d, p) in enumerate(zip(np.atleast_1d(dist), points)):
+        cand = mesh.tree.query_ball_point(p, d * (1.0 + 1e-12) + 1e-300)
+        if len(cand) > 1:
+            cand = np.sort(np.asarray(cand, dtype=int))
+            dd = np.linalg.norm(mesh.vertices[cand] - p, axis=1)
+            best = dd.min()
+            out[i] = int(cand[dd <= best][0])
+    return out
+
+
+def test_nearest_vertices_on_exact_ties_matches_the_loop():
+    # a grid with its vertices shuffled: cell centres are 4-way ties, edge
+    # midpoints 2-way, in the plane and above it
+    grid = flat_patch(5)
+    rng = np.random.default_rng(3)
+    order = rng.permutation(grid.n_vertices)
+    mesh = TriangleMesh(grid.vertices[order],
+                        np.argsort(order)[grid.faces])
+    h = 0.25                       # the grid spacing, exact in binary
+    cells = np.array([[(i + 0.5) * h, (j + 0.5) * h, z]
+                      for i in range(4) for j in range(4)
+                      for z in (0.0, 0.3)])
+    sides = np.array([[(i + 0.5) * h, j * h, z]
+                      for i in range(4) for j in range(5)
+                      for z in (0.0, -0.1)])
+    queries = np.concatenate([cells, sides, sides[:, [1, 0, 2]],
+                              mesh.vertices, rng.uniform(size=(50, 3))])
+    fast = mesh.nearest_vertices(queries)
+    assert np.array_equal(fast, nearest_vertices_loop(mesh, queries))
+    d = np.linalg.norm(queries[:, None, :] - mesh.vertices[None], axis=2)
+    assert np.array_equal(fast, [np.flatnonzero(row <= row.min())[0]
+                                 for row in d])
+    # the ties are real: every cell centre has four nearest vertices
+    assert np.all(np.sum(d[:len(cells)] <= d[:len(cells)].min(axis=1,
+                         keepdims=True), axis=1) == 4)
+
+
+def test_folded_faces_counts_a_face_flipped_by_hand():
+    mesh = flat_patch(4)
+    assert not folded_faces(mesh, mesh.vertices).any()
+    # vertex 0 is a corner of face 0 alone; moving it across the face's
+    # opposite side turns that face over and no other
+    moved = mesh.vertices.copy()
+    moved[0] = [0.5, 0.5, 0.0]
+    assert np.flatnonzero(folded_faces(mesh, moved)).tolist() == [0]
+    mirrored = mesh.vertices * [-1.0, 1.0, 1.0]
+    assert int(folded_faces(mesh, mirrored).sum()) == mesh.n_faces
 
 
 def test_with_vertices_shares_faces_and_copies():

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fos.georeg import register_geometry
+from fos.georeg import STOP_RULES, register_geometry
 from fos.lddmm import InitialMomenta, shoot
+from fos import pipeline
 from fos.mesh import load_mesh
 from fos.pipeline import (ArtifactError, ConfigError, PipelineConfig,
                           _load_kernel, _read_csv, _write_csv,
@@ -112,21 +113,41 @@ def test_manifest_structure(finished_run):
     # register-geo totals agree with the per-subject diagnostics
     diags = json.loads((out / "reg_geo" / "diagnostics.json").read_text())
     summary = manifest["stages"]["register-geo"]["summary"]
-    for key in ("iterations", "converged", "line_search_failed"):
+    for key in ("iterations", "converged", "line_search_failed",
+                "folded_faces"):
         assert summary[key] == sum(d[key] for d in diags.values())
+    assert summary["stop"] == {
+        rule: sum(d["stop"] == rule for d in diags.values())
+        for rule in STOP_RULES}
     # 4 iterations leave every tiny registration unconverged
-    assert summary["converged"] == 0
-    capped = sum(d["iterations"] == 4 for d in diags.values())
-    expected = [f"register-geo: {capped}/6 subjects stopped at "
-                "max_iterations=4 without converging"]
+    assert summary["converged"] == summary["stop"]["gradient"] == 0
+    expected = []
     if summary["line_search_failed"]:
         expected.append(f"register-geo: {summary['line_search_failed']}/6 "
                         "subjects stopped on a failed line search")
-    assert capped > 0
+    folded = sum(d["folded_faces"] > 0 for d in diags.values())
+    if folded:
+        expected.append(f"register-geo: {folded}/6 subjects end with folded "
+                        "faces")
     assert manifest["warnings"] == expected
     assert on_disk["warnings"] == expected
     assert manifest["stages"]["register-geo"]["warnings"] == \
         [w.split(": ", 1)[1] for w in expected]
+
+
+def test_register_geo_warns_of_folded_endpoints(tmp_path, monkeypatch):
+    def folding(*args, **kwargs):
+        v0, diag = register_geometry(*args, **kwargs)
+        diag.folded_faces = 2
+        return v0, diag
+
+    monkeypatch.setattr(pipeline, "register_geometry", folding)
+    manifest = run_pipeline(tiny_config(tmp_path),
+                            ("simulate", "register-geo"))
+    assert manifest["stages"]["register-geo"]["summary"]["folded_faces"] \
+        == 12
+    assert "register-geo: 6/6 subjects end with folded faces" in \
+        manifest["warnings"]
 
 
 def test_artifacts_exist(finished_run):
@@ -175,11 +196,18 @@ def test_suffix_resume_is_bit_identical(finished_run):
                out / "fpca_fun" / "scores.csv",
                out / "cca" / "correlations.csv"]
     before = [_digest(p) for p in watched]
+    # a warning on record for a stage that is not re-run
+    path = out / "manifest.json"
+    recorded = json.loads(path.read_text())
+    recorded["stages"]["register-geo"]["warnings"].append("on record")
+    path.write_text(json.dumps(recorded))
     manifest = run_pipeline(cfg, ("fpca-geo", "fpca-fun", "cca"))
     after = [_digest(p) for p in watched]
     assert before == after
-    # the warnings of the stages not re-run are kept
-    assert any(w.startswith("register-geo: ") for w in manifest["warnings"])
+    # the records and warnings of the stages not re-run are kept
+    assert manifest["stages"]["register-geo"] == \
+        recorded["stages"]["register-geo"]
+    assert "register-geo: on record" in manifest["warnings"]
 
 
 def test_full_rerun_is_deterministic(finished_run, tmp_path):
