@@ -77,6 +77,14 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _grid(text, option):
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} must be comma-separated numbers, "
+                          f"got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -97,11 +105,11 @@ def main(argv=None) -> int:
                 manifest = run_pipeline(cfg, (args.command,))
                 print(json.dumps(manifest["stages"][args.command], indent=1))
         elif args.command == "covary":
-            t = [float(x) for x in args.t_grid.split(",")]
+            t = _grid(args.t_grid, "--t-grid")
             path = emit_covariation(cfg.output_dir, args.pair - 1, t)
             print(path)
         elif args.command == "viz-mode":
-            grid = [float(x) for x in args.c_grid.split(",")]
+            grid = _grid(args.c_grid, "--c-grid")
             files = emit_mode_visualization(cfg.output_dir, args.mode - 1,
                                             grid)
             print("\n".join(files))

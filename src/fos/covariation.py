@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 
 @dataclass
@@ -85,6 +85,8 @@ def bartlett_test(result: CcaResult) -> BartlettTest:
 
     Statistic: -(n - 1 - (p + q + 1)/2) * sum_{j > l} ln(1 - rho_j^2),
     compared against chi-square with (p - l)(q - l) degrees of freedom.
+    The p-values are the chi-square survival function
+    `scipy.special.chdtrc(dof, statistic)`.
     """
     rho = result.correlations
     m = len(rho)
@@ -99,7 +101,7 @@ def bartlett_test(result: CcaResult) -> BartlettTest:
     for el in range(m):
         stats[el] = -factor * log_terms[el:].sum()
         dof[el] = (p - el) * (q - el)
-    return BartlettTest(stats, dof, chi2.sf(stats, dof))
+    return BartlettTest(stats, dof, chdtrc(dof, stats))
 
 
 def regression_coefficients(predictor, responses):

@@ -507,7 +507,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         if previous.get("parameter_hash") == manifest["parameter_hash"]:
             manifest["stages"] = previous.get("stages", {})
     for st in stages:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             summary = _STAGE_FUNCS[st](cfg, out)
         except Exception as exc:
@@ -516,7 +516,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         manifest["stages"][st] = {
             "summary": summary,
             "warnings": warnings,
-            "wall_time_s": time.time() - t0,
+            "wall_time_s": time.perf_counter() - t0,
             "artifact_dir": str(out / _ARTIFACT_DIRS[st]),
         }
         # the warnings of every stage on record, carried-over ones included
@@ -536,6 +536,9 @@ def emit_covariation(out_dir, pair: int = 0, t_values=(-2, -1, 0, 1, 2)):
     g = _read_csv(out / "fpca_geo" / "scores.csv")
     f = _read_csv(out / "fpca_fun" / "scores.csv")
     result = cca(g, f)
+    m = len(result.correlations)
+    if pair < 0 or pair >= m:
+        raise ConfigError(f"pair {pair + 1} out of range 1..{m}")
     seq = covariation_sequence(result, pair, t_values,
                                x_scores=g, y_scores=f)
     cov = out / "covary"
@@ -560,13 +563,11 @@ def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
     if steps is None:
         raise FileNotFoundError(f"{out / 'manifest.json'} records no "
                                 "register-geo shooting_steps")
-    viz = out / "viz"
-    viz.mkdir(parents=True, exist_ok=True)
     data = np.load(out / "fpca_geo" / "components.npz")
     comps, mean_mom = data["components"], data["mean"]
     points = data["control_points"]
     if mode < 0 or mode >= len(comps):
-        raise ConfigError(f"mode {mode} out of range (have {len(comps)})")
+        raise ConfigError(f"mode {mode + 1} out of range 1..{len(comps)}")
     variances = _read_csv(out / "fpca_geo" / "variances.csv").ravel()
     kernel = _load_kernel(out / "sim")
     template = load_mesh(out / "sim" / "template.off")
@@ -574,6 +575,8 @@ def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
                              out / "reg_fun" / "template_field.csv").values
     if c_grid is None:
         c_grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    viz = out / "viz"
+    viz.mkdir(parents=True, exist_ok=True)
     written = []
     for idx, c in enumerate(c_grid):
         alpha = mean_mom + c * np.sqrt(variances[mode]) * comps[mode]

@@ -124,3 +124,35 @@ def test_single_stage_subcommand(config_file, capsys):
     assert main(["cca", "--config", str(path)]) == 0
     entry = json.loads(capsys.readouterr().out)
     assert "correlations" in entry["summary"]
+
+
+@pytest.fixture(scope="module")
+def finished_run(config_file):
+    path, out = config_file
+    if not (out / "cca").exists():
+        assert main(["pipeline", "--config", str(path)]) == 0
+    return path, out
+
+
+def _files(out):
+    return sorted(out.rglob("*"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["covary", "--pair", "0"], "pair 0 out of range 1..2"),
+    (["covary", "--pair", "3"], "pair 3 out of range 1..2"),
+    (["covary", "--t-grid=1,x"], "--t-grid must be comma-separated numbers"),
+    (["viz-mode", "--c-grid=1,x"],
+     "--c-grid must be comma-separated numbers"),
+    (["viz-mode", "--mode", "0"], "mode 0 out of range 1..2"),
+], ids=["pair-0", "pair-past-last", "t-grid", "c-grid", "mode-0"])
+def test_bad_export_argument_exits_2_and_writes_nothing(finished_run, capsys,
+                                                        argv, message):
+    path, out = finished_run
+    before = _files(out)
+    capsys.readouterr()
+    assert main(argv + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: " + message)
+    assert _files(out) == before

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from fos.covariation import (bartlett_test, cca, covariation_sequence,
-                             regression_coefficients)
+from fos.covariation import (CcaResult, bartlett_test, cca,
+                             covariation_sequence, regression_coefficients)
 
 
 def make_correlated(n=200, rho=0.85, seed=0):
@@ -60,7 +60,27 @@ def test_bartlett_matches_textbook_formula():
         dof = (p - el) * (q - el)
         assert abs(bt.statistics[el] - stat) <= 1e-12 * max(1.0, stat)
         assert bt.dof[el] == dof
-        assert abs(bt.p_values[el] - chi2.sf(stat, dof)) <= 1e-12
+    assert np.array_equal(bt.p_values, chi2.sf(bt.statistics, bt.dof))
+
+
+def _bartlett_of(correlations, n, p, q):
+    m = len(correlations)
+    empty = np.zeros((n, m))
+    return bartlett_test(CcaResult(
+        np.asarray(correlations, float), np.zeros((p, m)), np.zeros((q, m)),
+        empty, empty, np.zeros(p), np.zeros(q), n))
+
+
+def test_bartlett_p_values_at_the_extremes():
+    # no correlation: every statistic is 0 and every p-value 1
+    bt = _bartlett_of([0.0, 0.0], n=50, p=2, q=3)
+    assert np.all(bt.statistics == 0.0)
+    assert np.array_equal(bt.p_values, [1.0, 1.0])
+    assert np.array_equal(bt.p_values, chi2.sf(bt.statistics, bt.dof))
+    # a perfect first pair: the first p-value underflows to 0
+    bt = _bartlett_of([1.0, 0.5], n=500, p=2, q=3)
+    assert bt.p_values[0] == 0.0 and bt.p_values[1] > 0.0
+    assert np.array_equal(bt.p_values, chi2.sf(bt.statistics, bt.dof))
 
 
 def test_bartlett_significance_pattern():
