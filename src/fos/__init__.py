@@ -19,7 +19,7 @@ from .mesh import (MeshError, ScalarField, TriangleMesh, load_mesh,
                    lumped_mass, save_mesh)
 from .pipeline import (ArtifactError, ConfigError, PipelineConfig,
                        emit_covariation, emit_mode_visualization, run_pipeline)
-from .similarity import SimilarityResult, current_distance
+from .similarity import SimilarityResult
 from .synthdata import (SimDataset, SimModes, SimSpec, c_shape_images,
                         ellipsoid_patch, generate_dataset, icosphere,
                         make_modes, make_template, refine_mesh)

@@ -19,8 +19,6 @@ class CcaResult:
     y_weights: np.ndarray           # (q, m)
     x_variates: np.ndarray          # (n, m) centered canonical variates
     y_variates: np.ndarray          # (n, m)
-    x_mean: np.ndarray
-    y_mean: np.ndarray
     n: int
 
 
@@ -52,8 +50,7 @@ def cca(x_scores, y_scores) -> CcaResult:
     k = x.shape[1] + y.shape[1]
     if k >= n - 1:
         raise ValueError(f"p + q = {k} needs n > {k + 1} subjects, got {n}")
-    x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
-    xc, yc = x - x_mean, y - y_mean
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
     cxx = xc.T @ xc / (n - 1)
     cyy = yc.T @ yc / (n - 1)
     cxy = xc.T @ yc / (n - 1)
@@ -68,8 +65,7 @@ def cca(x_scores, y_scores) -> CcaResult:
     yv = yc @ b
     top = xv[np.argmax(np.abs(xv), axis=0), np.arange(m)]
     flip = np.where(top < 0, -1.0, 1.0)
-    return CcaResult(corr, a * flip, b * flip, xv * flip, yv * flip,
-                     x_mean, y_mean, n)
+    return CcaResult(corr, a * flip, b * flip, xv * flip, yv * flip, n)
 
 
 @dataclass

@@ -23,8 +23,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .kernels import GaussianKernel
-from .mesh import (ScalarField, TriangleMesh, consistent_mass,
-                   cotangent_stiffness)
+from .mesh import TriangleMesh, consistent_mass, cotangent_stiffness
 
 
 # -- geometric fPCA ------------------------------------------------------------
@@ -35,8 +34,6 @@ class GeometricFpca:
     components: np.ndarray          # (m, K, 3), unit V-norm, V-orthogonal
     variances: np.ndarray           # (m,)
     scores: np.ndarray              # (n, m)
-    control_points: np.ndarray
-    kernel: GaussianKernel
 
 
 def _fix_signs(components, scores):
@@ -83,7 +80,7 @@ def geometric_fpca(momenta_list, control_points, kernel: GaussianKernel,
     comps = np.einsum("ij,ikd->jkd", evecs, cen) / np.sqrt(n * evals)[:, None, None]
     scores = np.sqrt(n * evals)[None, :] * evecs
     comps, scores = _fix_signs(comps, scores)
-    return GeometricFpca(mean, comps, evals, scores, pts, kernel)
+    return GeometricFpca(mean, comps, evals, scores)
 
 
 # -- functional fPCA -----------------------------------------------------------
@@ -99,12 +96,10 @@ class FunctionalFpca:
     components: np.ndarray          # (m, K), unit mass-norm
     variances: np.ndarray           # (m,) score variances
     scores: np.ndarray              # (n, m)
-    lam: float
 
 
 def _stack(fields, mesh: TriangleMesh):
-    x = np.stack([f.values if isinstance(f, ScalarField) else
-                  np.asarray(f, float) for f in fields])
+    x = np.stack([np.asarray(f, float) for f in fields])
     if x.shape[1] != mesh.n_vertices:
         raise ValueError("field length must equal the vertex count")
     return x
@@ -158,7 +153,7 @@ def _fit(x, basis, lam, n_components) -> FunctionalFpca:
         resid = resid - np.outer(a, u)
     comps, scores = _fix_signs(comps, scores)
     variances = scores.var(axis=0, ddof=1)
-    return FunctionalFpca(mean, comps, variances, scores, lam)
+    return FunctionalFpca(mean, comps, variances, scores)
 
 
 def functional_fpca(fields, mesh: TriangleMesh, lam: float = 0.0,

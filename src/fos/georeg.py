@@ -98,23 +98,31 @@ class Diagnostics:
 
 
 class _Objective:
-    """Objective, gradient and bookkeeping for one registration problem."""
+    """Objective, gradient and bookkeeping for registering the template to
+    one target, with the settings of a resolved config (sigma_z fixed)."""
 
-    def __init__(self, template, similarity_fn, kernel, config):
+    def __init__(self, template, target, kernel, config):
         self.template = template
-        self.similarity_fn = similarity_fn
         self.kernel = kernel
         self.lam = config.lam
         self.steps = config.shooting_steps
         # constant across the optimization; recomputing it every evaluation
         # dominates the runtime on study-sized meshes
         self.gram0 = kernel.gram(template.vertices)
+        # the current metric's kernel and the target's fixed side of it
+        self.current_kernel = GaussianKernel(sigma=config.sigma_z)
+        tc, tn = target.face_centers, target.face_area_normals
+        self.target = tc, tn
+        self.target_self_term = float(np.sum(self.current_kernel.gram(tc)
+                                             * (tn @ tn.T)))
 
     def evaluate(self, alpha):
         v0 = InitialMomenta(self.template.vertices, alpha, self.kernel)
         path = shoot(v0, self.steps)
         endpoint = path.points[-1]
-        sim = self.similarity_fn(endpoint)
+        sim = _current_core(endpoint, self.template.faces, *self.target,
+                            self.current_kernel,
+                            target_self_term=self.target_self_term)
         energy = float(np.sum((self.gram0 @ alpha) * alpha))
         value = sim.value + self.lam * energy
         return value, sim, energy, path
@@ -123,22 +131,6 @@ class _Objective:
         # exact adjoint of the RK2 shooting map
         _, abar0 = shoot_gradient(path, sim.gradient)
         return abar0 + 2.0 * self.lam * (self.gram0 @ alpha)
-
-
-def _make_similarity(template, target, config):
-    """Current distance of a deformed template to the target, as a
-    function of the deformed vertex positions."""
-    faces = template.faces
-    kernel = GaussianKernel(sigma=config.sigma_z)
-    tc = target.face_centers
-    tn = target.face_area_normals
-    # the target self-term of the current metric never changes
-    self_term = float(np.sum(kernel.gram(tc) * (tn @ tn.T)))
-
-    def fn(endpoint):
-        return _current_core(np.asarray(endpoint, float), faces, tc, tn,
-                             kernel, target_self_term=self_term)
-    return fn
 
 
 def _two_loop(grad, pairs):
@@ -238,9 +230,7 @@ def register_geometry(template: TriangleMesh, target: TriangleMesh,
     the register-geo stage's defaults apply.
     """
     config = (config or RegistrationConfig()).resolved(template)
-    objective = _Objective(template,
-                           _make_similarity(template, target, config),
-                           kernel, config)
+    objective = _Objective(template, target, kernel, config)
     return _minimize(objective, config)
 
 

@@ -72,6 +72,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 import scipy
@@ -255,10 +256,14 @@ def _write_csv(path, array, prefix="v", first=0, header=None):
 
 def _read_csv(path):
     try:
-        return np.atleast_2d(np.loadtxt(str(path), delimiter=",",
-                                        skiprows=1))
+        with catch_warnings():
+            simplefilter("ignore", UserWarning)    # numpy's "no data"
+            table = np.loadtxt(str(path), delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ArtifactError(f"{path}: malformed table: {exc}") from exc
+    if table.size == 0:
+        raise ArtifactError(f"{path}: table has no rows")
+    return table
 
 
 def _read_field(mesh, path):
@@ -337,9 +342,10 @@ def _stage_simulate(cfg: PipelineConfig, out: Path):
                    ds.true_vertex_images[i], header="x,y,z")
     _write_csv(sim / "true_scores.csv", ds.scores, "a", 1)
     _write_csv(sim / "true_fields.csv", ds.true_x)
+    k = ds.template.n_vertices      # the modes' values on the template
     np.savez(sim / "modes.npz",
              psi1_g=ds.modes.psi1_g.momenta, psi2_g=ds.modes.psi2_g.momenta,
-             psi1_f=ds.modes.psi1_f.values, mu=ds.modes.mu.values)
+             psi1_f=ds.modes.psi1_f.values[:k], mu=ds.modes.mu.values[:k])
     return {"n": spec.n, "template": str(sim / "template.off")}
 
 
@@ -434,12 +440,14 @@ def _stage_fpca_geo(cfg: PipelineConfig, out: Path):
 
 def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
     sim, fun, ff = out / "sim", out / "reg_fun", out / "fpca_fun"
+    n = _subject_count(sim)
+    fcfg = cfg.settings["fpca_fun"]
+    _require(fcfg.cv_lambdas is None or fcfg.folds <= n,
+             f"fpca_fun.folds = {fcfg.folds} exceeds the {n} subjects")
     ff.mkdir(parents=True, exist_ok=True)
     template = load_mesh(sim / "template.off")
-    n = _subject_count(sim)
     fields = [_read_field(template, fun / f"aligned_{i:03d}.csv").values
               for i in range(n)]
-    fcfg = cfg.settings["fpca_fun"]
     lam = fcfg.lam
     info = {}
     if fcfg.cv_lambdas is not None:
@@ -462,9 +470,12 @@ def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
 
 def _stage_cca(cfg: PipelineConfig, out: Path):
     cc = out / "cca"
-    cc.mkdir(parents=True, exist_ok=True)
     g = _read_csv(out / "fpca_geo" / "scores.csv")
     f = _read_csv(out / "fpca_fun" / "scores.csv")
+    k = g.shape[1] + f.shape[1]
+    _require(k < len(g) - 1, "fpca_geo.n_components + fpca_fun.n_components"
+             f" gave {k} score columns: cca needs n > {k + 1}, got {len(g)}")
+    cc.mkdir(parents=True, exist_ok=True)
     result = cca(g, f)
     test = bartlett_test(result)
     _write_csv(cc / "correlations.csv", result.correlations, "rho", 1)

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import GaussianKernel
-from .mesh import TriangleMesh
-
 
 class SimilarityResult:
     """Current distance `value` and its `gradient` with respect to the
@@ -42,10 +39,11 @@ def _face_data(vertices, faces):
 
 
 def _current_core(vertices, faces, target_centers, target_normals, kernel,
-                  *, target_self_term=None):
+                  *, target_self_term):
     """Current distance of the surface (vertices, faces) to the target
     given by its face centers and area normals, with its gradient on
-    demand. The target's self-term is computed when not given."""
+    demand. `target_self_term`, sum K(c_t, c_t') n_t.n_t' over the target's
+    face pairs, is fixed per target, so the caller computes it once."""
     tri, c, n = _face_data(vertices, faces)
 
     k_ss, f_ss = kernel.gram_pair(c)
@@ -53,10 +51,6 @@ def _current_core(vertices, faces, target_centers, target_normals, kernel,
 
     m_ss = n @ n.T
     m_st = n @ target_normals.T
-
-    if target_self_term is None:
-        k_tt = kernel.gram(target_centers, target_centers)
-        target_self_term = float(np.sum(k_tt * (target_normals @ target_normals.T)))
 
     value = float(np.sum(k_ss * m_ss) - 2.0 * np.sum(k_st * m_st)
                   + target_self_term)
@@ -81,11 +75,3 @@ def _current_core(vertices, faces, target_centers, target_normals, kernel,
 
     return SimilarityResult(value, gradient)
 
-
-def current_distance(deformed_mesh: TriangleMesh, target_mesh: TriangleMesh,
-                     sigma_z: float) -> SimilarityResult:
-    """Squared current-metric distance between two oriented surfaces."""
-    kernel = GaussianKernel(sigma=sigma_z)
-    return _current_core(deformed_mesh.vertices, deformed_mesh.faces,
-                         target_mesh.face_centers,
-                         target_mesh.face_area_normals, kernel)

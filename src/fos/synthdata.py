@@ -101,33 +101,30 @@ def graph_geodesic_distances(mesh: TriangleMesh, source: int) -> np.ndarray:
 
 @dataclass
 class SimModes:
+    """The planted modes. The functional mode and mean live on the
+    observation mesh, whose first K vertices are the template's."""
+
     psi1_g: InitialMomenta     # elongation, unit V-norm
     psi2_g: InitialMomenta     # isotropic scaling, unit V-norm
-    psi1_f: ScalarField        # localized bump on the template
+    psi1_f: ScalarField        # localized bump
     mu: ScalarField
-    # same functional mode and mean sampled on the (finer) observation
-    # mesh; equal to psi1_f / mu when observations live on the template
-    psi1_f_obs: ScalarField
-    mu_obs: ScalarField
 
 
 def _v_inner(kernel, points, a1, a2):
     return float(np.sum((kernel.gram(points) @ a2) * a1))
 
 
-def make_modes(template: TriangleMesh, kernel: GaussianKernel,
-               seed: int = 0,
-               observation_mesh: TriangleMesh | None = None) -> SimModes:
-    """Two V-orthonormal geometric modes and one unit-norm functional bump.
+def make_modes(template: TriangleMesh, kernel: GaussianKernel, seed: int,
+               obs: TriangleMesh) -> SimModes:
+    """Two V-orthonormal geometric modes and one unit-peak functional bump.
 
     The momenta fields are smooth by construction (kernel smoothing of the
     raw elongation/scaling displacement patterns), so the seed only picks
     the bump location deterministically among the interior vertices.
 
-    When an observation mesh is given (a refinement of the template whose
-    first vertices coincide with the template's), the functional mode and
-    mean are sampled on it as well; the template versions are their
-    restrictions.
+    The functional mode and mean are sampled on the observation mesh
+    `obs`: the template itself, or a refinement of it whose first vertices
+    are the template's.
     """
     pts = template.vertices
     centroid = pts.mean(axis=0)
@@ -149,7 +146,6 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel,
     psi1_g = InitialMomenta(pts, a1, kernel)
     psi2_g = InitialMomenta(pts, a2, kernel)
 
-    obs = template if observation_mesh is None else observation_mesh
     k_t = template.n_vertices
     if not np.allclose(obs.vertices[:k_t], pts):
         raise ValueError("observation mesh must refine the template "
@@ -167,8 +163,6 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel,
     # bump center is delta * sigma2 regardless of mesh resolution, keeping
     # a fixed signal-to-noise ratio against the iid vertex noise
     bump /= np.abs(bump[:k_t]).max()
-    psi1_f = ScalarField(template, bump[:k_t])
-    psi1_f_obs = ScalarField(obs, bump)
 
     # mean with two localized high-contrast features placed away from the
     # functional mode: misalignment of the subjects leaves strong residuals
@@ -180,9 +174,8 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel,
     d2 = graph_geodesic_distances(obs, c2)
     mu_vals = 2.5 + 3.0 * np.exp(-(d1 / width) ** 2) \
         + 2.0 * np.exp(-(d2 / width) ** 2)
-    mu = ScalarField(template, mu_vals[:k_t])
-    mu_obs = ScalarField(obs, mu_vals)
-    return SimModes(psi1_g, psi2_g, psi1_f, mu, psi1_f_obs, mu_obs)
+    return SimModes(psi1_g, psi2_g, ScalarField(obs, bump),
+                    ScalarField(obs, mu_vals))
 
 
 # -- dataset generation --------------------------------------------------------
@@ -235,10 +228,9 @@ class SimDataset:
     fields: list                    # ScalarField on each deformed mesh (Y_i)
     scores: np.ndarray              # (n, 2) true (a_i1, a_i2)
     true_x: np.ndarray              # (n, K) noiseless X_i at template vertices
-    redraws: int = 0
-    observation_template: TriangleMesh = None
+    observation_template: TriangleMesh
     # true deformed positions of the template vertices per subject (n, K, 3)
-    true_vertex_images: np.ndarray = None
+    true_vertex_images: np.ndarray
 
 
 def make_template(spec: SimSpec) -> TriangleMesh:
@@ -246,7 +238,7 @@ def make_template(spec: SimSpec) -> TriangleMesh:
     return base.with_vertices(spec.scale * base.vertices)
 
 
-def generate_dataset(spec: SimSpec, template=None) -> SimDataset:
+def generate_dataset(spec: SimSpec) -> SimDataset:
     """Draw n subjects from the generative model. Deterministic per spec:
     subject i uses the derived seed (spec.seed, i).
 
@@ -256,8 +248,7 @@ def generate_dataset(spec: SimSpec, template=None) -> SimDataset:
     ground truth (scores, noiseless fields, true vertex images) is kept at
     template resolution.
     """
-    if template is None:
-        template = make_template(spec)
+    template = make_template(spec)
     kernel = default_deformation_kernel(template, spec.kernel_large,
                                         spec.kernel_small)
     obs = refine_mesh(template, spec.observation_subdivisions) \
@@ -269,7 +260,6 @@ def generate_dataset(spec: SimSpec, template=None) -> SimDataset:
     scores = np.empty((spec.n, 2))
     true_x = np.empty((spec.n, k_t))
     images = np.empty((spec.n, k_t, 3))
-    redraws = 0
     for i in range(spec.n):
         rng = np.random.default_rng((spec.seed, i))
         for _ in range(20):
@@ -281,25 +271,22 @@ def generate_dataset(spec: SimSpec, template=None) -> SimDataset:
                 path = shoot(v0, spec.shooting_steps)
                 flowed = flow_points(path, obs.vertices)
             except ShootingError:
-                redraws += 1
                 continue
-            deformed = obs.with_vertices(flowed)
-            if np.any(folded_faces(obs, flowed)):
-                redraws += 1
-                continue
-            break
+            if not np.any(folded_faces(obs, flowed)):
+                break
         else:
             raise RuntimeError(f"subject {i}: shooting kept diverging")
 
-        x_obs = modes.mu_obs.values + spec.delta * a2 * modes.psi1_f_obs.values
+        x = modes.mu.values + spec.delta * a2 * modes.psi1_f.values
         noise = rng.normal(0.0, spec.sigma_noise, size=obs.n_vertices)
+        deformed = obs.with_vertices(flowed)
         meshes.append(deformed)
-        fields.append(ScalarField(deformed, x_obs + noise))
+        fields.append(ScalarField(deformed, x + noise))
         scores[i] = (a1, a2)
-        true_x[i] = modes.mu.values + spec.delta * a2 * modes.psi1_f.values
+        true_x[i] = x[:k_t]
         images[i] = flowed[:k_t]
     return SimDataset(template, kernel, modes, meshes, fields, scores,
-                      true_x, redraws, obs, images)
+                      true_x, obs, images)
 
 
 # -- C-shape benchmark ---------------------------------------------------------

@@ -119,6 +119,52 @@ def test_malformed_or_stale_inputs_exit_2(tmp_path, capsys):
     assert err.startswith("invalid input: ") and "subject_001.off" in err
 
 
+def test_header_only_score_table_exits_2(tmp_path, capsys):
+    # a truncated score table must not read as one subject
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                               "simulate": {"n": 3, "subdivisions": 1}}))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    scores = tmp_path / "out" / "sim" / "true_scores.csv"
+    scores.write_text(scores.read_text().splitlines()[0] + "\n")
+    assert main(["register-geo", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "true_scores.csv" in err
+    assert not list((tmp_path / "out").glob("reg_geo/*"))
+
+
+def test_settings_too_large_for_the_subjects_exit_2(tmp_path, capsys):
+    # checked by the stage against the subject count, before it writes
+    out = tmp_path / "out"
+    blocks = {"output_dir": str(out),
+              "simulate": {"n": 6, "subdivisions": 1},
+              "register_geo": {"max_iterations": 1},
+              "register_fun": {"max_iterations": 1},
+              "fpca_geo": {"n_components": 3},
+              "fpca_fun": {"n_components": 2, "cv_lambdas": [0, 10],
+                           "folds": 7}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blocks))
+    for command in ("simulate", "register-geo", "register-fun", "fpca-geo"):
+        assert main([command, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["fpca-fun", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "fpca_fun.folds" in err
+    assert not list(out.glob("fpca_fun/*"))
+    # 3 + 2 score columns need more than 6 subjects
+    blocks["fpca_fun"] = {"n_components": 2, "lam": 0.0}
+    cfg.write_text(json.dumps(blocks))
+    assert main(["fpca-fun", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["cca", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "fpca_geo.n_components + fpca_fun.n_components" in err
+    assert not list(out.glob("cca/*"))
+
+
 def test_single_stage_subcommand(config_file, capsys):
     path, out = config_file
     assert main(["cca", "--config", str(path)]) == 0

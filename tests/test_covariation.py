@@ -68,7 +68,7 @@ def _bartlett_of(correlations, n, p, q):
     empty = np.zeros((n, m))
     return bartlett_test(CcaResult(
         np.asarray(correlations, float), np.zeros((p, m)), np.zeros((q, m)),
-        empty, empty, np.zeros(p), np.zeros(q), n))
+        empty, empty, n))
 
 
 def test_bartlett_p_values_at_the_extremes():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fos import georeg
-from fos.georeg import (RegistrationConfig, _make_similarity, _Objective,
-                        _two_loop, pull_back_function, register_geometry)
+from fos.georeg import (RegistrationConfig, _Objective, _two_loop,
+                        pull_back_function, register_geometry)
 from fos.kernels import GaussianKernel
 from fos.lddmm import InitialMomenta, ShootingError, shoot
 from fos.mesh import ScalarField, folded_faces
@@ -23,17 +23,12 @@ def small_problem(seed=0, scale=0.12):
     return template, target, kernel, true
 
 
-def objective(template, target, kernel, config):
-    return _Objective(template, _make_similarity(template, target, config),
-                      kernel, config)
-
-
 def objective_value(template, target, kernel, config, alpha):
-    return objective(template, target, kernel, config).evaluate(alpha)[0]
+    return _Objective(template, target, kernel, config).evaluate(alpha)[0]
 
 
 def objective_gradient(template, target, kernel, config, alpha):
-    obj = objective(template, target, kernel, config)
+    obj = _Objective(template, target, kernel, config)
     _, sim, _, path = obj.evaluate(alpha)
     return obj.gradient(alpha, sim, path)
 

@@ -300,6 +300,17 @@ def test_manifest_drops_stages_of_another_config(tmp_path):
     assert set(on_disk["stages"]) == {"simulate"}
 
 
+def test_tables_read_back_in_their_shape(tmp_path):
+    path = tmp_path / "t.csv"
+    for shape in ((1, 4), (4, 1), (1, 1), (3, 2)):
+        table = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        _write_csv(path, table)
+        assert np.array_equal(_read_csv(path), table)
+    path.write_text("v0,v1\n")
+    with pytest.raises(ArtifactError, match="t.csv: table has no rows"):
+        _read_csv(path)
+
+
 def test_field_file_of_wrong_length_fails(tmp_path):
     cfg = PipelineConfig.from_dict({
         "output_dir": str(tmp_path), "seed": 0,

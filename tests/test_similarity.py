@@ -1,7 +1,7 @@
 import numpy as np
 
 from fos.kernels import GaussianKernel
-from fos.similarity import _current_core, current_distance
+from fos.similarity import _current_core
 from fos.synthdata import ellipsoid_patch, icosphere, refine_mesh
 
 
@@ -23,6 +23,18 @@ def fd_gradient(fn, vertices, eps=1e-6):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def self_term(kernel, centers, normals):
+    return float(np.sum(kernel.gram(centers, centers) * (normals @ normals.T)))
+
+
+def current_distance(deformed, target, sigma_z):
+    """Squared current distance between two oriented surfaces."""
+    kernel = GaussianKernel(sigma=sigma_z)
+    tc, tn = target.face_centers, target.face_area_normals
+    return _current_core(deformed.vertices, deformed.faces, tc, tn, kernel,
+                         target_self_term=self_term(kernel, tc, tn))
 
 
 def test_current_distance_zero_on_identical_surfaces():
@@ -61,10 +73,8 @@ def eager_current_core(vertices, faces, target_centers, target_normals,
     k_st, f_st = kernel.gram_pair(c, target_centers)
     m_ss = n @ n.T
     m_st = n @ target_normals.T
-    k_tt = kernel.gram(target_centers, target_centers)
-    self_term = float(np.sum(k_tt * (target_normals @ target_normals.T)))
     value = float(np.sum(k_ss * m_ss) - 2.0 * np.sum(k_st * m_st)
-                  + self_term)
+                  + self_term(kernel, target_centers, target_normals))
     s_ss = f_ss * m_ss
     s_st = f_st * m_st
     a = 2.0 * (c * s_ss.sum(axis=1)[:, None] - s_ss @ c) \
@@ -85,7 +95,8 @@ def test_gradient_on_demand_matches_eager_computation():
     kernel = GaussianKernel(sigma=0.3)
     tc, tn = target.face_centers, target.face_area_normals
     value, grad = eager_current_core(deformed, template.faces, tc, tn, kernel)
-    res = _current_core(deformed, template.faces, tc, tn, kernel)
+    res = _current_core(deformed, template.faces, tc, tn, kernel,
+                        target_self_term=self_term(kernel, tc, tn))
     assert res.value == value
     assert np.array_equal(res.gradient, grad)
     assert res.gradient is res.gradient      # computed once, then kept

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fos import synthdata
 from fos.fpca import consistent_mass
 from fos.synthdata import (SimSpec, c_shape_images, ellipsoid_patch,
                            generate_dataset, graph_geodesic_distances,
@@ -43,10 +44,8 @@ def test_graph_geodesic_distances_properties():
 
 def test_make_modes_orthonormal_and_localized():
     spec = SimSpec(n=2, subdivisions=1, observation_subdivisions=0)
-    tpl = make_template(spec)
-    ds = generate_dataset(spec, tpl)
-    kernel = ds.kernel
-    gram = kernel.gram(tpl.vertices)
+    ds = generate_dataset(spec)
+    gram = ds.kernel.gram(ds.template.vertices)
 
     def vdot(a, b):
         return float(np.sum((gram @ b) * a))
@@ -115,12 +114,52 @@ def test_field_noise_level():
 
 
 def test_mean_function_reproducible_between_resolutions():
+    # the modes live on the observation mesh; the noiseless fields at the
+    # template vertices are their first K values
     spec = SimSpec(n=2, subdivisions=1, observation_subdivisions=1)
-    tpl = make_template(spec)
-    ds = generate_dataset(spec, tpl)
-    k = tpl.n_vertices
-    assert np.allclose(ds.modes.mu_obs.values[:k], ds.modes.mu.values)
-    assert np.allclose(ds.modes.psi1_f_obs.values[:k], ds.modes.psi1_f.values)
+    ds = generate_dataset(spec)
+    k = ds.template.n_vertices
+    m = ds.modes
+    assert m.mu.mesh is ds.observation_template
+    assert m.psi1_f.mesh is ds.observation_template
+    for i in range(spec.n):
+        x = m.mu.values + spec.delta * ds.scores[i, 1] * m.psi1_f.values
+        assert np.array_equal(ds.true_x[i], x[:k])
+
+
+def test_folded_draw_is_redrawn_from_the_same_stream(monkeypatch):
+    spec = SimSpec(n=2, subdivisions=1, seed=5)
+    plain = generate_dataset(spec)
+    calls = []
+
+    def fold_first(mesh, vertices):
+        calls.append(1)
+        return np.ones(1, bool) if len(calls) == 1 else np.zeros(1, bool)
+
+    monkeypatch.setattr(synthdata, "folded_faces", fold_first)
+    redrawn = generate_dataset(spec)
+    # subject 0 takes the next normal pair of its own generator
+    rng = np.random.default_rng((spec.seed, 0))
+    rng.normal(size=2)
+    expected = (rng.normal(0.0, spec.sigma1), rng.normal(0.0, spec.sigma2))
+    assert np.array_equal(redrawn.scores[0], expected)
+    assert not np.array_equal(redrawn.scores[0], plain.scores[0])
+    # subject 1 has its own generator and is untouched
+    assert np.array_equal(redrawn.scores[1], plain.scores[1])
+    assert np.array_equal(redrawn.fields[1].values, plain.fields[1].values)
+
+
+def test_generator_gives_up_after_20_failed_draws(monkeypatch):
+    calls = []
+
+    def always_folded(mesh, vertices):
+        calls.append(1)
+        return np.ones(1, bool)
+
+    monkeypatch.setattr(synthdata, "folded_faces", always_folded)
+    with pytest.raises(RuntimeError, match="subject 0"):
+        generate_dataset(SimSpec(n=2, subdivisions=1))
+    assert len(calls) == 20
 
 
 def test_c_shape_images_ranges():
