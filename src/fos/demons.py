@@ -141,7 +141,6 @@ class VertexMap:
     """Mapping s of the surface into itself, stored as the sequence of
     per-vertex ambient update fields it was composed from."""
 
-    mesh: TriangleMesh
     projector: SurfaceProjector
     updates: list = field(default_factory=list)   # each (K, 3) ambient
 
@@ -201,12 +200,10 @@ class _Demons:
     projector: SurfaceProjector
 
 
-def _demons_setup(mesh, config, atlas) -> _Demons:
-    if atlas is None:
-        atlas = build_frames(mesh)
+def _demons_setup(mesh, config) -> _Demons:
     step_cap = config.max_step_frac * float(mesh.edge_lengths.mean())
-    return _Demons(mesh, connection(mesh, atlas), config.lam, step_cap,
-                   lumped_mass(mesh), SurfaceProjector(mesh))
+    return _Demons(mesh, connection(mesh, build_frames(mesh)), config.lam,
+                   step_cap, lumped_mass(mesh), SurfaceProjector(mesh))
 
 
 def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
@@ -242,8 +239,7 @@ def _values(f):
 
 
 def register_functions(mesh: TriangleMesh, moving, fixed,
-                       config: DemonsConfig | None = None,
-                       atlas: TangentFrameAtlas | None = None) -> DemonsResult:
+                       config: DemonsConfig | None = None) -> DemonsResult:
     """Find s such that moving o s matches fixed, both given as per-vertex
     values (or ScalarFields) on the same surface."""
     config = config or DemonsConfig()
@@ -251,8 +247,8 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
     if m_vals.shape != (mesh.n_vertices,) or f_vals.shape != (mesh.n_vertices,):
         raise ValueError("value arrays must match the vertex count")
 
-    d = _demons_setup(mesh, config, atlas)
-    mapping = VertexMap(mesh, d.projector)
+    d = _demons_setup(mesh, config)
+    mapping = VertexMap(d.projector)
     state = d.projector.project(mesh.vertices)     # running s(vertices)
     warped = m_vals.copy()
     trace = [_ssd(warped, f_vals, d.mass)]
@@ -290,8 +286,7 @@ def _top_eigenvalues(aligned, mass, k=3):
 
 
 def groupwise_template(mesh: TriangleMesh, fields,
-                       config: DemonsConfig | None = None,
-                       atlas: TangentFrameAtlas | None = None):
+                       config: DemonsConfig | None = None):
     """Joint alignment of n fields on one surface: starting from identity
     maps and the cross-sectional mean as template, each iteration applies
     one linearized demons update per subject toward the current template,
@@ -307,8 +302,8 @@ def groupwise_template(mesh: TriangleMesh, fields,
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two fields")
-    d = _demons_setup(mesh, config, atlas)
-    mappings = [VertexMap(mesh, d.projector) for _ in range(n)]
+    d = _demons_setup(mesh, config)
+    mappings = [VertexMap(d.projector) for _ in range(n)]
     states = [d.projector.project(mesh.vertices)] * n
     aligned = [v.copy() for v in vals]
     template = np.mean(aligned, axis=0)

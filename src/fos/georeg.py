@@ -78,12 +78,13 @@ class RegistrationConfig:
 
 @dataclass
 class Diagnostics:
+    """One registration's record. `stop` alone says why it stopped; the
+    `converged` and `line_search_failed` properties are read from it."""
+
     objective_trace: list = field(default_factory=list)
     similarity_trace: list = field(default_factory=list)
     energy_trace: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
-    line_search_failed: bool = False
     stop: str = "iterations"           # one of STOP_RULES
     # faces of the deformed template whose normal turned against the
     # template's
@@ -91,6 +92,14 @@ class Diagnostics:
     # the deformed template at the returned momenta, from the last accepted
     # evaluation; not part of as_dict
     endpoint: np.ndarray | None = None
+
+    @property
+    def converged(self):
+        return self.stop == "gradient"
+
+    @property
+    def line_search_failed(self):
+        return self.stop == "line_search"
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)
@@ -173,7 +182,6 @@ def _minimize(objective, config):
     for it in range(config.max_iterations):
         grad = objective.gradient(alpha, sim, path)
         if np.linalg.norm(grad) <= GRAD_TOLERANCE:
-            diag.converged = True
             diag.stop = "gradient"
             break
         if previous is not None:
@@ -199,7 +207,6 @@ def _minimize(objective, config):
                 break
             trial *= ARMIJO_SHRINK
         else:
-            diag.line_search_failed = True
             diag.stop = "line_search"
             break
         previous = alpha, grad

@@ -147,7 +147,7 @@ def _check_finite(*arrays):
                 "integration diverged; use smaller momenta or more steps")
 
 
-def shoot(v0: InitialMomenta, steps: int = 20) -> GeodesicPath:
+def shoot(v0: InitialMomenta, steps: int) -> GeodesicPath:
     """Integrate the Hamiltonian system from (c, a(0)) to t=1."""
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -78,14 +78,14 @@ import numpy as np
 import scipy
 
 from .covariation import bartlett_test, cca, covariation_sequence
-from .demons import DemonsConfig, groupwise_template
+from .demons import DemonsConfig, groupwise_template, register_functions
 from .fpca import cross_validate_lambda, functional_fpca, geometric_fpca
 from .georeg import (STOP_RULES, RegistrationConfig, pull_back_function,
                      register_geometry)
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, shoot
 from .mesh import MeshError, ScalarField, load_mesh, save_mesh
-from .synthdata import SimSpec, generate_dataset
+from .synthdata import SimSpec, c_shape_images, generate_dataset, icosphere
 
 STAGES = ("simulate", "register-geo", "register-fun",
           "fpca-geo", "fpca-fun", "cca")
@@ -319,6 +319,17 @@ def _subject_count(sim_dir):
     return len(_read_csv(Path(sim_dir) / "true_scores.csv"))
 
 
+def _check_subjects(cfg, n, stages, columns=None):
+    """ConfigError unless n subjects suffice for the fpca-fun folds and the
+    cca score columns (by default the configured ones) of `stages`."""
+    ff = cfg.settings["fpca_fun"]
+    _require("fpca-fun" not in stages or not ff.cv_lambdas or ff.folds <= n,
+             f"fpca_fun.folds = {ff.folds} exceeds the {n} subjects")
+    k = columns or cfg.settings["fpca_geo"].n_components + ff.n_components
+    _require("cca" not in stages or k < n - 1, f"cca needs n > {k + 1} for "
+             f"{k} fpca_geo.n_components + fpca_fun.n_components, got {n}")
+
+
 def _load_kernel(sim_dir):
     with open(Path(sim_dir) / "kernel.json") as fh:
         return GaussianKernel(**json.load(fh))
@@ -374,21 +385,17 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
     with open(reg / "subjects.json", "w") as fh:
         json.dump(hashes, fh)
     runs = diags.values()
-    failed = sum(d.line_search_failed for d in runs)
+    stops = {rule: sum(d.stop == rule for d in runs) for rule in STOP_RULES}
     folded = sum(d.folded_faces > 0 for d in runs)
     warnings = []
-    if failed:
-        warnings.append(f"{failed}/{n} subjects stopped on a failed line "
-                        "search")
+    if stops["line_search"]:
+        warnings.append(f"{stops['line_search']}/{n} subjects stopped on a "
+                        "failed line search")
     if folded:
         warnings.append(f"{folded}/{n} subjects end with folded faces")
     settings = {key: getattr(rcfg, key) for key in _block_keys("register_geo")}
     return {"subjects": n, **settings,
-            "iterations": sum(d.iterations for d in runs),
-            "converged": sum(d.converged for d in runs),
-            "line_search_failed": failed,
-            "stop": {rule: sum(d.stop == rule for d in runs)
-                     for rule in STOP_RULES},
+            "iterations": sum(d.iterations for d in runs), "stop": stops,
             "folded_faces": sum(d.folded_faces for d in runs),
             "warnings": warnings}
 
@@ -441,9 +448,8 @@ def _stage_fpca_geo(cfg: PipelineConfig, out: Path):
 def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
     sim, fun, ff = out / "sim", out / "reg_fun", out / "fpca_fun"
     n = _subject_count(sim)
+    _check_subjects(cfg, n, ("fpca-fun",))
     fcfg = cfg.settings["fpca_fun"]
-    _require(fcfg.cv_lambdas is None or fcfg.folds <= n,
-             f"fpca_fun.folds = {fcfg.folds} exceeds the {n} subjects")
     ff.mkdir(parents=True, exist_ok=True)
     template = load_mesh(sim / "template.off")
     fields = [_read_field(template, fun / f"aligned_{i:03d}.csv").values
@@ -472,9 +478,7 @@ def _stage_cca(cfg: PipelineConfig, out: Path):
     cc = out / "cca"
     g = _read_csv(out / "fpca_geo" / "scores.csv")
     f = _read_csv(out / "fpca_fun" / "scores.csv")
-    k = g.shape[1] + f.shape[1]
-    _require(k < len(g) - 1, "fpca_geo.n_components + fpca_fun.n_components"
-             f" gave {k} score columns: cca needs n > {k + 1}, got {len(g)}")
+    _check_subjects(cfg, len(g), ("cca",), g.shape[1] + f.shape[1])
     cc.mkdir(parents=True, exist_ok=True)
     result = cca(g, f)
     test = bartlett_test(result)
@@ -505,6 +509,8 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     stages = tuple(stages) if stages is not None else cfg.stages
     for st in stages:
         _require(st in STAGES, f"unknown stage {st!r}")
+    if "simulate" in stages:        # then the run's subject count is known
+        _check_subjects(cfg, cfg.settings["simulate"].n, stages)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -602,18 +608,15 @@ def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
     return written
 
 
-def emit_sphere_benchmark(out_dir, lam: float = 0.2, max_iterations: int = 15):
+def emit_sphere_benchmark(out_dir):
     """Generate the spherical two-band benchmark (semicircle moving image,
     C-shaped fixed image on a subdivision-3 icosphere), register the moving
-    image, and write the fidelity trace plus the warped field."""
-    from .demons import register_functions
-    from .synthdata import c_shape_images, icosphere
-
+    image (lam 0.2, 15 iterations), and write the fidelity trace plus the
+    warped field."""
     mesh = icosphere(3)
     moving, fixed = c_shape_images(mesh)
     res = register_functions(mesh, moving, fixed,
-                             DemonsConfig(lam=lam,
-                                          max_iterations=max_iterations))
+                             DemonsConfig(lam=0.2, max_iterations=15))
     bench = Path(out_dir) / "benchmark"
     bench.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, bench / "sphere.off")

@@ -251,8 +251,7 @@ def generate_dataset(spec: SimSpec) -> SimDataset:
     template = make_template(spec)
     kernel = default_deformation_kernel(template, spec.kernel_large,
                                         spec.kernel_small)
-    obs = refine_mesh(template, spec.observation_subdivisions) \
-        if spec.observation_subdivisions > 0 else template
+    obs = refine_mesh(template, spec.observation_subdivisions)
     modes = make_modes(template, kernel, spec.seed, obs)
 
     k_t = template.n_vertices

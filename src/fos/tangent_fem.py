@@ -18,11 +18,12 @@ one direct factorization solves with no iterative refinement. Eliminating
 h is exact and keeps the system sparse because R0 is the diagonal lumped
 mass; a consistent R0 would make R0^-1 dense and need the mixed form back.
 
-Half of the system depends only on the surface: the frames, the boundary
-coefficients and R1 R0^-1 R1 on the free ones, built once per surface by
-`connection`. The other half changes with every update: `build_system`
-makes Theta2 and Theta1 z, `apply_dirichlet` keeps their free rows, and
-`solve_update` returns u, zero on the boundary.
+Half of the system depends only on the surface: the frames, the free
+(off-boundary) vertices and R1 R0^-1 R1 on their coefficients, built once
+per surface by `connection`. The other half changes with every update:
+`build_system` makes Theta2's K diagonal 2x2 blocks and Theta1 z's K rows,
+`apply_dirichlet` keeps the free vertices' ones, and `solve_update`
+returns u, zero on the boundary.
 
 Frames follow the angle-normalized one-ring construction: wedge angles
 around each interior vertex are scaled to sum to 2*pi, edges get intrinsic
@@ -65,7 +66,6 @@ class TangentFrameAtlas:
     """
 
     mesh: TriangleMesh
-    normals: np.ndarray          # (K, 3)
     e1: np.ndarray               # (K, 3)
     e2: np.ndarray               # (K, 3)
     ring: np.ndarray             # (K, V) neighbour indices
@@ -103,7 +103,7 @@ class TangentFrameAtlas:
         cb, sb = np.cos(b)[:, None], np.sin(b)[:, None]
         e1 = cb * self.e1 + sb * self.e2
         e2 = -sb * self.e1 + cb * self.e2
-        return TangentFrameAtlas(self.mesh, self.normals, e1, e2, self.ring,
+        return TangentFrameAtlas(self.mesh, e1, e2, self.ring,
                                  self.angles - b[:, None])
 
 
@@ -182,8 +182,7 @@ def build_frames(mesh: TriangleMesh) -> TangentFrameAtlas:
         raise FemError("degenerate tangent seed at vertex "
                        f"{np.argmax(nd < 1e-14)}")
     e1 = d / nd[:, None]
-    return TangentFrameAtlas(mesh, normals, e1, np.cross(normals, e1), ring,
-                             angles)
+    return TangentFrameAtlas(mesh, e1, np.cross(normals, e1), ring, angles)
 
 
 def transport_rotation(atlas: TangentFrameAtlas, i, j):
@@ -224,62 +223,57 @@ def assemble_connection_matrices(mesh: TriangleMesh,
 @dataclass
 class Connection:
     """The half of the demons system fixed by the surface, built once per
-    surface: the frames, the coefficients held at zero by the Dirichlet
-    conditions, and the eliminated regulariser R1 R0^-1 R1 restricted to
-    the free coefficients."""
+    surface: the frames, the vertices off the boundary, and the eliminated
+    regulariser R1 R0^-1 R1 restricted to their coefficients."""
 
     atlas: TangentFrameAtlas
-    boundary: np.ndarray             # (2K,) bool, boundary coefficients
+    free: np.ndarray                 # (K,) bool, vertices off the boundary
     reg: sparse.spmatrix             # R1 R0^-1 R1, free rows and columns
 
 
 def connection(mesh: TriangleMesh, atlas: TangentFrameAtlas) -> Connection:
     r0, r1 = assemble_connection_matrices(mesh, atlas)
-    free = ~np.repeat(mesh.boundary_vertices, 2)
+    free = ~mesh.boundary_vertices
+    coef = np.repeat(free, 2)
     reg = (r1 @ sparse.diags(1.0 / r0.diagonal()) @ r1).tocsr()
-    return Connection(atlas, ~free, reg[free][:, free].tocsc())
+    return Connection(atlas, free, reg[coef][:, coef].tocsc())
 
 
 def build_system(conn: Connection, j, z):
     """The per-update half of the system for the driving force J, given as
-    (K, 2) frame coefficients, and the residual z: returns Theta2 (sparse
-    block-diagonal J J^T) and the right-hand side Theta1 z with entries
-    -z_k J_k."""
+    (K, 2) frame coefficients, and the residual z: returns Theta2 as its
+    (K, 2, 2) diagonal blocks J_k J_k^T and the right-hand side Theta1 z as
+    the (K, 2) rows -z_k J_k."""
     k_n = conn.atlas.mesh.n_vertices
     j, z = np.asarray(j, float), np.asarray(z, float)
     if j.shape != (k_n, 2) or z.shape != (k_n,):
         raise ValueError("J and z must match the vertex count")
     if not np.all(np.isfinite(j)):
         raise ValueError("non-finite driving force")
-    theta2 = sparse.bsr_matrix(
-        (np.einsum("ka,kb->kab", j, j), np.arange(k_n), np.arange(k_n + 1)),
-        shape=(2 * k_n, 2 * k_n))
-    return theta2, (-z[:, None] * j).ravel()
+    return np.einsum("ka,kb->kab", j, j), -z[:, None] * j
 
 
 def apply_dirichlet(conn: Connection, theta2, rhs):
     """Homogeneous Dirichlet conditions on boundary vertices, imposed
-    exactly: returns Theta2 and the right-hand side restricted to the free
-    coefficients. Theta2 is block-diagonal, so this keeps the free
-    vertices' 2x2 blocks. No boundary: the inputs themselves, unchanged."""
-    if not conn.boundary.any():
-        return theta2, rhs
-    free = ~conn.boundary
-    return theta2.tocsr()[free][:, free], rhs[free]
+    exactly: returns the free vertices' 2x2 blocks of Theta2 and their
+    right-hand side, flattened to the free coefficients."""
+    return theta2[conn.free], rhs[conn.free].ravel()
 
 
 def solve_update(conn: Connection, theta2, rhs, lam: float) -> np.ndarray:
     """Solve (Theta2 + lam R1 R0^-1 R1) u = Theta1 z on the free
-    coefficients, the mixed system with its second field and its boundary
-    coefficients eliminated (see the module docstring), with one sparse
-    direct factorization in symmetric mode; returns u as (K, 2) frame
-    coefficients, zero on the boundary."""
+    coefficients, as `apply_dirichlet` returns them: the mixed system with
+    its second field and its boundary coefficients eliminated (see the
+    module docstring), by one sparse direct factorization in symmetric
+    mode. Returns u as (K, 2) frame coefficients, zero on the boundary."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    u = np.zeros(conn.boundary.shape)
+    u = np.zeros((len(conn.free), 2))
     if not np.any(rhs):
-        return u.reshape(-1, 2)
-    a = (lam * conn.reg + theta2).tocsc()
+        return u
+    idx = np.arange(len(theta2) + 1)
+    a = (lam * conn.reg + sparse.bsr_matrix((theta2, idx[:-1], idx),
+                                            shape=conn.reg.shape)).tocsc()
     sol = splu(a, permc_spec="MMD_AT_PLUS_A",
                options={"SymmetricMode": True}).solve(rhs)
     if not np.all(np.isfinite(sol)):
@@ -288,5 +282,5 @@ def solve_update(conn: Connection, theta2, rhs, lam: float) -> np.ndarray:
     if resid > 1e-8 * np.linalg.norm(rhs):
         raise FemError(f"linear solve residual too large ({resid:.3e}); "
                        "try a larger lambda")
-    u[~conn.boundary] = sol
-    return u.reshape(-1, 2)
+    u[conn.free] = sol.reshape(-1, 2)
+    return u

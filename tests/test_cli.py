@@ -165,6 +165,27 @@ def test_settings_too_large_for_the_subjects_exit_2(tmp_path, capsys):
     assert not list(out.glob("cca/*"))
 
 
+@pytest.mark.parametrize("fpca_fun, message", [
+    ({"n_components": 2, "cv_lambdas": [0, 10], "folds": 7},
+     "fpca_fun.folds = 7 exceeds the 6 subjects"),
+    ({"n_components": 2, "lam": 0.0},
+     "fpca_geo.n_components + fpca_fun.n_components"),
+], ids=["folds", "score_columns"])
+def test_full_run_checks_the_subject_count_before_it_starts(
+        tmp_path, capsys, fpca_fun, message):
+    # with simulate in the run, its n is the subject count of every stage
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(out),
+                               "simulate": {"n": 6, "subdivisions": 1},
+                               "fpca_geo": {"n_components": 3},
+                               "fpca_fun": fpca_fun}))
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
 def test_single_stage_subcommand(config_file, capsys):
     path, out = config_file
     assert main(["cca", "--config", str(path)]) == 0

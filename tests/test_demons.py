@@ -33,7 +33,8 @@ def test_vertex_gradient_lives_in_tangent_plane():
     atlas = build_frames(mesh)
     values = mesh.vertices[:, 2] ** 2
     ambient = atlas.to_ambient(vertex_gradient(mesh, values, atlas))
-    assert np.abs(np.sum(ambient * atlas.normals, axis=1)).max() <= 1e-12
+    assert np.abs(np.sum(ambient * mesh.vertex_normals, axis=1)).max() \
+        <= 1e-12
 
 
 def test_projector_identity_on_vertices():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fos import georeg
-from fos.georeg import (RegistrationConfig, _Objective, _two_loop,
-                        pull_back_function, register_geometry)
+from fos.georeg import (STOP_RULES, Diagnostics, RegistrationConfig,
+                        _Objective, _two_loop, pull_back_function,
+                        register_geometry)
 from fos.kernels import GaussianKernel
 from fos.lddmm import InitialMomenta, ShootingError, shoot
 from fos.mesh import ScalarField, folded_faces
@@ -217,3 +218,13 @@ def test_failed_line_search_stops_the_registration(monkeypatch):
     assert diag.iterations == 0 and not diag.converged
     assert len(calls) == 1 + georeg.MAX_SHRINKS
     assert not np.any(v0.momenta)
+
+
+@pytest.mark.parametrize("stop", STOP_RULES)
+def test_convergence_flags_follow_the_stop_rule(stop):
+    diag = Diagnostics(stop=stop)
+    assert diag.converged == (stop == "gradient")
+    assert diag.line_search_failed == (stop == "line_search")
+    record = diag.as_dict()
+    assert record["stop"] == stop
+    assert "converged" not in record and "line_search_failed" not in record

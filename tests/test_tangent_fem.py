@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
 from fos.demons import register_functions
@@ -34,9 +35,13 @@ def mixed_solve_update(conn, theta2, rhs, lam):
 
     for f the free coefficients and a all of them, kept as an oracle for
     the eliminated form. theta2 and rhs come restricted by
-    `apply_dirichlet`; R0 and R1 from `assemble_connection_matrices`."""
+    `apply_dirichlet`, as the free vertices' 2x2 blocks and coefficients;
+    R0 and R1 from `assemble_connection_matrices`."""
     r0, r1 = assemble_connection_matrices(conn.atlas.mesh, conn.atlas)
-    free = ~conn.boundary
+    free = np.repeat(conn.free, 2)
+    idx = np.arange(len(theta2) + 1)
+    theta2 = sparse.bsr_matrix((theta2, idx[:-1], idx),
+                               shape=(len(rhs), len(rhs)))
     a = sparse.bmat([[theta2, lam * r1.tocsr()[free]],
                      [lam * r1.tocsc()[:, free], -lam * r0]], format="csc")
     sol = splu(a).solve(np.concatenate([rhs, np.zeros(r0.shape[0])]))
@@ -51,7 +56,7 @@ def test_frames_are_orthonormal_tangent():
     assert np.allclose(np.sum(atlas.e1 * atlas.e2, axis=1), 0.0, atol=1e-12)
     assert np.allclose(np.linalg.norm(atlas.e1, axis=1), 1.0)
     assert np.allclose(np.linalg.norm(atlas.e2, axis=1), 1.0)
-    assert np.allclose(np.sum(atlas.e1 * atlas.normals, axis=1), 0.0,
+    assert np.allclose(np.sum(atlas.e1 * mesh.vertex_normals, axis=1), 0.0,
                        atol=1e-12)
 
 
@@ -199,15 +204,26 @@ def test_solve_update_matches_dense_oracle(make_mesh, lam):
     rng = np.random.default_rng(1)
     j = rng.normal(size=(mesh.n_vertices, 2))
     z = rng.normal(size=mesh.n_vertices)
-    plain = build_system(conn, j, z)
-    theta2, rhs = apply_dirichlet(conn, *plain)
-    # Dirichlet conditions on the open patch; a no-op on the closed sphere
-    assert (theta2 is plain[0]) == (not mesh.boundary_vertices.any())
+    blocks, rows = build_system(conn, j, z)
+    assert np.array_equal(blocks, j[:, :, None] * j[:, None, :])
+    assert np.array_equal(rows, -z[:, None] * j)
+    theta2, rhs = apply_dirichlet(conn, blocks, rows)
+    # Dirichlet conditions keep exactly the free vertices' blocks and rows:
+    # all of them on the closed sphere, the interior ones on the patch
+    interior = ~mesh.boundary_vertices
+    assert np.array_equal(conn.free, interior)
+    if interior.all():
+        assert np.array_equal(theta2, blocks)
+        assert np.array_equal(rhs, rows.ravel())
+    else:
+        assert 0 < len(theta2) < len(blocks)
+        assert np.array_equal(theta2, blocks[interior])
+        assert np.array_equal(rhs, rows[interior].ravel())
     u = solve_update(conn, theta2, rhs, lam)
     r0, r1 = (m.toarray()
               for m in assemble_connection_matrices(mesh, conn.atlas))
-    free = ~conn.boundary
-    dense = np.block([[theta2.toarray(), lam * r1[free]],
+    free = np.repeat(conn.free, 2)
+    dense = np.block([[block_diag(*theta2), lam * r1[free]],
                       [lam * r1[:, free], -lam * r0]])
     sol = np.linalg.solve(dense, np.concatenate([rhs, np.zeros(len(r0))]))
     ref = np.zeros(len(free))
