@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .mesh import MeshError
@@ -79,10 +80,13 @@ def _load_config(args) -> PipelineConfig:
 
 def _grid(text, option):
     try:
-        return [float(x) for x in text.split(",")]
+        grid = [float(x) for x in text.split(",")]
+        if all(map(math.isfinite, grid)):
+            return grid
     except ValueError:
-        raise ConfigError(f"{option} must be comma-separated numbers, "
-                          f"got {text!r}") from None
+        pass
+    raise ConfigError(f"{option} must be comma-separated finite numbers, "
+                      f"got {text!r}")
 
 
 def main(argv=None) -> int:

@@ -173,14 +173,21 @@ def shoot(v0: InitialMomenta, steps: int) -> GeodesicPath:
 
 def flow_points(path: GeodesicPath, points) -> np.ndarray:
     """Advect points through the flow ODE to t=1 with the same RK2 scheme
-    and grid, driven by the control states stored on the path."""
+    and grid, driven by the control states stored on the path.
+
+    One gram workspace serves all 2 * steps kernel evaluations, so its
+    pages are faulted in once per flow, not once per evaluation (see the
+    `kernels` module docstring)."""
     x = np.asarray(points, float)
     dt = 1.0 / path.steps
     kernel = path.kernel
+    shape = (len(x), path.points.shape[1])
+    work = (np.empty(shape), np.empty(shape))
     for t in range(path.steps):
-        dx = kernel.gram(x, path.points[t]) @ path.momenta[t]
+        dx = kernel.gram(x, path.points[t], work=work) @ path.momenta[t]
         xm = x + 0.5 * dt * dx
-        dx = kernel.gram(xm, path.mid_points[t]) @ path.mid_momenta[t]
+        dx = kernel.gram(xm, path.mid_points[t], work=work) \
+            @ path.mid_momenta[t]
         x = x + dt * dx
         _check_finite(x)
     return x

@@ -228,6 +228,9 @@ def _parse_off(text):
         else:
             nv, nf = int(first), int(next(tok))
         next(tok)  # edge count, ignored
+        if nv < 1 or nf < 1:
+            raise MeshError(f"an OFF mesh needs at least one vertex and "
+                            f"one face, got {nv} and {nf}")
         verts = np.array([float(next(tok)) for _ in range(3 * nv)]).reshape(nv, 3)
         faces = []
         for _ in range(nf):
@@ -235,9 +238,11 @@ def _parse_off(text):
             if k != 3:
                 raise MeshError("only triangle faces are supported")
             faces.append([int(next(tok)) for _ in range(3)])
+        if next(tok, None) is not None:
+            raise MeshError(f"data after the {nf} declared faces")
     except (StopIteration, ValueError) as exc:
         raise MeshError(f"malformed OFF file: {exc}") from exc
-    return TriangleMesh(verts, np.array(faces, dtype=int).reshape(nf, 3))
+    return TriangleMesh(verts, faces)
 
 
 def save_mesh(mesh, path):

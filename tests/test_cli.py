@@ -208,11 +208,17 @@ def _files(out):
 @pytest.mark.parametrize("argv, message", [
     (["covary", "--pair", "0"], "pair 0 out of range 1..2"),
     (["covary", "--pair", "3"], "pair 3 out of range 1..2"),
-    (["covary", "--t-grid=1,x"], "--t-grid must be comma-separated numbers"),
+    (["covary", "--t-grid=1,x"],
+     "--t-grid must be comma-separated finite numbers"),
     (["viz-mode", "--c-grid=1,x"],
-     "--c-grid must be comma-separated numbers"),
+     "--c-grid must be comma-separated finite numbers"),
     (["viz-mode", "--mode", "0"], "mode 0 out of range 1..2"),
-], ids=["pair-0", "pair-past-last", "t-grid", "c-grid", "mode-0"])
+    (["covary", "--t-grid=nan,inf"],
+     "--t-grid must be comma-separated finite numbers"),
+    (["viz-mode", "--c-grid=0,-inf"],
+     "--c-grid must be comma-separated finite numbers"),
+], ids=["pair-0", "pair-past-last", "t-grid", "c-grid", "mode-0",
+        "t-grid-non-finite", "c-grid-non-finite"])
 def test_bad_export_argument_exits_2_and_writes_nothing(finished_run, capsys,
                                                         argv, message):
     path, out = finished_run

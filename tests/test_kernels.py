@@ -137,6 +137,11 @@ def assert_kernels_exact(kernel, points_a, points_b=None):
         assert len(got) == len(factors)
         for g, f in zip(got, factors):
             assert np.array_equal(g, f), name
+    # a workspace holding stale values gives the same gram, in its block
+    work = (np.full(d2.shape, np.nan), np.full(d2.shape, np.nan))
+    got = kernel.gram(points_a, points_b, work=work)
+    assert got is work[1]
+    assert np.array_equal(got, kernel.gram(points_a, points_b))
 
 
 def test_in_place_factors_are_bit_identical_two_gaussians():
@@ -168,3 +173,21 @@ def test_in_place_factors_are_bit_identical_at_coincident_points():
     kernel = GaussianKernel(sigma=0.8, sigma2=0.4, weight=2.0)
     assert_kernels_exact(kernel, pts)
     assert_kernels_exact(kernel, pts, pts[::-1].copy())
+
+
+@pytest.mark.parametrize("n_b, shapes, dtype", [
+    (7, ((7, 5), (7, 5)), float),
+    (7, ((5, 7), (5, 1)), float),
+    (7, ((1, 7), (5, 7)), float),
+    (1, ((5, 7), (5, 7)), float),   # would broadcast the (5, 1) result
+    (7, ((5, 7, 1), (5, 7)), float),
+    (7, ((5, 7), (5, 7)), np.float32),
+], ids=["transposed", "one-column", "one-row", "too-wide", "three-axes",
+        "float32"])
+def test_workspace_of_the_wrong_shape_or_dtype_raises(n_b, shapes, dtype):
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(n_b, 3))
+    work = tuple(np.zeros(s, dtype) for s in shapes)
+    with pytest.raises(ValueError, match="workspace"):
+        GaussianKernel(sigma=1.0).gram(a, b, work=work)
+    assert not any(w.any() for w in work)

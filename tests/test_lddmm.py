@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fos.kernels import GaussianKernel
+from fos.kernels import GaussianKernel, default_deformation_kernel
 from fos.lddmm import (InitialMomenta, ShootingError, _rhs, _rhs_vjp,
                        flow_points, shoot, shoot_gradient)
-from fos.synthdata import ellipsoid_patch
+from fos.synthdata import SimSpec, ellipsoid_patch, make_template, refine_mesh
+from test_kernels import plain_factors, plain_sqdist
 
 
 def small_system(seed=0, k=12, sigma=0.8, scale=0.3):
@@ -42,15 +43,21 @@ def recomputing_shoot_gradient(path, cbar_end):
     return cb, ab
 
 
+def plain_velocity(kernel, x, c, a):
+    """v(x) = sum_k K(x, c_k) a_k from the out-of-place kernel formula."""
+    return plain_factors(kernel, plain_sqdist(x, c), 0)[0] @ a
+
+
 def advect(kernel, c0, a0, x0, dt, steps):
-    """Controls and passive points integrated jointly with midpoint RK2."""
+    """Controls and passive points integrated jointly with midpoint RK2;
+    the passive velocities do not go through the kernels module."""
     c, a, x = c0.copy(), a0.copy(), x0.copy()
     for _ in range(steps):
         dc, da = _rhs(kernel, c, a)
-        dx = kernel.gram(x, c) @ a
+        dx = plain_velocity(kernel, x, c, a)
         cm, am, xm = c + 0.5 * dt * dc, a + 0.5 * dt * da, x + 0.5 * dt * dx
         dc, da = _rhs(kernel, cm, am)
-        dx = kernel.gram(xm, cm) @ am
+        dx = plain_velocity(kernel, xm, cm, am)
         c, a, x = c + dt * dc, a + dt * da, x + dt * dx
     return c, a, x
 
@@ -117,6 +124,29 @@ def test_stored_midpoints_reproduce_recomputed_integration():
     assert np.array_equal(c, path.points[-1])
     assert np.array_equal(a, path.momenta[-1])
     assert np.array_equal(flow_points(path, pts), x)
+
+
+@pytest.mark.parametrize("two_gaussians", [True, False],
+                         ids=["default-kernel", "one-gaussian"])
+def test_flow_points_at_the_generator_size_matches_joint_advection(
+        two_gaussians):
+    # the simulate stage's flow: K=271 controls, 1,037 observation vertices
+    template = make_template(SimSpec(subdivisions=3))
+    obs = refine_mesh(template, 1)
+    assert (template.n_vertices, obs.n_vertices) == (271, 1037)
+    kern = default_deformation_kernel(template)
+    if not two_gaussians:
+        kern = GaussianKernel(sigma=kern.sigma)
+    rng = np.random.default_rng(5)
+    v0 = InitialMomenta(template.vertices,
+                        0.05 * rng.normal(size=template.vertices.shape), kern)
+    path = shoot(v0, 10)
+    c, a, x = advect(kern, path.points[0], path.momenta[0], obs.vertices,
+                     0.1, 10)
+    assert np.array_equal(c, path.points[-1])
+    assert np.array_equal(a, path.momenta[-1])
+    assert np.abs(x - obs.vertices).max() > 0.1
+    assert np.array_equal(flow_points(path, obs.vertices), x)
 
 
 def test_shoot_gradient_matches_finite_differences():

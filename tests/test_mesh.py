@@ -231,3 +231,20 @@ def test_load_mesh_rejects_garbage(tmp_path):
     path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
     with pytest.raises(MeshError):
         load_mesh(path)
+
+
+TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("OFF\n-1 -1 0\n", "at least one vertex and one face"),
+    ("OFF\n0 0 0\n", "at least one vertex and one face"),
+    (TRIANGLE_OFF + "3 0 1 2\n", "data after the 1 declared faces"),
+    (TRIANGLE_OFF.rstrip() + " 1\n", "data after the 1 declared faces"),
+], ids=["negative-counts", "zero-counts", "extra-face", "fourth-index"])
+def test_load_mesh_rejects_counts_that_do_not_match(tmp_path, text, message):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=message) as err:
+        load_mesh(path)
+    assert str(err.value).startswith(f"{path}: ")
