@@ -4,7 +4,8 @@ fixed surface.
 The mapping s is built as a composition of small vertex-based flows: each
 outer iteration solves the regularized vector-FEM system for an update
 field, takes one explicit Euler step, and reprojects onto the surface with
-a closest-point map.
+a closest-point map. A VertexMap holds s as the attachments of s(v) for
+every vertex v; it lists its update fields only for bench/tracing.py.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ def surface_gradient(mesh: TriangleMesh, values) -> np.ndarray:
     e1 = tri[:, 0] - tri[:, 2]
     e2 = tri[:, 1] - tri[:, 0]
     fv = f[mesh.faces]
-    g = (fv[:, 0:1] * np.cross(nhat, e0) + fv[:, 1:2] * np.cross(nhat, e1)
-         + fv[:, 2:3] * np.cross(nhat, e2)) / a2[:, None]
-    return g
+    return (fv[:, 0:1] * np.cross(nhat, e0) + fv[:, 1:2] * np.cross(nhat, e1)
+            + fv[:, 2:3] * np.cross(nhat, e2)) / a2[:, None]
 
 
 def vertex_gradient(mesh: TriangleMesh, values,
@@ -138,19 +138,15 @@ class SurfaceProjector:
 
 @dataclass
 class VertexMap:
-    """Mapping s of the surface into itself, stored as the sequence of
-    per-vertex ambient update fields it was composed from."""
+    """Mapping s of the surface into itself, held as the attachments of
+    s(v) for every vertex v: the triple SurfaceProjector.project returns.
+    `updates` lists the ambient update fields composed so far, one (K, 3)
+    array each, for the update count of bench/tracing.py."""
 
-    projector: SurfaceProjector
-    updates: list = field(default_factory=list)   # each (K, 3) ambient
-
-    def apply(self, points) -> np.ndarray:
-        """s(points): run the update flows in composition order."""
-        proj = self.projector
-        p, fidx, bary = proj.project(np.asarray(points, float))
-        for u in self.updates:
-            p, fidx, bary = proj.project(p + proj.interpolate_at(fidx, bary, u))
-        return p
+    points: np.ndarray              # (K, 3) s(vertices)
+    faces: np.ndarray               # (K,) face of each attachment
+    bary: np.ndarray                # (K, 3) barycentric coordinates in it
+    updates: list = field(default_factory=list)
 
 
 # -- registration -------------------------------------------------------------
@@ -206,14 +202,13 @@ def _demons_setup(mesh, config) -> _Demons:
                    step_cap, lumped_mass(mesh), SurfaceProjector(mesh))
 
 
-def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
+def _demons_step(d: _Demons, mapping, moving, warped, fixed, g_fixed):
     """One linearized demons update of `warped` (moving resampled at the
-    surface attachments `state`) toward `fixed`, whose frame gradient is
+    attachments of `mapping`) toward `fixed`, whose frame gradient is
     g_fixed: solve for the update field, cap its largest step, compose it
-    onto the attachments and re-project.
+    onto the attachments and re-project, advancing `mapping` in place.
 
-    Returns (ambient update, new state, new warped values), or None when
-    the update vanishes."""
+    Returns the new warped values, or None when the update vanishes."""
     conn = d.conn
     g_w = vertex_gradient(d.mesh, warped, conn.atlas)
     theta2, rhs = apply_dirichlet(
@@ -224,10 +219,11 @@ def _demons_step(d: _Demons, state, moving, warped, fixed, g_fixed):
         return None
     if umax > d.step_cap:
         amb = amb * (d.step_cap / umax)
-    cur, cur_f, cur_b = state
     proj = d.projector
-    state = proj.project(cur + proj.interpolate_at(cur_f, cur_b, amb))
-    return amb, state, proj.interpolate_at(state[1], state[2], moving)
+    mapping.points, mapping.faces, mapping.bary = proj.project(
+        mapping.points + proj.interpolate_at(mapping.faces, mapping.bary, amb))
+    mapping.updates.append(amb)
+    return proj.interpolate_at(mapping.faces, mapping.bary, moving)
 
 
 def _ssd(a, b, mass):
@@ -248,8 +244,7 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
         raise ValueError("value arrays must match the vertex count")
 
     d = _demons_setup(mesh, config)
-    mapping = VertexMap(d.projector)
-    state = d.projector.project(mesh.vertices)     # running s(vertices)
+    mapping = VertexMap(*d.projector.project(mesh.vertices))
     warped = m_vals.copy()
     trace = [_ssd(warped, f_vals, d.mass)]
     stalls = 0
@@ -257,12 +252,11 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
     it = 0
     g_f = vertex_gradient(mesh, f_vals, d.conn.atlas)
     for it in range(1, config.max_iterations + 1):
-        step = _demons_step(d, state, m_vals, warped, f_vals, g_f)
+        step = _demons_step(d, mapping, m_vals, warped, f_vals, g_f)
         if step is None:
             converged = True
             break
-        amb, state, warped = step
-        mapping.updates.append(amb)
+        warped = step
         trace.append(_ssd(warped, f_vals, d.mass))
         if trace[-2] - trace[-1] < STALL_TOL * trace[0]:
             stalls += 1
@@ -275,14 +269,11 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
                         np.asarray(trace), it, converged)
 
 
-def _top_eigenvalues(aligned, mass, k=3):
-    """Leading eigenvalues of the empirical covariance of the field stack
-    in the lumped mass inner product (via the n x n Gram matrix)."""
-    x = np.asarray(aligned, float)
-    xc = x - x.mean(axis=0)
-    gram = (xc * mass) @ xc.T / len(x)
-    evals = np.linalg.eigvalsh(gram)[::-1]
-    return evals[:k]
+def _top_eigenvalues(aligned, mass):
+    """The three leading eigenvalues of the empirical covariance of the
+    field stack in the lumped mass inner product (via the n x n Gram)."""
+    xc = np.asarray(aligned, float) - np.mean(aligned, axis=0)
+    return np.linalg.eigvalsh((xc * mass) @ xc.T / len(xc))[::-1][:3]
 
 
 def groupwise_template(mesh: TriangleMesh, fields,
@@ -299,25 +290,21 @@ def groupwise_template(mesh: TriangleMesh, fields,
     """
     config = config or DemonsConfig()
     vals = [_values(f) for f in fields]
-    n = len(vals)
-    if n < 2:
+    if len(vals) < 2:
         raise ValueError("need at least two fields")
     d = _demons_setup(mesh, config)
-    mappings = [VertexMap(d.projector) for _ in range(n)]
-    states = [d.projector.project(mesh.vertices)] * n
+    start = d.projector.project(mesh.vertices)   # every map's identity
+    mappings = [VertexMap(*start) for _ in vals]
     aligned = [v.copy() for v in vals]
     template = np.mean(aligned, axis=0)
     prev_evals = None
     stable = 0
     for _ in range(config.max_iterations):
         g_t = vertex_gradient(mesh, template, d.conn.atlas)
-        for i in range(n):
-            step = _demons_step(d, states[i], vals[i], aligned[i], template,
-                                g_t)
-            if step is None:
-                continue
-            amb, states[i], aligned[i] = step
-            mappings[i].updates.append(amb)
+        for i, mapping in enumerate(mappings):
+            step = _demons_step(d, mapping, vals[i], aligned[i], template, g_t)
+            if step is not None:
+                aligned[i] = step
         template = np.mean(aligned, axis=0)
         evals = _top_eigenvalues(aligned, d.mass)
         if prev_evals is not None and np.all(

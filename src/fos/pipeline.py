@@ -319,15 +319,31 @@ def _subject_count(sim_dir):
     return len(_read_csv(Path(sim_dir) / "true_scores.csv"))
 
 
-def _check_subjects(cfg, n, stages, columns=None):
+def _check_subjects(cfg, n, stages):
     """ConfigError unless n subjects suffice for the fpca-fun folds and the
-    cca score columns (by default the configured ones) of `stages`."""
-    ff = cfg.settings["fpca_fun"]
+    configured cca score columns of `stages`."""
+    fg, ff = cfg.settings["fpca_geo"], cfg.settings["fpca_fun"]
     _require("fpca-fun" not in stages or not ff.cv_lambdas or ff.folds <= n,
              f"fpca_fun.folds = {ff.folds} exceeds the {n} subjects")
-    k = columns or cfg.settings["fpca_geo"].n_components + ff.n_components
-    _require("cca" not in stages or k < n - 1, f"cca needs n > {k + 1} for "
-             f"{k} fpca_geo.n_components + fpca_fun.n_components, got {n}")
+    if "cca" in stages:
+        _check_columns(n, fg.n_components + ff.n_components)
+
+
+def _check_columns(n, k):
+    """ConfigError unless n subjects suffice for CCA on k score columns."""
+    _require(k < n - 1, f"cca needs n > {k + 1} for {k} "
+             f"fpca_geo.n_components + fpca_fun.n_components, got {n}")
+
+
+def _read_scores(out):
+    """Both fpca score tables: equal row counts, enough rows for CCA."""
+    g = _read_csv(out / "fpca_geo" / "scores.csv")
+    f = _read_csv(out / "fpca_fun" / "scores.csv")
+    if len(g) != len(f):
+        raise ArtifactError(f"{out}: fpca_geo and fpca_fun scores.csv have "
+                            f"{len(g)} and {len(f)} rows; run both again")
+    _check_columns(len(g), g.shape[1] + f.shape[1])
+    return g, f
 
 
 def _load_kernel(sim_dir):
@@ -476,9 +492,7 @@ def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
 
 def _stage_cca(cfg: PipelineConfig, out: Path):
     cc = out / "cca"
-    g = _read_csv(out / "fpca_geo" / "scores.csv")
-    f = _read_csv(out / "fpca_fun" / "scores.csv")
-    _check_subjects(cfg, len(g), ("cca",), g.shape[1] + f.shape[1])
+    g, f = _read_scores(out)
     cc.mkdir(parents=True, exist_ok=True)
     result = cca(g, f)
     test = bartlett_test(result)
@@ -547,11 +561,10 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
 
 # -- co-variation + visualization ---------------------------------------------
 
-def emit_covariation(out_dir, pair: int = 0, t_values=(-2, -1, 0, 1, 2)):
+def emit_covariation(out_dir, pair: int, t_values):
     """Write the score trajectories along one canonical direction."""
     out = Path(out_dir)
-    g = _read_csv(out / "fpca_geo" / "scores.csv")
-    f = _read_csv(out / "fpca_fun" / "scores.csv")
+    g, f = _read_scores(out)
     result = cca(g, f)
     m = len(result.correlations)
     if pair < 0 or pair >= m:
@@ -568,7 +581,7 @@ def emit_covariation(out_dir, pair: int = 0, t_values=(-2, -1, 0, 1, 2)):
     return str(path)
 
 
-def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
+def emit_mode_visualization(out_dir, mode: int, c_grid):
     """Write mesh+field pairs showing the mode-th geometric mode of
     variation: the template deformed along c*sqrt(variance)*component for
     each c on the grid, with the mean function attached. Shoots with the
@@ -590,8 +603,6 @@ def emit_mode_visualization(out_dir, mode: int = 0, c_grid=None):
     template = load_mesh(out / "sim" / "template.off")
     mean_field = _read_field(template,
                              out / "reg_fun" / "template_field.csv").values
-    if c_grid is None:
-        c_grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
     viz = out / "viz"
     viz.mkdir(parents=True, exist_ok=True)
     written = []

@@ -92,20 +92,6 @@ class TangentFrameAtlas:
         return np.stack([np.sum(v * self.e1, axis=1),
                          np.sum(v * self.e2, axis=1)], axis=1)
 
-    def rotated(self, angles):
-        """New atlas with every frame rotated in-plane by the given angles.
-
-        Coefficient fields transform contravariantly; the ambient view of
-        any field is unchanged when its coefficients are rotated by the
-        same angles.
-        """
-        b = np.asarray(angles, float)
-        cb, sb = np.cos(b)[:, None], np.sin(b)[:, None]
-        e1 = cb * self.e1 + sb * self.e2
-        e2 = -sb * self.e1 + cb * self.e2
-        return TangentFrameAtlas(self.mesh, e1, e2, self.ring,
-                                 self.angles - b[:, None])
-
 
 def _one_rings(mesh: TriangleMesh):
     """(ring, wedges, closed) for every vertex, by one walk.

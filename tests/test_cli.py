@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from fos.cli import build_parser, main
+from fos.mesh import load_mesh
+from fos.pipeline import _write_csv
+from fos.synthdata import c_shape_images, icosphere
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +188,55 @@ def test_full_run_checks_the_subject_count_before_it_starts(
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, prefix, message", [
+    ((8, 7), "invalid input: ", "scores.csv have 8 and 7 rows"),
+    ((5, 5), "configuration error: ", "cca needs n > 5 for 4 "),
+], ids=["stale", "too_few_subjects"])
+def test_score_tables_that_do_not_fit_exit_2(tmp_path, capsys, rows, prefix,
+                                             message):
+    # fpca_fun/scores.csv one row short of fpca_geo's, or 2 + 2 score
+    # columns for 5 subjects: cca and covary refuse them before writing
+    out = tmp_path / "out"
+    rng = np.random.default_rng(0)
+    for stage, n in zip(("fpca_geo", "fpca_fun"), rows):
+        (out / stage).mkdir(parents=True)
+        _write_csv(out / stage / "scores.csv", rng.normal(size=(n, 2)),
+                   "pc", 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(out)}))
+    for command in ("cca", "covary"):
+        assert main([command, "--config", str(cfg)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(prefix)
+        assert message in captured.err
+    assert not (out / "cca").exists() and not (out / "covary").exists()
+
+
+def test_sphere_benchmark_export(tmp_path, capsys):
+    assert main(["register-fun", "--emit-sphere-benchmark",
+                 "--output-dir", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    bench = tmp_path / "benchmark"
+    assert report["benchmark_dir"] == str(bench)
+    assert sorted(p.name for p in bench.iterdir()) == [
+        "sphere.off", "ssd_trace.csv", "summary.json", "warped.csv"]
+    summary = report["summary"]
+    assert json.loads((bench / "summary.json").read_text()) == summary
+    assert summary["iterations"] == 15
+    assert summary["fidelity_ratio"] < 0.1
+    trace = np.loadtxt(bench / "ssd_trace.csv", delimiter=",", skiprows=1)
+    assert trace.shape == (16,)
+    assert trace[0] == summary["initial_ssd"]
+    assert trace[-1] == summary["final_ssd"]
+    sphere = icosphere(3)
+    assert np.array_equal(load_mesh(bench / "sphere.off").vertices,
+                          sphere.vertices)
+    moving = c_shape_images(sphere)[0].values
+    warped = np.loadtxt(bench / "warped.csv", delimiter=",", skiprows=1)
+    assert warped.shape == (sphere.n_vertices,)
+    assert moving.min() <= warped.min() and warped.max() <= moving.max()
 
 
 def test_single_stage_subcommand(config_file, capsys):

@@ -78,10 +78,9 @@ def test_projection_past_a_boundary_side_lands_on_it():
     assert np.all(bary[np.arange(len(rows)), (side + 2) % 3] == 0.0)
 
 
-def test_vertex_map_apply_reproduces_registration():
-    # s(vertices) replayed from the stored updates carries the moving
-    # field onto the warped values the registration returned (up to the
-    # rounding of projecting the replayed points once more)
+def test_vertex_map_attachments_reproduce_registration():
+    # the moving field interpolated at the map's final attachments is the
+    # warped field the registration returned, bit for bit
     mesh = icosphere(2)
     src = int(np.argmax(mesh.vertices[:, 2]))
     fixed = np.exp(-graph_geodesic_distances(mesh, src) ** 2 / 0.25)
@@ -90,11 +89,12 @@ def test_vertex_map_apply_reproduces_registration():
                       fixed)
     res = register_functions(mesh, moving, fixed,
                              DemonsConfig(lam=0.5, max_iterations=5))
-    assert len(res.mapping.updates) > 0
-    moved = res.mapping.apply(mesh.vertices)
+    mapping = res.mapping
+    assert len(mapping.updates) > 0
     assert np.abs(moving - res.warped.values).max() > 0.1
-    assert np.abs(resample(proj, moved, moving)
-                  - res.warped.values).max() <= 1e-12
+    assert np.array_equal(
+        proj.interpolate_at(mapping.faces, mapping.bary, moving),
+        res.warped.values)
 
 
 def test_register_functions_reduces_ssd():
@@ -163,13 +163,21 @@ def shifted_bumps_on_a_patch():
 
 def test_groupwise_template_holds_the_boundary_fixed():
     # a zero update keeps a boundary vertex attached to itself, so its
-    # aligned value is its input value, bit for bit
+    # aligned value is its input value, bit for bit; every map's
+    # attachments carry its input field onto its aligned field
     patch, fields = shifted_bumps_on_a_patch()
     _, mappings, aligned = groupwise_template(
         patch, fields, DemonsConfig(lam=3.0, max_iterations=3))
+    proj = SurfaceProjector(patch)
     edge = patch.boundary_vertices
+    corner = np.flatnonzero(edge)[:, None]
     for field, out, mapping in zip(fields, aligned, mappings):
         assert mapping.updates
+        assert np.array_equal(
+            proj.interpolate_at(mapping.faces, mapping.bary, field), out)
+        assert np.array_equal(mapping.points[edge], patch.vertices[edge])
+        own = patch.faces[mapping.faces[edge]] == corner
+        assert np.all(mapping.bary[edge][own] == 1.0)
         assert np.array_equal(out[edge], field[edge])
         assert not np.allclose(out[~edge], field[~edge])
 

@@ -231,7 +231,7 @@ def test_emit_covariation_and_viz(finished_run):
     for f in files:
         assert Path(f).exists()
     with pytest.raises(ConfigError):
-        emit_mode_visualization(out, mode=99)
+        emit_mode_visualization(out, mode=99, c_grid=[0.0])
 
 
 def test_mode_visualization_shoots_with_the_stage_steps(tmp_path):
