@@ -15,7 +15,7 @@ import sys
 from .mesh import MeshError
 from .pipeline import (ArtifactError, ConfigError, PipelineConfig,
                        emit_covariation, emit_mode_visualization,
-                       emit_sphere_benchmark, run_pipeline, STAGES)
+                       run_pipeline, STAGES)
 
 # errors in the run's inputs, which exit 2, and their message prefixes
 _INPUT_ERRORS = {ConfigError: "configuration error",
@@ -40,11 +40,6 @@ def build_parser():
     for stage in STAGES:
         p = sub.add_parser(stage, help=f"run the {stage} stage")
         _add_config_args(p)
-        if stage == "register-fun":
-            p.add_argument("--emit-sphere-benchmark", action="store_true",
-                           help="generate and register the spherical "
-                                "two-band benchmark instead of the "
-                                "configured dataset")
 
     p = sub.add_parser("pipeline", help="run all configured stages")
     _add_config_args(p)
@@ -101,13 +96,8 @@ def main(argv=None) -> int:
             manifest = run_pipeline(cfg, stages)
             print(json.dumps(manifest, indent=1))
         elif args.command in STAGES:
-            if getattr(args, "emit_sphere_benchmark", False):
-                path, summary = emit_sphere_benchmark(cfg.output_dir)
-                print(json.dumps({"benchmark_dir": path,
-                                  "summary": summary}, indent=1))
-            else:
-                manifest = run_pipeline(cfg, (args.command,))
-                print(json.dumps(manifest["stages"][args.command], indent=1))
+            manifest = run_pipeline(cfg, (args.command,))
+            print(json.dumps(manifest["stages"][args.command], indent=1))
         elif args.command == "covary":
             t = _grid(args.t_grid, "--t-grid")
             path = emit_covariation(cfg.output_dir, args.pair - 1, t)

@@ -19,8 +19,8 @@ significant digits (`_write_csv`, `_read_csv`); a field is one row
 `v0,v1,...` read back as a ScalarField of its mesh, which checks the
 count; meshes are OFF (`mesh.save_mesh`, `mesh.load_mesh`). A file that
 does not fit the run raises an ArtifactError naming it. Each stage writes
-its own directory, and each export (covary, viz-mode, the sphere
-benchmark of register-fun) one more. "bench" is the benchmark's check.
+its own directory, and each export (covary, viz-mode) one more. "bench"
+is the benchmark's check.
 
   artifact                    layout                  readers
   sim/template.off            OFF                     later stages, viz, bench
@@ -57,10 +57,6 @@ benchmark of register-fun) one more. "bench" is the benchmark's check.
   manifest.json               a record per stage      run_pipeline, viz
   covary/sequence_pairP.csv   t,g1,..,f1,.. rows      -
   viz/modeM_II.off, .csv      OFF, field of the OFF   -
-  benchmark/sphere.off        OFF                     -
-  benchmark/ssd_trace.csv     one row it0,...         -
-  benchmark/warped.csv        field of sphere.off     -
-  benchmark/summary.json      fidelity summary        -
 """
 
 from __future__ import annotations
@@ -78,14 +74,14 @@ import numpy as np
 import scipy
 
 from .covariation import bartlett_test, cca, covariation_sequence
-from .demons import DemonsConfig, groupwise_template, register_functions
+from .demons import DemonsConfig, groupwise_template
 from .fpca import cross_validate_lambda, functional_fpca, geometric_fpca
 from .georeg import (STOP_RULES, RegistrationConfig, pull_back_function,
                      register_geometry)
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, shoot
 from .mesh import MeshError, ScalarField, load_mesh, save_mesh
-from .synthdata import SimSpec, c_shape_images, generate_dataset, icosphere
+from .synthdata import SimSpec, generate_dataset
 
 STAGES = ("simulate", "register-geo", "register-fun",
           "fpca-geo", "fpca-fun", "cca")
@@ -617,26 +613,3 @@ def emit_mode_visualization(out_dir, mode: int, c_grid):
         _write_csv(field_path, mean_field)
         written.extend([str(mesh_path), str(field_path)])
     return written
-
-
-def emit_sphere_benchmark(out_dir):
-    """Generate the spherical two-band benchmark (semicircle moving image,
-    C-shaped fixed image on a subdivision-3 icosphere), register the moving
-    image (lam 0.2, 15 iterations), and write the fidelity trace plus the
-    warped field."""
-    mesh = icosphere(3)
-    moving, fixed = c_shape_images(mesh)
-    res = register_functions(mesh, moving, fixed,
-                             DemonsConfig(lam=0.2, max_iterations=15))
-    bench = Path(out_dir) / "benchmark"
-    bench.mkdir(parents=True, exist_ok=True)
-    save_mesh(mesh, bench / "sphere.off")
-    _write_csv(bench / "ssd_trace.csv", res.ssd_trace, "it")
-    _write_csv(bench / "warped.csv", res.warped.values)
-    first, last = float(res.ssd_trace[0]), float(res.ssd_trace[-1])
-    summary = {"iterations": res.iterations, "converged": res.converged,
-               "initial_ssd": first, "final_ssd": last,
-               "fidelity_ratio": last / first}
-    with open(bench / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-    return str(bench), summary

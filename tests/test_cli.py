@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from fos.cli import build_parser, main
-from fos.mesh import load_mesh
 from fos.pipeline import _write_csv
-from fos.synthdata import c_shape_images, icosphere
 
 
 @pytest.fixture(scope="module")
@@ -212,31 +210,6 @@ def test_score_tables_that_do_not_fit_exit_2(tmp_path, capsys, rows, prefix,
         assert captured.out == "" and captured.err.startswith(prefix)
         assert message in captured.err
     assert not (out / "cca").exists() and not (out / "covary").exists()
-
-
-def test_sphere_benchmark_export(tmp_path, capsys):
-    assert main(["register-fun", "--emit-sphere-benchmark",
-                 "--output-dir", str(tmp_path)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    bench = tmp_path / "benchmark"
-    assert report["benchmark_dir"] == str(bench)
-    assert sorted(p.name for p in bench.iterdir()) == [
-        "sphere.off", "ssd_trace.csv", "summary.json", "warped.csv"]
-    summary = report["summary"]
-    assert json.loads((bench / "summary.json").read_text()) == summary
-    assert summary["iterations"] == 15
-    assert summary["fidelity_ratio"] < 0.1
-    trace = np.loadtxt(bench / "ssd_trace.csv", delimiter=",", skiprows=1)
-    assert trace.shape == (16,)
-    assert trace[0] == summary["initial_ssd"]
-    assert trace[-1] == summary["final_ssd"]
-    sphere = icosphere(3)
-    assert np.array_equal(load_mesh(bench / "sphere.off").vertices,
-                          sphere.vertices)
-    moving = c_shape_images(sphere)[0].values
-    warped = np.loadtxt(bench / "warped.csv", delimiter=",", skiprows=1)
-    assert warped.shape == (sphere.n_vertices,)
-    assert moving.min() <= warped.min() and warped.max() <= moving.max()
 
 
 def test_single_stage_subcommand(config_file, capsys):

@@ -195,11 +195,12 @@ def test_transport_rotation_antisymmetric_on_flat_mesh():
 
 @pytest.mark.parametrize("lam", [0.2, 3.0])
 @pytest.mark.parametrize("make_mesh", [lambda: ellipsoid_patch(1),
-                                       lambda: icosphere(1)],
-                         ids=["patch", "sphere"])
+                                       lambda: icosphere(1),
+                                       lambda: ellipsoid_patch(2)],
+                         ids=["patch", "sphere", "patch2"])
 def test_solve_update_matches_dense_oracle(make_mesh, lam):
     mesh = make_mesh()
-    assert mesh.n_vertices <= 60
+    assert mesh.n_vertices <= 100
     conn = connection(mesh, build_frames(mesh))
     rng = np.random.default_rng(1)
     j = rng.normal(size=(mesh.n_vertices, 2))
@@ -230,6 +231,42 @@ def test_solve_update_matches_dense_oracle(make_mesh, lam):
     ref[free] = sol[:len(rhs)]
     ref = ref.reshape(-1, 2)
     assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: ellipsoid_patch(2),
+                                       lambda: icosphere(2)],
+                         ids=["patch", "sphere"])
+def test_band_storage_holds_the_regulariser_in_band_order(make_mesh):
+    mesh = make_mesh()
+    conn = connection(mesh, build_frames(mesh))
+    n = 2 * len(conn.order)
+    width = len(conn.band) - 1
+    assert np.array_equal(np.sort(conn.order), np.arange(n // 2))
+    assert 1 <= width < n - 1
+    # band unknown 2m + c is coefficient c of free vertex order[m]
+    place = (2 * conn.order[:, None] + np.arange(2)).ravel()
+    reg = conn.reg.toarray()[np.ix_(place, place)]
+    assert np.abs(reg - reg.T).max() <= 1e-14 * np.abs(reg).max()
+    # the band holds the lower triangle in band order, exactly, and zeros
+    # past the last row
+    lower = np.tril(reg)
+    assert not lower[np.tril_indices(n, -width - 1)].any()
+    for d, row in enumerate(conn.band):
+        assert np.array_equal(row[:n - d], np.diagonal(lower, -d))
+        assert not row[n - d:].any()
+
+
+def test_indefinite_system_raises():
+    mesh = ellipsoid_patch(2)
+    conn = connection(mesh, build_frames(mesh))
+    lam = 1.0
+    # -c I blocks with c above lam times reg's largest eigenvalue, which
+    # the largest absolute row sum bounds
+    c = 2.0 * lam * abs(conn.reg).sum(axis=1).max()
+    theta2 = np.tile(-c * np.eye(2), (len(conn.order), 1, 1))
+    rhs = np.random.default_rng(5).normal(size=2 * len(conn.order))
+    with pytest.raises(FemError, match="singular demons system"):
+        solve_update(conn, theta2, rhs, lam)
 
 
 def test_dirichlet_boundary_values_vanish():
