@@ -5,8 +5,8 @@ types, and their co-variation."""
 from .covariation import (BartlettTest, CcaResult, bartlett_test, cca,
                           covariation_sequence, regression_coefficients)
 from .demons import (DemonsConfig, DemonsResult, SurfaceProjector, VertexMap,
-                     groupwise_template, register_functions, surface_gradient,
-                     vertex_gradient)
+                     gradient_operator, groupwise_template,
+                     register_functions, surface_gradient, vertex_gradient)
 from .fpca import (FunctionalFpca, GeometricFpca, consistent_mass,
                    cotangent_stiffness, cross_validate_lambda,
                    functional_fpca, geometric_fpca)

@@ -6,6 +6,11 @@ outer iteration solves the regularized vector-FEM system for an update
 field, takes one explicit Euler step, and reprojects onto the surface with
 a closest-point map. A VertexMap holds s as the attachments of s(v) for
 every vertex v; it lists its update fields only for bench/tracing.py.
+
+Per registration call, what depends only on the surface is built once:
+the FEM connection, the projector's tables and the vertex-gradient
+operator. An update only gathers and combines: one sparse product per
+gradient, the right-hand side, a banded solve and one projection.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .mesh import ScalarField, TriangleMesh, _dot, lumped_mass
 from .tangent_fem import (Connection, TangentFrameAtlas, apply_dirichlet,
@@ -24,80 +30,58 @@ N_NEAREST = 2       # nearest vertices whose one-rings SurfaceProjector tries
 
 # -- surface geometry helpers -------------------------------------------------
 
+def _gradient_basis(mesh: TriangleMesh) -> np.ndarray:
+    """(F, 3, 3) gradient of each corner's hat function on each face,
+    (nhat x e_i) / (2A) with e_i the edge opposite corner i."""
+    tri = mesh.vertices[mesh.faces]
+    edges = np.roll(tri, 1, axis=1) - np.roll(tri, -1, axis=1)
+    return (np.cross(mesh.face_normals[:, None], edges)
+            / (2.0 * mesh.face_areas)[:, None, None])
+
+
 def surface_gradient(mesh: TriangleMesh, values) -> np.ndarray:
     """Per-face gradient of a piecewise-linear scalar, shape (F, 3)."""
-    f = np.asarray(values, float)
-    tri = mesh.vertices[mesh.faces]
-    a2 = 2.0 * mesh.face_areas
-    nhat = mesh.face_normals
-    # gradient = sum_i f_i (nhat x e_i) / (2A), e_i the edge opposite vertex i
-    e0 = tri[:, 2] - tri[:, 1]
-    e1 = tri[:, 0] - tri[:, 2]
-    e2 = tri[:, 1] - tri[:, 0]
-    fv = f[mesh.faces]
-    return (fv[:, 0:1] * np.cross(nhat, e0) + fv[:, 1:2] * np.cross(nhat, e1)
-            + fv[:, 2:3] * np.cross(nhat, e2)) / a2[:, None]
+    fv = np.asarray(values, float)[mesh.faces]
+    return np.einsum("fi,fij->fj", fv, _gradient_basis(mesh))
 
 
-def vertex_gradient(mesh: TriangleMesh, values,
-                    atlas: TangentFrameAtlas) -> np.ndarray:
-    """Area-weighted one-ring average of face gradients, projected to the
-    vertex tangent planes, as (K, 2) frame coefficients."""
+def gradient_operator(mesh: TriangleMesh,
+                      atlas: TangentFrameAtlas) -> sparse.csr_matrix:
+    """(2K, K) CSR operator of vertex_gradient, built once per surface:
+    row 2k + c takes the area-weighted one-ring average of the face
+    gradients at vertex k to its frame coefficient c."""
+    ring = mesh.incidence.tocoo()          # one entry per (vertex, face)
     wa = mesh.face_areas
-    acc = mesh.incidence @ (wa[:, None] * surface_gradient(mesh, values))
-    return atlas.to_frame(acc / (mesh.incidence @ wa)[:, None])
+    weight = wa[ring.col] / (mesh.incidence @ wa)[ring.row]
+    frames = np.stack([atlas.e1, atlas.e2], axis=1)[ring.row]  # (n, 2, 3)
+    vals = weight[:, None, None] * np.einsum(
+        "nij,ncj->nci", _gradient_basis(mesh)[ring.col], frames)
+    rows, cols = np.broadcast_arrays(
+        2 * ring.row[:, None, None] + np.arange(2)[:, None],
+        mesh.faces[ring.col][:, None, :])
+    return sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(2 * mesh.n_vertices, mesh.n_vertices))
 
 
-def _closest_on_triangles(p, a, b, c):
-    """Barycentric coordinates (..., 3) of the closest point to p on the
-    triangles (a, b, c); all inputs broadcast to (..., 3). Ericson's
-    Voronoi-region test gives them region by region: (1, 0, 0) at corner
-    a, (1 - t, t, 0) on side ab, (1 - v - w, v, w) inside, so a point
-    attached to a side or corner carries exact zeros."""
-    ab, ac, ap = b - a, c - a, p - a
-    d1, d2 = _dot(ab, ap), _dot(ac, ap)
-    bp = p - b
-    d3, d4 = _dot(ab, bp), _dot(ac, bp)
-    cp = p - c
-    d5, d6 = _dot(ab, cp), _dot(ac, cp)
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = d1 / (d1 - d3)
-        t_ac = d2 / (d2 - d6)
-        t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        denom = va + vb + vc
-        v_in = vb / denom
-        w_in = vc / denom
-    for t in (t_ab, t_ac, t_bc, v_in, w_in):
-        np.nan_to_num(t, copy=False)
-
-    zero = np.zeros_like(t_ab)
-    bary = np.stack([1.0 - v_in - w_in, v_in, w_in], axis=-1)  # interior
-    # a later region takes precedence over an earlier one
-    for region, weights in (
-            ((va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0),
-             np.stack([zero, 1.0 - t_bc, t_bc], axis=-1)),
-            ((vb <= 0) & (d2 >= 0) & (d6 <= 0),
-             np.stack([1.0 - t_ac, zero, t_ac], axis=-1)),
-            ((vc <= 0) & (d1 >= 0) & (d3 <= 0),
-             np.stack([1.0 - t_ab, t_ab, zero], axis=-1)),
-            ((d6 >= 0) & (d5 <= d6), np.eye(3)[2]),
-            ((d3 >= 0) & (d4 <= d3), np.eye(3)[1]),
-            ((d1 <= 0) & (d2 <= 0), np.eye(3)[0])):
-        bary = np.where(region[..., None], weights, bary)
-    return bary
+def vertex_gradient(operator: sparse.csr_matrix, values) -> np.ndarray:
+    """Area-weighted one-ring average of face gradients, projected to the
+    vertex tangent planes, as (K, 2) frame coefficients: one product with
+    the surface's gradient_operator per call."""
+    return (operator @ np.asarray(values, float)).reshape(-1, 2)
 
 
 class SurfaceProjector:
     """Closest-point projection onto a triangle mesh with barycentric
     attachment lookup. Candidate faces are the one-rings of the nearest
     vertices, so projection is exact for points near the surface; ties
-    resolve to the lowest face index. The barycentric coordinates are the
-    ones the closest-point region test yields, and the projected points
-    are the corners weighted by them."""
+    resolve to the lowest face index. Ericson's closest-point region test
+    gives the barycentric coordinates: (1, 0, 0) at corner a, (1 - t, t, 0)
+    on side ab, (u, v, w) inside, so an attachment to a side or corner
+    carries exact zeros. The projected points are the corners weighted by
+    them. Built once per surface: the faces around each vertex and one
+    packed per-face table of corner a, sides ab and ac and the Gram entries
+    ab.ab, ab.ac, ac.ac; a projection gathers its candidates' rows and runs
+    the region test on (points, candidates) scalars."""
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
@@ -108,22 +92,51 @@ class SurfaceProjector:
         col = np.arange(counts.max())
         self._face_table = inc.indices[
             inc.indptr[:-1, None] + np.where(col < counts[:, None], col, 0)]
+        tri = mesh.vertices[mesh.faces]
+        ab, ac = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+        gram = [_dot(ab, ab), _dot(ab, ac), _dot(ac, ac)]
+        self._tri_table = np.column_stack([tri[:, 0], ab, ac, *gram])
 
     def project(self, points):
         """Returns (projected points, face index, barycentric coords)."""
         pts = np.atleast_2d(np.asarray(points, float))
         _, nearest = self.mesh.tree.query(pts, k=N_NEAREST)
         cand = np.sort(self._face_table[nearest].reshape(len(pts), -1), axis=1)
-        tri = self.mesh.vertices[self.mesh.faces[cand]]     # (n, m, 3, 3)
-        bary = _closest_on_triangles(pts[:, None, :], tri[:, :, 0],
-                                     tri[:, :, 1], tri[:, :, 2])
-        q = np.einsum("nmi,nmij->nmj", bary, tri)
-        d = np.sum((pts[:, None, :] - q) ** 2, axis=-1)
+        t = self._tri_table[cand]                      # (n, m, 12)
+        ab, ac = t[..., 3:6], t[..., 6:9]
+        ap = pts[:, None, :] - t[..., 0:3]
+        d1, d2 = _dot(ab, ap), _dot(ac, ap)
+        d3, d4 = d1 - t[..., 9], d2 - t[..., 10]       # ab.bp, ac.bp
+        d5, d6 = d1 - t[..., 10], d2 - t[..., 11]      # ab.cp, ac.cp
+        va = d3 * d6 - d5 * d4
+        vb = d5 * d2 - d1 * d6
+        vc = d1 * d4 - d3 * d2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v, w = vb / (va + vb + vc), vc / (va + vb + vc)   # interior
+            t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+            t_ac = d2 / (d2 - d6)
+            t_ab = d1 / (d1 - d3)
+        bary = np.stack([1.0 - v - w, v, w])          # (3, n, m)
+        # a later region takes precedence over an earlier one; a quotient
+        # is only read inside its region, where its divisor is positive
+        for region, weights in (
+                ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+                 (0.0, 1.0 - t_bc, t_bc)),
+                ((vb <= 0) & (d2 >= 0) & (d6 <= 0), (1.0 - t_ac, 0.0, t_ac)),
+                ((vc <= 0) & (d1 >= 0) & (d3 <= 0), (1.0 - t_ab, t_ab, 0.0)),
+                ((d6 >= 0) & (d5 <= d6), (0.0, 0.0, 1.0)),
+                ((d3 >= 0) & (d4 <= d3), (0.0, 1.0, 0.0)),
+                ((d1 <= 0) & (d2 <= 0), (1.0, 0.0, 0.0))):
+            for out, value in zip(bary, weights):
+                np.copyto(out, value, where=region)
+        res = ap - bary[1, ..., None] * ab - bary[2, ..., None] * ac
         # argmin takes the first minimum; candidates are index-sorted, so
         # ties already resolve to the lowest face index
-        best = np.argmin(d, axis=1)
+        best = np.argmin(_dot(res, res), axis=1)
         rows = np.arange(len(pts))
-        return q[rows, best], cand[rows, best], bary[rows, best]
+        faces, bary = cand[rows, best], bary[:, rows, best].T
+        return (self.interpolate_at(faces, bary, self.mesh.vertices), faces,
+                bary)
 
     def interpolate_at(self, fidx, bary, vertex_values):
         """Barycentric interpolation of per-vertex values (scalar or
@@ -171,6 +184,8 @@ class DemonsConfig:
             raise ValueError("lam must be positive")
         if self.max_step_frac <= 0:
             raise ValueError("max_step_frac must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -184,22 +199,24 @@ class DemonsResult:
 
 @dataclass
 class _Demons:
-    """What every update on one surface shares: the surface's half of the
-    FEM system, the regularization weight, the step cap, the lumped vertex
-    mass of the SSD and the closest-point projector."""
+    """What every update on one surface shares, built once per surface by
+    _demons_setup: the surface's half of the FEM system, the regularization
+    weight, the step cap, the lumped vertex mass of the SSD, the
+    closest-point projector and the vertex-gradient operator."""
 
-    mesh: TriangleMesh
     conn: Connection
     lam: float
     step_cap: float
     mass: np.ndarray                # lumped vertex mass
     projector: SurfaceProjector
+    grad: sparse.csr_matrix         # (2K, K) gradient_operator
 
 
 def _demons_setup(mesh, config) -> _Demons:
     step_cap = config.max_step_frac * float(mesh.edge_lengths.mean())
-    return _Demons(mesh, connection(mesh, build_frames(mesh)), config.lam,
-                   step_cap, lumped_mass(mesh), SurfaceProjector(mesh))
+    conn = connection(mesh, build_frames(mesh))
+    return _Demons(conn, config.lam, step_cap, lumped_mass(mesh),
+                   SurfaceProjector(mesh), gradient_operator(mesh, conn.atlas))
 
 
 def _demons_step(d: _Demons, mapping, moving, warped, fixed, g_fixed):
@@ -210,7 +227,7 @@ def _demons_step(d: _Demons, mapping, moving, warped, fixed, g_fixed):
 
     Returns the new warped values, or None when the update vanishes."""
     conn = d.conn
-    g_w = vertex_gradient(d.mesh, warped, conn.atlas)
+    g_w = vertex_gradient(d.grad, warped)
     theta2, rhs = apply_dirichlet(
         conn, *build_system(conn, -0.5 * (g_w + g_fixed), fixed - warped))
     amb = conn.atlas.to_ambient(solve_update(conn, theta2, rhs, d.lam))
@@ -250,7 +267,7 @@ def register_functions(mesh: TriangleMesh, moving, fixed,
     stalls = 0
     converged = False
     it = 0
-    g_f = vertex_gradient(mesh, f_vals, d.conn.atlas)
+    g_f = vertex_gradient(d.grad, f_vals)
     for it in range(1, config.max_iterations + 1):
         step = _demons_step(d, mapping, m_vals, warped, f_vals, g_f)
         if step is None:
@@ -292,6 +309,9 @@ def groupwise_template(mesh: TriangleMesh, fields,
     vals = [_values(f) for f in fields]
     if len(vals) < 2:
         raise ValueError("need at least two fields")
+    for i, v in enumerate(vals):
+        if v.shape != (mesh.n_vertices,):
+            raise ValueError(f"field {i} must match the vertex count")
     d = _demons_setup(mesh, config)
     start = d.projector.project(mesh.vertices)   # every map's identity
     mappings = [VertexMap(*start) for _ in vals]
@@ -300,7 +320,7 @@ def groupwise_template(mesh: TriangleMesh, fields,
     prev_evals = None
     stable = 0
     for _ in range(config.max_iterations):
-        g_t = vertex_gradient(mesh, template, d.conn.atlas)
+        g_t = vertex_gradient(d.grad, template)
         for i, mapping in enumerate(mappings):
             step = _demons_step(d, mapping, vals[i], aligned[i], template, g_t)
             if step is not None:

@@ -2,13 +2,73 @@ import numpy as np
 import pytest
 
 from fos import demons
-from fos.demons import (DemonsConfig, SurfaceProjector,
+from fos.demons import (DemonsConfig, SurfaceProjector, gradient_operator,
                         groupwise_template, register_functions,
                         surface_gradient, vertex_gradient)
+from fos.mesh import _dot
 from fos.synthdata import (c_shape_images, ellipsoid_patch,
                            graph_geodesic_distances, icosphere)
 from fos.tangent_fem import build_frames
 from test_tangent_fem import mixed_solve_update
+
+
+def _closest_on_triangles(p, a, b, c):
+    """Barycentric coordinates (..., 3) of the closest point to p on the
+    triangles (a, b, c); all inputs broadcast to (..., 3). Ericson's
+    Voronoi-region test with every difference formed from the corners,
+    one np.where over the stacked coordinates per region: the reference
+    SurfaceProjector.project is checked against."""
+    ab, ac, ap = b - a, c - a, p - a
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
+    bp = p - b
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
+    cp = p - c
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = d1 / (d1 - d3)
+        t_ac = d2 / (d2 - d6)
+        t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        denom = va + vb + vc
+        v_in = vb / denom
+        w_in = vc / denom
+    for t in (t_ab, t_ac, t_bc, v_in, w_in):
+        np.nan_to_num(t, copy=False)
+
+    zero = np.zeros_like(t_ab)
+    bary = np.stack([1.0 - v_in - w_in, v_in, w_in], axis=-1)  # interior
+    # a later region takes precedence over an earlier one
+    for region, weights in (
+            ((va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0),
+             np.stack([zero, 1.0 - t_bc, t_bc], axis=-1)),
+            ((vb <= 0) & (d2 >= 0) & (d6 <= 0),
+             np.stack([1.0 - t_ac, zero, t_ac], axis=-1)),
+            ((vc <= 0) & (d1 >= 0) & (d3 <= 0),
+             np.stack([1.0 - t_ab, t_ab, zero], axis=-1)),
+            ((d6 >= 0) & (d5 <= d6), np.eye(3)[2]),
+            ((d3 >= 0) & (d4 <= d3), np.eye(3)[1]),
+            ((d1 <= 0) & (d2 <= 0), np.eye(3)[0])):
+        bary = np.where(region[..., None], weights, bary)
+    return bary
+
+
+def pushed_off_boundary_sides(mesh, dist):
+    """The midpoint of every boundary side pushed `dist` outward in its
+    face's plane, with the side's rows of mesh.edges, its face and its
+    index s in the face (row r is side (s, s + 1) of face r % F)."""
+    sides = np.sort(mesh.edges, axis=1)
+    _, inv, counts = np.unique(sides, axis=0, return_inverse=True,
+                               return_counts=True)
+    rows = np.flatnonzero(counts[inv] == 1)
+    face, side = rows % mesh.n_faces, rows // mesh.n_faces
+    ends = mesh.vertices[mesh.edges[rows]]
+    out = np.cross(ends[:, 1] - ends[:, 0], mesh.face_normals[face])
+    points = ends.mean(axis=1) \
+        + dist * out / np.linalg.norm(out, axis=1)[:, None]
+    return points, rows, face, side
 
 
 def resample(proj, points, values):
@@ -32,9 +92,54 @@ def test_vertex_gradient_lives_in_tangent_plane():
     mesh = icosphere(2)
     atlas = build_frames(mesh)
     values = mesh.vertices[:, 2] ** 2
-    ambient = atlas.to_ambient(vertex_gradient(mesh, values, atlas))
+    ambient = atlas.to_ambient(
+        vertex_gradient(gradient_operator(mesh, atlas), values))
     assert np.abs(np.sum(ambient * mesh.vertex_normals, axis=1)).max() \
         <= 1e-12
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2), ellipsoid_patch(2)],
+                         ids=["icosphere2", "patch2"])
+def test_gradient_operator_averages_the_face_gradients(mesh):
+    # the operator's product is the area-weighted one-ring average of the
+    # face gradients, projected to the vertex frames
+    atlas = build_frames(mesh)
+    values = np.random.default_rng(3).normal(size=mesh.n_vertices)
+    wa = mesh.face_areas
+    ref = atlas.to_frame(
+        (mesh.incidence @ (wa[:, None] * surface_gradient(mesh, values)))
+        / (mesh.incidence @ wa)[:, None])
+    got = vertex_gradient(gradient_operator(mesh, atlas), values)
+    assert got.shape == (mesh.n_vertices, 2)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_surface_geometry_is_built_once_per_registration(monkeypatch):
+    # the projector tables and the gradient operator are built by the
+    # set-up of each registration, never by an update
+    built = {"projector": 0, "operator": 0}
+    init = SurfaceProjector.__init__
+
+    def counting_init(self, mesh):
+        built["projector"] += 1
+        init(self, mesh)
+
+    def counting_operator(mesh, atlas):
+        built["operator"] += 1
+        return gradient_operator(mesh, atlas)
+
+    monkeypatch.setattr(SurfaceProjector, "__init__", counting_init)
+    monkeypatch.setattr(demons, "gradient_operator", counting_operator)
+    sphere = icosphere(1)
+    moving, fixed = c_shape_images(sphere)
+    cfg = DemonsConfig(lam=0.2, max_iterations=3)
+    res = register_functions(sphere, moving, fixed, cfg)
+    assert len(res.mapping.updates) == 3
+    assert built == {"projector": 1, "operator": 1}
+    _, mappings, _ = groupwise_template(
+        sphere, [moving.values, fixed.values], cfg)
+    assert sum(len(m.updates) for m in mappings) > 2
+    assert built == {"projector": 2, "operator": 2}
 
 
 def test_projector_identity_on_vertices():
@@ -62,20 +167,50 @@ def test_projection_past_a_boundary_side_lands_on_it():
     # a point pushed off a boundary side, in its face's plane, projects to
     # that side: the third corner's weight is exactly zero
     mesh = ellipsoid_patch(2)
-    sides = np.sort(mesh.edges, axis=1)
-    _, inv, counts = np.unique(sides, axis=0, return_inverse=True,
-                               return_counts=True)
-    rows = np.flatnonzero(counts[inv] == 1)
+    points, rows, face, side = pushed_off_boundary_sides(mesh, 0.05)
     assert len(rows) == 22
-    # row r of `edges` is side (s, s + 1) of face r % F, s = r // F
-    face, side = rows % mesh.n_faces, rows // mesh.n_faces
-    ends = mesh.vertices[mesh.edges[rows]]
-    out = np.cross(ends[:, 1] - ends[:, 0], mesh.face_normals[face])
-    points = ends.mean(axis=1) \
-        + 0.05 * out / np.linalg.norm(out, axis=1)[:, None]
     _, fidx, bary = SurfaceProjector(mesh).project(points)
     assert np.array_equal(fidx, face)
     assert np.all(bary[np.arange(len(rows)), (side + 2) % 3] == 0.0)
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2), ellipsoid_patch(2)],
+                         ids=["icosphere2", "patch2"])
+def test_projection_matches_the_closest_point_over_all_faces(mesh):
+    # near-surface points and points off the boundary sides project to the
+    # global closest point, found by the reference region test over every
+    # face
+    rng = np.random.default_rng(7)
+    h = float(mesh.edge_lengths.mean())
+    tri = mesh.vertices[mesh.faces]
+    on = np.einsum("ni,nij->nj", rng.dirichlet(np.ones(3), size=400),
+                   tri[rng.integers(mesh.n_faces, size=400)])
+    off = rng.normal(size=(400, 3))
+    off *= 0.3 * h * rng.random((400, 1)) \
+        / np.linalg.norm(off, axis=1)[:, None]
+    points = np.concatenate([on + off,
+                             pushed_off_boundary_sides(mesh, 0.3 * h)[0]])
+    proj = SurfaceProjector(mesh)
+    q, fidx, bary = proj.project(points)
+
+    ref = _closest_on_triangles(points[:, None], tri[:, 0], tri[:, 1],
+                                tri[:, 2])
+    nearest = np.linalg.norm(points[:, None]
+                             - np.einsum("nfi,fij->nfj", ref, tri),
+                             axis=2).min(axis=1)
+    dist = np.linalg.norm(points - q, axis=1)
+    assert np.abs(dist - nearest).max() <= 1e-12 * h
+    assert np.all(bary >= 0.0)
+    assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(proj.interpolate_at(fidx, bary, mesh.vertices) - q).max() \
+        <= 1e-15 * h
+
+    # every vertex attaches to itself with a one-hot coordinate
+    q, fidx, bary = proj.project(mesh.vertices)
+    assert np.array_equal(q, mesh.vertices)
+    own = mesh.faces[fidx] == np.arange(mesh.n_vertices)[:, None]
+    assert np.all(own.sum(axis=1) == 1)
+    assert np.array_equal(bary, own.astype(float))
 
 
 def test_vertex_map_attachments_reproduce_registration():
@@ -127,6 +262,8 @@ def test_register_identical_fields_is_noop():
 def test_config_validation():
     with pytest.raises(ValueError):
         DemonsConfig(lam=0.0)
+    with pytest.raises(ValueError, match="max_iterations"):
+        DemonsConfig(max_iterations=0)
 
 
 def test_groupwise_template_reduces_spread():
@@ -146,6 +283,16 @@ def test_groupwise_template_reduces_spread():
     spread1 = np.var(np.asarray(aligned), axis=0).mean()
     assert spread1 < spread0
     assert template.shape == (mesh.n_vertices,)
+
+
+def test_groupwise_template_checks_every_field():
+    mesh = icosphere(1)
+    k = mesh.n_vertices
+    ragged = [np.zeros(k), np.zeros(k + 1), np.zeros(k)]
+    with pytest.raises(ValueError, match="field 1 "):
+        groupwise_template(mesh, ragged)
+    with pytest.raises(ValueError, match="field 0 "):
+        groupwise_template(mesh, [np.zeros(k - 1)] * 3)
 
 
 def shifted_bumps_on_a_patch():

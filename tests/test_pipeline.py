@@ -70,6 +70,7 @@ def test_config_rejects_unknown_keys():
     ("fpca_fun", {"lam": 5.0, "cv_lambdas": [0.0, 100.0]}),
     ("fpca_fun", {"folds": 2}),
     ("simulate", {"template": "hemisphere"}),
+    ("register_fun", {"max_iterations": 0}),
 ])
 def test_config_rejects_out_of_range_values(block, values):
     with pytest.raises(ConfigError):
