@@ -22,7 +22,7 @@ import numpy as np
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, ShootingError, shoot, shoot_gradient
 from .mesh import ScalarField, TriangleMesh, folded_faces
-from .similarity import SimilarityResult, _current_core
+from .similarity import SimilarityResult, _current_core, target_terms
 
 # L-BFGS: stored (s, y) pairs, the curvature test a pair must pass,
 # sufficient decrease, backtracking, convergence
@@ -118,19 +118,20 @@ class _Objective:
         # constant across the optimization; recomputing it every evaluation
         # dominates the runtime on study-sized meshes
         self.gram0 = kernel.gram(template.vertices)
-        # the current metric's kernel and the target's fixed side of it
-        self.current_kernel = GaussianKernel(sigma=config.sigma_z)
-        tc, tn = target.face_centers, target.face_area_normals
-        self.target = tc, tn
-        self.target_self_term = float(np.sum(self.current_kernel.gram(tc)
-                                             * (tn @ tn.T)))
+        # the current metric's kernel width and the target's fixed side of
+        # it: its face centers, its moments and its self term
+        self.sigma_z = config.sigma_z
+        tc = target.face_centers
+        moments, self.target_self_term = target_terms(
+            tc, target.face_area_normals, self.sigma_z)
+        self.target = tc, moments
 
     def evaluate(self, alpha):
         v0 = InitialMomenta(self.template.vertices, alpha, self.kernel)
         path = shoot(v0, self.steps)
         endpoint = path.points[-1]
         sim = _current_core(endpoint, self.template.faces, *self.target,
-                            self.current_kernel,
+                            self.sigma_z,
                             target_self_term=self.target_self_term)
         energy = float(np.sum((self.gram0 @ alpha) * alpha))
         value = sim.value + self.lam * energy

@@ -4,6 +4,23 @@ vertex positions.
 
 Face normals enter the current metric area-weighted (un-normalized), the
 convention under which D(M, M) = 0 holds exactly.
+
+The kernel is one Gaussian, E(x, y) = exp(-|x - y|^2 / (2 sigma^2)), whose
+gradient in x is -(x - y) E(x, y) / sigma^2. So the value and both parts
+of the gradient are contractions of one kernel block per surface pair with
+the moments of the other surface's faces, M = [n, n (x) c] (F, 12), where
+column 3 + 3d + e holds n_d c_e. With face centers c and area normals n of
+the deformed surface, Q_ss = E(c, c) @ M and Q_st = E(c, c_t) @ M_t:
+
+    D^2 = sum_i n_i . (Q_ss - 2 Q_st)[i, :3] + sum_tt' E(c_t, c_t') n_t.n_t'
+
+and, with D = Q_ss - Q_st, r_i = sum_d n_id D[i, d] and
+P[i, e] = sum_d n_id D[i, 3 + 3d + e],
+
+    dD^2/dc_i = -(2 / sigma^2) (c_i r_i - P_i),    dD^2/dn_i = 2 D[i, :3].
+
+The target's moments M_t and its self term (the last sum) are fixed per
+target: `target_terms` computes them once.
 """
 
 from __future__ import annotations
@@ -14,9 +31,9 @@ import numpy as np
 class SimilarityResult:
     """Current distance `value` and its `gradient` with respect to the
     deformed vertex positions, (n_deformed_vertices, 3). The gradient is
-    computed on demand, the first time it is read, from the kernel blocks
-    the value was built from; a result whose gradient is never read
-    never pays for it."""
+    computed on demand, the first time it is read, from the moment
+    products the value was built from; a result whose gradient is never
+    read never pays for it."""
 
     def __init__(self, value, gradient_fn):
         self.value = value
@@ -27,51 +44,81 @@ class SimilarityResult:
     def gradient(self):
         if self._gradient is None:
             self._gradient = self._gradient_fn()
-            self._gradient_fn = None       # releases the kernel blocks
+            self._gradient_fn = None       # releases the two (S, 12) products
         return self._gradient
+
+
+def _cross(a, b):
+    """Row-wise cross product of (..., 3) stacks, component by component."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=-1)
 
 
 def _face_data(vertices, faces):
     tri = vertices[faces]
     centers = tri.mean(axis=1)
-    normals = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    normals = 0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     return tri, centers, normals
 
 
-def _current_core(vertices, faces, target_centers, target_normals, kernel,
+def _moments(centers, normals):
+    """[n, n (x) c], (F, 12): column 3 + 3d + e holds n_d c_e."""
+    outer = normals[:, :, None] * centers[:, None, :]
+    return np.hstack([normals, outer.reshape(len(normals), 9)])
+
+
+def _gaussian_block(points_a, points_b, sigma):
+    """exp(-|a_i - b_j|^2 / (2 sigma^2)). The exponent, a_i.b_j / sigma^2
+    plus the row term -|a_i|^2 / (2 sigma^2) and the column term
+    -|b_j|^2 / (2 sigma^2), is one matmul of the points extended by those
+    terms, clamped at 0 as `kernels._sqdist` clamps the squared distance."""
+    s = 1.0 / sigma ** 2
+    row = (-0.5 * s) * np.sum(points_a * points_a, axis=1)
+    col = (-0.5 * s) * np.sum(points_b * points_b, axis=1)
+    a = np.column_stack([points_a, row, np.ones_like(row)])
+    b = np.column_stack([s * points_b, np.ones_like(col), col])
+    e = a @ b.T
+    np.minimum(e, 0.0, out=e)
+    return np.exp(e, out=e)
+
+
+def target_terms(centers, normals, sigma):
+    """The target's fixed side of the current distance: its moments
+    (T, 12) and its self term sum E(c_t, c_t') n_t.n_t'."""
+    self_term = np.vdot(normals, _gaussian_block(centers, centers, sigma)
+                        @ normals)
+    return _moments(centers, normals), float(self_term)
+
+
+def _current_core(vertices, faces, target_centers, target_moments, sigma,
                   *, target_self_term):
-    """Current distance of the surface (vertices, faces) to the target
-    given by its face centers and area normals, with its gradient on
-    demand. `target_self_term`, sum K(c_t, c_t') n_t.n_t' over the target's
-    face pairs, is fixed per target, so the caller computes it once."""
+    """Current distance, under the Gaussian of width `sigma`, of the
+    surface (vertices, faces) to the target given by its face centers and
+    its moments and self term from `target_terms`, with its gradient on
+    demand."""
     tri, c, n = _face_data(vertices, faces)
+    q_ss = _gaussian_block(c, c, sigma) @ _moments(c, n)
+    q_st = _gaussian_block(c, target_centers, sigma) @ target_moments
 
-    k_ss, f_ss = kernel.gram_pair(c)
-    k_st, f_st = kernel.gram_pair(c, target_centers)
-
-    m_ss = n @ n.T
-    m_st = n @ target_normals.T
-
-    value = float(np.sum(k_ss * m_ss) - 2.0 * np.sum(k_st * m_st)
+    value = float(np.vdot(n, q_ss[:, :3] - 2.0 * q_st[:, :3])
                   + target_self_term)
 
     def gradient():
-        # center sensitivity: grad1K(x, y) = gamma(|x-y|^2) (x - y), so the
-        # contractions reduce to row sums and matrix products
-        s_ss = np.multiply(f_ss, m_ss, out=f_ss)
-        s_st = np.multiply(f_st, m_st, out=f_st)
-        a = 2.0 * (c * s_ss.sum(axis=1)[:, None] - s_ss @ c) \
-            - 2.0 * (c * s_st.sum(axis=1)[:, None] - s_st @ target_centers)
+        d = np.subtract(q_ss, q_st, out=q_ss)
+        r = np.einsum("id,id->i", n, d[:, :3])
+        p = np.einsum("id,ide->ie", n, d[:, 3:].reshape(-1, 3, 3))
+        a = (-2.0 / sigma ** 2) * (c * r[:, None] - p)
+        w = 2.0 * d[:, :3]
 
-        # normal sensitivity: coefficient of n_l in the quadratic form
-        w = 2.0 * (k_ss @ n) - 2.0 * (k_st @ target_normals)
-
+        # corner k of each face moves its center by a / 3 and its area
+        # normal by (opposite side) x w / 2; corner-major, as faces.T.ravel()
+        corner = tri.transpose(1, 0, 2)
+        sides = corner[[1, 2, 0]] - corner[[2, 0, 1]]
+        parts = a / 3.0 + 0.5 * _cross(sides, w)
         grad = np.zeros_like(vertices)
-        v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-        np.add.at(grad, faces[:, 0], a / 3.0 + 0.5 * np.cross(v1 - v2, w))
-        np.add.at(grad, faces[:, 1], a / 3.0 + 0.5 * np.cross(v2 - v0, w))
-        np.add.at(grad, faces[:, 2], a / 3.0 + 0.5 * np.cross(v0 - v1, w))
+        np.add.at(grad, faces.T.ravel(), parts.reshape(-1, 3))
         return grad
 
     return SimilarityResult(value, gradient)
-

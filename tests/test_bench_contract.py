@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import fos  # noqa: F401  (imports every module the tracer patches)
+from fos import georeg
 from fos.demons import DemonsConfig, groupwise_template, register_functions
 from fos.georeg import RegistrationConfig, register_geometry
 from fos.kernels import GaussianKernel
-from fos.synthdata import c_shape_images, ellipsoid_patch, icosphere
+from fos.synthdata import (c_shape_images, ellipsoid_patch, icosphere,
+                           refine_mesh)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -80,3 +82,25 @@ def test_count_hooks_read_the_results_they_count():
         "georeg.converged": int(reg[1].converged),
         "georeg.line_search_failed": int(reg[1].line_search_failed)}
     assert reg[1].iterations == 3
+
+
+def test_face_pair_hook_reads_the_current_core_call(monkeypatch):
+    # the hook reads the faces, the target centers and target_self_term
+    # from the call register_geometry makes
+    hook = {name: hook for _, _, name, hook in load_bench("tracing").TARGETS}[
+        "similarity._current_core"]
+    core, calls = georeg._current_core, []
+
+    def capturing_core(*args, **kwargs):
+        result = core(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(georeg, "_current_core", capturing_core)
+    patch = ellipsoid_patch(1)
+    target = refine_mesh(patch.with_vertices(1.1 * patch.vertices), 1)
+    register_geometry(patch, target, GaussianKernel(sigma=1.2),
+                      RegistrationConfig(sigma_z=0.6, max_iterations=1))
+    f, t = len(patch.faces), len(target.faces)
+    assert calls and f != t
+    assert hook(*calls[0]) == {"similarity.face_pairs": f * f + f * t}

@@ -1,7 +1,7 @@
 import numpy as np
 
 from fos.kernels import GaussianKernel
-from fos.similarity import _current_core
+from fos.similarity import _current_core, target_terms
 from fos.synthdata import ellipsoid_patch, icosphere, refine_mesh
 
 
@@ -31,10 +31,10 @@ def self_term(kernel, centers, normals):
 
 def current_distance(deformed, target, sigma_z):
     """Squared current distance between two oriented surfaces."""
-    kernel = GaussianKernel(sigma=sigma_z)
-    tc, tn = target.face_centers, target.face_area_normals
-    return _current_core(deformed.vertices, deformed.faces, tc, tn, kernel,
-                         target_self_term=self_term(kernel, tc, tn))
+    tc = target.face_centers
+    moments, own = target_terms(tc, target.face_area_normals, sigma_z)
+    return _current_core(deformed.vertices, deformed.faces, tc, moments,
+                         sigma_z, target_self_term=own)
 
 
 def test_current_distance_zero_on_identical_surfaces():
@@ -65,7 +65,8 @@ def test_current_gradient_matches_finite_differences():
 
 def eager_current_core(vertices, faces, target_centers, target_normals,
                        kernel):
-    """Value and gradient computed together, without shared state."""
+    """Value and gradient computed together, without shared state, from
+    the kernel blocks K and gamma of `GaussianKernel.gram_pair`."""
     tri = vertices[faces]
     c = tri.mean(axis=1)
     n = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -89,15 +90,27 @@ def eager_current_core(vertices, faces, target_centers, target_normals,
 
 
 def test_gradient_on_demand_matches_eager_computation():
+    # the moment contractions sum in another order than the kernel blocks
     template = ellipsoid_patch(2)
     target = refine_mesh(perturbed(template, seed=4, scale=0.05), 1)
-    deformed = perturbed(template, seed=5, scale=0.05).vertices
+    deformed = perturbed(template, seed=5, scale=0.05)
     kernel = GaussianKernel(sigma=0.3)
     tc, tn = target.face_centers, target.face_area_normals
-    value, grad = eager_current_core(deformed, template.faces, tc, tn, kernel)
-    res = _current_core(deformed, template.faces, tc, tn, kernel,
-                        target_self_term=self_term(kernel, tc, tn))
-    assert res.value == value
-    assert np.array_equal(res.gradient, grad)
+    value, grad = eager_current_core(deformed.vertices, template.faces, tc,
+                                     tn, kernel)
+    res = current_distance(deformed, target, 0.3)
+    assert abs(res.value - value) <= 1e-12 * abs(value)
+    assert rel_err(res.gradient, grad) <= 1e-12
     assert res.gradient is res.gradient      # computed once, then kept
 
+
+def test_current_is_unchanged_by_a_shift_far_from_the_origin():
+    template = ellipsoid_patch(2)
+    target = refine_mesh(perturbed(template, seed=6, scale=0.05), 1)
+    deformed = perturbed(template, seed=7, scale=0.05)
+    shift = 10.0 * template.bbox_diagonal * np.array([0.6, -0.48, 0.64])
+    near = current_distance(deformed, target, 0.3)
+    far = current_distance(deformed.with_vertices(deformed.vertices + shift),
+                           target.with_vertices(target.vertices + shift), 0.3)
+    assert abs(far.value - near.value) <= 1e-8 * abs(near.value)
+    assert rel_err(far.gradient, near.gradient) <= 1e-8
