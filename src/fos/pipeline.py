@@ -22,22 +22,27 @@ does not fit the run raises an ArtifactError naming it. Each stage writes
 its own directory, and each export (covary, viz-mode) one more. "bench"
 is the benchmark's check.
 
+`Study` is the only reader of the sim/ inputs: the template, the kernel,
+the subject count (the rows of true_scores.csv), the subject and field
+paths, each subject mesh's sha256 and its check against subjects.json.
+`run_pipeline` makes one per run, read after simulate when simulate runs,
+and each stage and export takes it in place of the output directory.
+
   artifact                    layout                  readers
-  sim/template.off            OFF                     later stages, viz, bench
+  sim/template.off            OFF                     Study, bench
   sim/observation.off         OFF                     -
-  sim/subject_NNN.off         OFF                     register-*, bench
-  sim/kernel.json             GaussianKernel fields   register-geo, fpca-geo,
-                                                      viz, bench
+  sim/subject_NNN.off         OFF                     Study, register-*, bench
+  sim/kernel.json             GaussianKernel fields   Study, bench
   sim/field_NNN.csv           field of subject_NNN    register-fun
   sim/true_images_NNN.csv     x,y,z per vertex        bench
-  sim/true_scores.csv         a1,a2 per subject       later stages, bench
+  sim/true_scores.csv         a1,a2 per subject       Study, bench
   sim/true_fields.csv         v0,... per subject      bench
   sim/modes.npz               the planted modes       -
   reg_geo/momenta_NNN.csv     k,cx,cy,cz,ax,ay,az     register-fun, fpca-geo,
                                                       bench
   reg_geo/deformed_NNN.csv    x,y,z per vertex        register-fun, bench
   reg_geo/diagnostics.json    Diagnostics by subject  bench
-  reg_geo/subjects.json       sha256 by subject_NNN   register-fun, fpca-geo
+  reg_geo/subjects.json       sha256 by subject_NNN   Study
   reg_fun/pulled_NNN.csv      field of the template   -
   reg_fun/aligned_NNN.csv     field of the template   fpca-fun, bench
   reg_fun/template_field.csv  field of the template   viz
@@ -66,6 +71,7 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import get_type_hints
 from warnings import catch_warnings, simplefilter
@@ -159,6 +165,17 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _check_stages(stages):
+    """stages as a tuple: ConfigError unless known, ordered and not empty."""
+    stages = tuple(stages)
+    for st in stages:
+        _require(st in STAGES, f"unknown stage {st!r}")
+    order = [STAGES.index(st) for st in stages]
+    _require(order == sorted(order), "stages must be in pipeline order")
+    _require(stages, "stage list is empty")
+    return stages
+
+
 def _settings(block_name, block):
     """The settings object of one config block."""
     _require(isinstance(block, dict), f"{block_name} block must be an object")
@@ -213,12 +230,7 @@ class PipelineConfig:
         return cls.from_dict(data)
 
     def validate(self):
-        self.stages = tuple(self.stages)
-        for st in self.stages:
-            _require(st in STAGES, f"unknown stage {st!r}")
-        order = [STAGES.index(st) for st in self.stages]
-        _require(order == sorted(order), "stages must be in pipeline order")
-        _require(len(self.stages) >= 1, "stage list is empty")
+        self.stages = _check_stages(self.stages)
         _require(_is_number(self.seed, int), "seed must be an int >= 0")
         self.settings = {name: _settings(name, getattr(self, name))
                          for name in _SETTINGS}
@@ -286,8 +298,11 @@ def _read_momenta(path, template):
     raise ArtifactError(f"{path}: {problem}; run register-geo again")
 
 
-def _read_deformed(path, template):
-    """The deformed template vertices: a finite (K, 3) table."""
+def _read_endpoint(reg, i, template):
+    """Subject i's deformed template vertices: a finite (K, 3) table, of
+    momenta whose control points tie it to this template."""
+    _read_momenta(reg / f"momenta_{i:03d}.csv", template)
+    path = reg / f"deformed_{i:03d}.csv"
     table = _read_csv(path)
     if table.shape == (template.n_vertices, 3) and np.all(np.isfinite(table)):
         return table
@@ -297,22 +312,6 @@ def _read_deformed(path, template):
 
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _check_subject(sim, reg, i):
-    """ArtifactError unless subject i's mesh is the one register-geo read."""
-    path = sim / f"subject_{i:03d}.off"
-    with open(reg / "subjects.json") as fh:
-        registered = json.load(fh).get(path.name)
-    if registered != _sha256(path):
-        raise ArtifactError(f"{path}: changed since register-geo registered "
-                            "it; run register-geo again")
-
-
-def _subject_count(sim_dir):
-    """Subjects of the latest simulate run: every run rewrites the score
-    table, while subject files of an earlier, larger run may remain."""
-    return len(_read_csv(Path(sim_dir) / "true_scores.csv"))
 
 
 def _check_subjects(cfg, n, stages):
@@ -342,49 +341,91 @@ def _read_scores(out):
     return g, f
 
 
-def _load_kernel(sim_dir):
-    with open(Path(sim_dir) / "kernel.json") as fh:
-        return GaussianKernel(**json.load(fh))
+class Study:
+    """The sim/ inputs of the output directory `out`, each file read when
+    first needed and at most once. No other code knows their layout."""
+
+    def __init__(self, out):
+        self.out = Path(out)
+        self.sim = self.out / "sim"
+        self.template_path = self.sim / "template.off"
+        self.kernel_path = self.sim / "kernel.json"
+        self.scores_path = self.sim / "true_scores.csv"
+
+    def subject_path(self, i):
+        return self.sim / f"subject_{i:03d}.off"
+
+    def field_path(self, i):
+        return self.sim / f"field_{i:03d}.csv"
+
+    @cached_property
+    def template(self):
+        return load_mesh(self.template_path)
+
+    @cached_property
+    def kernel(self):
+        with open(self.kernel_path) as fh:
+            return GaussianKernel(**json.load(fh))
+
+    @cached_property
+    def n(self):
+        """Subjects of the latest simulate run: every run rewrites the score
+        table, while subject files of an earlier, larger run may remain."""
+        return len(_read_csv(self.scores_path))
+
+    @cached_property
+    def hashes(self):
+        """The sha256 of each subject mesh, by file name."""
+        return {p.name: _sha256(p) for p in map(self.subject_path,
+                                                 range(self.n))}
+
+    def check_registered(self):
+        """ArtifactError unless every subject mesh is the one register-geo
+        registered, by its record reg_geo/subjects.json."""
+        with open(self.out / "reg_geo" / "subjects.json") as fh:
+            registered = json.load(fh)
+        for name, digest in self.hashes.items():
+            if registered.get(name) != digest:
+                raise ArtifactError(f"{self.sim / name}: changed since "
+                                    "register-geo registered it; run "
+                                    "register-geo again")
 
 
 # -- stages -------------------------------------------------------------------
 
-def _stage_simulate(cfg: PipelineConfig, out: Path):
+def _stage_simulate(cfg: PipelineConfig, study: Study):
     spec = cfg.settings["simulate"]
     ds = generate_dataset(spec)
-    sim = out / "sim"
+    sim = study.sim
     sim.mkdir(parents=True, exist_ok=True)
-    save_mesh(ds.template, sim / "template.off")
+    save_mesh(ds.template, study.template_path)
     save_mesh(ds.observation_template, sim / "observation.off")
-    with open(sim / "kernel.json", "w") as fh:
+    with open(study.kernel_path, "w") as fh:
         json.dump(asdict(ds.kernel), fh)
     for i in range(spec.n):
-        save_mesh(ds.meshes[i], sim / f"subject_{i:03d}.off")
-        _write_csv(sim / f"field_{i:03d}.csv", ds.fields[i].values)
+        save_mesh(ds.meshes[i], study.subject_path(i))
+        _write_csv(study.field_path(i), ds.fields[i].values)
         _write_csv(sim / f"true_images_{i:03d}.csv",
                    ds.true_vertex_images[i], header="x,y,z")
-    _write_csv(sim / "true_scores.csv", ds.scores, "a", 1)
+    _write_csv(study.scores_path, ds.scores, "a", 1)
     _write_csv(sim / "true_fields.csv", ds.true_x)
     k = ds.template.n_vertices      # the modes' values on the template
     np.savez(sim / "modes.npz",
              psi1_g=ds.modes.psi1_g.momenta, psi2_g=ds.modes.psi2_g.momenta,
              psi1_f=ds.modes.psi1_f.values[:k], mu=ds.modes.mu.values[:k])
-    return {"n": spec.n, "template": str(sim / "template.off")}
+    return {"n": spec.n, "template": str(study.template_path)}
 
 
-def _stage_register_geo(cfg: PipelineConfig, out: Path):
-    sim, reg = out / "sim", out / "reg_geo"
+def _stage_register_geo(cfg: PipelineConfig, study: Study):
+    reg = study.out / "reg_geo"
     reg.mkdir(parents=True, exist_ok=True)
-    template = load_mesh(sim / "template.off")
-    kernel = _load_kernel(sim)
+    template, n = study.template, study.n
     rcfg = cfg.settings["register_geo"].resolved(template)
-    n = _subject_count(sim)
-    diags, hashes = {}, {}
+    hashes = study.hashes       # before the meshes are read
+    diags = {}
     for i in range(n):
-        path = sim / f"subject_{i:03d}.off"
-        hashes[path.name] = _sha256(path)
-        target = load_mesh(path)
-        v0, diag = register_geometry(template, target, kernel, rcfg)
+        target = load_mesh(study.subject_path(i))
+        v0, diag = register_geometry(template, target, study.kernel, rcfg)
         _write_csv(reg / f"momenta_{i:03d}.csv",
                    np.column_stack([np.arange(template.n_vertices),
                                     v0.control_points, v0.momenta]),
@@ -412,19 +453,16 @@ def _stage_register_geo(cfg: PipelineConfig, out: Path):
             "warnings": warnings}
 
 
-def _stage_register_fun(cfg: PipelineConfig, out: Path):
-    sim, reg, fun = out / "sim", out / "reg_geo", out / "reg_fun"
+def _stage_register_fun(cfg: PipelineConfig, study: Study):
+    reg, fun = study.out / "reg_geo", study.out / "reg_fun"
     fun.mkdir(parents=True, exist_ok=True)
-    template = load_mesh(sim / "template.off")
-    n = _subject_count(sim)
+    template, n = study.template, study.n
+    ends = [_read_endpoint(reg, i, template) for i in range(n)]
+    study.check_registered()
     pulled = []
-    for i in range(n):
-        subject = load_mesh(sim / f"subject_{i:03d}.off")
-        target_field = _read_field(subject, sim / f"field_{i:03d}.csv")
-        # the momenta's control points tie the endpoints to this template
-        _read_momenta(reg / f"momenta_{i:03d}.csv", template)
-        end = _read_deformed(reg / f"deformed_{i:03d}.csv", template)
-        _check_subject(sim, reg, i)
+    for i, end in enumerate(ends):
+        subject = load_mesh(study.subject_path(i))
+        target_field = _read_field(subject, study.field_path(i))
         values = pull_back_function(target_field, end)
         pulled.append(values)
         _write_csv(fun / f"pulled_{i:03d}.csv", values)
@@ -437,17 +475,14 @@ def _stage_register_fun(cfg: PipelineConfig, out: Path):
             "max_iterations": dcfg.max_iterations}
 
 
-def _stage_fpca_geo(cfg: PipelineConfig, out: Path):
-    sim, reg, fg = out / "sim", out / "reg_geo", out / "fpca_geo"
+def _stage_fpca_geo(cfg: PipelineConfig, study: Study):
+    reg, fg = study.out / "reg_geo", study.out / "fpca_geo"
     fg.mkdir(parents=True, exist_ok=True)
-    template = load_mesh(sim / "template.off")
-    kernel = _load_kernel(sim)
-    n = _subject_count(sim)
+    template = study.template
     moms = [_read_momenta(reg / f"momenta_{i:03d}.csv", template)
-            for i in range(n)]
-    for i in range(n):
-        _check_subject(sim, reg, i)
-    fit = geometric_fpca(moms, template.vertices, kernel,
+            for i in range(study.n)]
+    study.check_registered()
+    fit = geometric_fpca(moms, template.vertices, study.kernel,
                          n_components=cfg.settings["fpca_geo"].n_components)
     _write_csv(fg / "scores.csv", fit.scores, "pc", 1)
     _write_csv(fg / "variances.csv", fit.variances, "pc", 1)
@@ -457,15 +492,13 @@ def _stage_fpca_geo(cfg: PipelineConfig, out: Path):
             "variances": [float(v) for v in fit.variances]}
 
 
-def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
-    sim, fun, ff = out / "sim", out / "reg_fun", out / "fpca_fun"
-    n = _subject_count(sim)
-    _check_subjects(cfg, n, ("fpca-fun",))
+def _stage_fpca_fun(cfg: PipelineConfig, study: Study):
+    fun, ff = study.out / "reg_fun", study.out / "fpca_fun"
     fcfg = cfg.settings["fpca_fun"]
     ff.mkdir(parents=True, exist_ok=True)
-    template = load_mesh(sim / "template.off")
+    template = study.template
     fields = [_read_field(template, fun / f"aligned_{i:03d}.csv").values
-              for i in range(n)]
+              for i in range(study.n)]
     lam = fcfg.lam
     info = {}
     if fcfg.cv_lambdas is not None:
@@ -486,9 +519,9 @@ def _stage_fpca_fun(cfg: PipelineConfig, out: Path):
     return info
 
 
-def _stage_cca(cfg: PipelineConfig, out: Path):
-    cc = out / "cca"
-    g, f = _read_scores(out)
+def _stage_cca(cfg: PipelineConfig, study: Study):
+    cc = study.out / "cca"
+    g, f = _read_scores(study.out)
     cc.mkdir(parents=True, exist_ok=True)
     result = cca(g, f)
     test = bartlett_test(result)
@@ -513,15 +546,27 @@ _STAGE_FUNCS = {
 }
 
 
+def _in_stage(st, func, *args):
+    """func(*args), with any exception raised as stage st's failure."""
+    try:
+        return func(*args)
+    except Exception as exc:
+        raise RuntimeError(f"stage {st!r} failed: {exc}") from exc
+
+
 def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     """Run the requested stage subset; returns and persists the manifest."""
     cfg.validate()
-    stages = tuple(stages) if stages is not None else cfg.stages
-    for st in stages:
-        _require(st in STAGES, f"unknown stage {st!r}")
-    if "simulate" in stages:        # then the run's subject count is known
-        _check_subjects(cfg, cfg.settings["simulate"].n, stages)
+    stages = cfg.stages if stages is None else _check_stages(stages)
     out = Path(cfg.output_dir)
+    # read after simulate when it runs: simulate writes the study
+    study = Study(out)
+    # every stage but cca reads the subject count: check it before any
+    # stage writes
+    if "simulate" in stages:
+        _check_subjects(cfg, cfg.settings["simulate"].n, stages)
+    elif stages != ("cca",):
+        _check_subjects(cfg, _in_stage(stages[0], lambda: study.n), stages)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest = {"parameter_hash": cfg.parameter_hash(), "versions": {
@@ -535,10 +580,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
             manifest["stages"] = previous.get("stages", {})
     for st in stages:
         t0 = time.perf_counter()
-        try:
-            summary = _STAGE_FUNCS[st](cfg, out)
-        except Exception as exc:
-            raise RuntimeError(f"stage {st!r} failed: {exc}") from exc
+        summary = _in_stage(st, _STAGE_FUNCS[st], cfg, study)
         warnings = summary.pop("warnings", [])
         manifest["stages"][st] = {
             "summary": summary,
@@ -559,15 +601,15 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
 
 def emit_covariation(out_dir, pair: int, t_values):
     """Write the score trajectories along one canonical direction."""
-    out = Path(out_dir)
-    g, f = _read_scores(out)
+    study = Study(out_dir)
+    g, f = _read_scores(study.out)
     result = cca(g, f)
     m = len(result.correlations)
     if pair < 0 or pair >= m:
         raise ConfigError(f"pair {pair + 1} out of range 1..{m}")
     seq = covariation_sequence(result, pair, t_values,
                                x_scores=g, y_scores=f)
-    cov = out / "covary"
+    cov = study.out / "covary"
     cov.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([seq["t"], seq["x"], seq["y"]])
     header = "t," + ",".join(f"g{j+1}" for j in range(g.shape[1])) \
@@ -582,7 +624,8 @@ def emit_mode_visualization(out_dir, mode: int, c_grid):
     variation: the template deformed along c*sqrt(variance)*component for
     each c on the grid, with the mean function attached. Shoots with the
     register-geo stage's recorded shooting_steps."""
-    out = Path(out_dir)
+    study = Study(out_dir)
+    out = study.out
     with open(out / "manifest.json") as fh:
         record = json.load(fh)["stages"].get("register-geo", {})
     steps = record.get("summary", {}).get("shooting_steps")
@@ -595,8 +638,7 @@ def emit_mode_visualization(out_dir, mode: int, c_grid):
     if mode < 0 or mode >= len(comps):
         raise ConfigError(f"mode {mode + 1} out of range 1..{len(comps)}")
     variances = _read_csv(out / "fpca_geo" / "variances.csv").ravel()
-    kernel = _load_kernel(out / "sim")
-    template = load_mesh(out / "sim" / "template.off")
+    kernel, template = study.kernel, study.template
     mean_field = _read_field(template,
                              out / "reg_fun" / "template_field.csv").values
     viz = out / "viz"

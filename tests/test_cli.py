@@ -167,6 +167,24 @@ def test_settings_too_large_for_the_subjects_exit_2(tmp_path, capsys):
     assert not list(out.glob("cca/*"))
 
 
+def test_resumed_run_checks_the_subject_count_before_it_starts(tmp_path,
+                                                               capsys):
+    # n comes from the simulated score table when simulate does not run
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "output_dir": str(out), "simulate": {"n": 6, "subdivisions": 1},
+        "fpca_fun": {"cv_lambdas": [0, 10], "folds": 7}}))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg),
+                 "--from-stage", "register-geo"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "fpca_fun.folds = 7 exceeds the 6 subjects" in err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sim"]
+
+
 @pytest.mark.parametrize("fpca_fun, message", [
     ({"n_components": 2, "cv_lambdas": [0, 10], "folds": 7},
      "fpca_fun.folds = 7 exceeds the 6 subjects"),

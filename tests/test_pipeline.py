@@ -10,9 +10,8 @@ from fos.lddmm import InitialMomenta, shoot
 from fos import pipeline
 from fos.mesh import load_mesh
 from fos.pipeline import (ArtifactError, ConfigError, PipelineConfig,
-                          _load_kernel, _read_csv, _write_csv,
-                          emit_covariation, emit_mode_visualization,
-                          run_pipeline, STAGES)
+                          Study, _read_csv, _write_csv, emit_covariation,
+                          emit_mode_visualization, run_pipeline, STAGES)
 from test_bench_contract import load_bench
 
 
@@ -89,6 +88,32 @@ def test_config_rejects_bad_stage_order():
         PipelineConfig.from_dict({"stages": ["cca", "simulate"]}).validate()
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"stages": ["not-a-stage"]}).validate()
+
+
+def test_explicit_stage_list_is_checked_like_the_config(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    for stages in (("register-geo", "simulate"), ()):
+        with pytest.raises(ConfigError):
+            run_pipeline(cfg, stages)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_reads_each_study_input_once(tmp_path, monkeypatch):
+    loads, hashed, sha256 = [], [], pipeline._sha256
+
+    def counting_load(path):
+        loads.append(Path(path).name)
+        return load_mesh(path)
+
+    def counting_sha256(path):
+        hashed.append(Path(path).name)
+        return sha256(path)
+
+    monkeypatch.setattr(pipeline, "load_mesh", counting_load)
+    monkeypatch.setattr(pipeline, "_sha256", counting_sha256)
+    run_pipeline(tiny_config(tmp_path))
+    assert loads.count("template.off") == 1
+    assert hashed == [f"subject_{i:03d}.off" for i in range(6)]
 
 
 def test_parameter_hash_tracks_content():
@@ -242,7 +267,7 @@ def test_mode_visualization_shoots_with_the_stage_steps(tmp_path):
     data = np.load(tmp_path / "fpca_geo" / "components.npz")
     files = emit_mode_visualization(tmp_path, mode=0, c_grid=[0.0])
     v0 = InitialMomenta(data["control_points"], data["mean"],
-                        _load_kernel(tmp_path / "sim"))
+                        Study(tmp_path).kernel)
     assert np.array_equal(load_mesh(files[0]).vertices,
                           shoot(v0, 5).points[-1])
 
@@ -255,7 +280,7 @@ def test_register_geometry_defaults_are_the_stage_defaults(tmp_path):
     sim = tmp_path / "sim"
     v0, _ = register_geometry(load_mesh(sim / "template.off"),
                               load_mesh(sim / "subject_000.off"),
-                              _load_kernel(sim))
+                              Study(tmp_path).kernel)
     stage = _read_csv(tmp_path / "reg_geo" / "momenta_000.csv")
     assert np.array_equal(v0.momenta, stage[:, 4:7])
 
