@@ -207,7 +207,7 @@ def load_mesh(path):
     with open(str(path)) as fh:
         text = fh.read()
     try:
-        return _parse_off(text)
+        return parse_off(text)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
 
@@ -219,7 +219,8 @@ def _tokens(text):
             yield from line.split()
 
 
-def _parse_off(text):
+def parse_off(text):
+    """The triangle mesh of OFF text; a MeshError when it is malformed."""
     tok = _tokens(text)
     try:
         first = next(tok)

@@ -17,32 +17,33 @@ This module alone reads and writes the artifacts below, under the output
 directory. A table is a header row, then rows of numbers with 17
 significant digits (`_write_csv`, `_read_csv`); a field is one row
 `v0,v1,...` read back as a ScalarField of its mesh, which checks the
-count; meshes are OFF (`mesh.save_mesh`, `mesh.load_mesh`). A file that
+count; meshes are OFF (`mesh.save_mesh`, `mesh.parse_off`). A file that
 does not fit the run raises an ArtifactError naming it. Each stage writes
 its own directory, and each export (covary, viz-mode) one more. "bench"
 is the benchmark's check.
 
-`Study` is the only reader of the sim/ inputs: the template, the kernel,
-the subject count (the rows of true_scores.csv), the subject and field
-paths, each subject mesh's sha256 and its check against subjects.json.
-`run_pipeline` makes one per run, read after simulate when simulate runs,
-and each stage and export takes it in place of the output directory.
+One record per stage: after each stage of `_STAGE_TABLE`, `run_pipeline`
+writes its record.json, the sha256 of each file in its directory and of
+each upstream stage's record, and its settings. A `Study` reads every
+artifact, refusing one whose sha256 its writer's record does not name.
+Before a stage or export reads, `Study.check` refuses an upstream stage
+built from other records than the current ones. Each refusal names the
+stage to run again; an interrupted stage leaves no record.
 
   artifact                    layout                  readers
+  <stage dir>/record.json     sha256s and settings    Study
   sim/template.off            OFF                     Study, bench
   sim/observation.off         OFF                     -
-  sim/subject_NNN.off         OFF                     Study, register-*, bench
+  sim/subject_NNN.off         OFF                     register-*, bench
   sim/kernel.json             GaussianKernel fields   Study, bench
   sim/field_NNN.csv           field of subject_NNN    register-fun
   sim/true_images_NNN.csv     x,y,z per vertex        bench
   sim/true_scores.csv         a1,a2 per subject       Study, bench
   sim/true_fields.csv         v0,... per subject      bench
   sim/modes.npz               the planted modes       -
-  reg_geo/momenta_NNN.csv     k,cx,cy,cz,ax,ay,az     register-fun, fpca-geo,
-                                                      bench
+  reg_geo/momenta_NNN.csv     k,cx,cy,cz,ax,ay,az     fpca-geo, bench
   reg_geo/deformed_NNN.csv    x,y,z per vertex        register-fun, bench
   reg_geo/diagnostics.json    Diagnostics by subject  bench
-  reg_geo/subjects.json       sha256 by subject_NNN   Study
   reg_fun/pulled_NNN.csv      field of the template   -
   reg_fun/aligned_NNN.csv     field of the template   fpca-fun, bench
   reg_fun/template_field.csv  field of the template   viz
@@ -59,7 +60,7 @@ and each stage and export takes it in place of the output directory.
   cca/{x,y}_weights.csv       dir1,... rows           -
   cca/{x,y}_variates.csv      dir1,... rows           -
   cca/bartlett.json           the Bartlett test       bench
-  manifest.json               a record per stage      run_pipeline, viz
+  manifest.json               a record per stage      run_pipeline
   covary/sequence_pairP.csv   t,g1,..,f1,.. rows      -
   viz/modeM_II.off, .csv      OFF, field of the OFF   -
 """
@@ -67,6 +68,7 @@ and each stage and export takes it in place of the output directory.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import platform
 import time
@@ -86,13 +88,11 @@ from .georeg import (STOP_RULES, RegistrationConfig, pull_back_function,
                      register_geometry)
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, shoot
-from .mesh import MeshError, ScalarField, load_mesh, save_mesh
+from .mesh import MeshError, ScalarField, parse_off, save_mesh
 from .synthdata import SimSpec, generate_dataset
 
 STAGES = ("simulate", "register-geo", "register-fun",
           "fpca-geo", "fpca-fun", "cca")
-_ARTIFACT_DIRS = dict(zip(STAGES, ("sim", "reg_geo", "reg_fun", "fpca_geo",
-                                   "fpca_fun", "cca")))
 
 
 def _is_number(value, kind=(int, float)):
@@ -262,11 +262,14 @@ def _write_csv(path, array, prefix="v", first=0, header=None):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _read_csv(path):
+def _read_csv(path, data=None):
+    """The table in the file at path, parsed from its bytes `data` when
+    they are given."""
+    source = str(path) if data is None else data.decode().splitlines()
     try:
         with catch_warnings():
             simplefilter("ignore", UserWarning)    # numpy's "no data"
-            table = np.loadtxt(str(path), delimiter=",", skiprows=1, ndmin=2)
+            table = np.loadtxt(source, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ArtifactError(f"{path}: malformed table: {exc}") from exc
     if table.size == 0:
@@ -274,44 +277,8 @@ def _read_csv(path):
     return table
 
 
-def _read_field(mesh, path):
-    """The field file at path as a ScalarField of mesh."""
-    values = _read_csv(path).ravel()
-    try:
-        return ScalarField(mesh, values)
-    except MeshError as exc:
-        raise ArtifactError(f"{path}: {exc}") from exc
-
-
-def _read_momenta(path, template):
-    """The (K, 3) momenta of a momenta file, whose control points must be
-    the template's vertices and whose entries must be finite."""
-    table = _read_csv(path)
-    if table.shape != (template.n_vertices, 7):
-        problem = f"{table.shape} table for {template.n_vertices} vertices"
-    elif not np.all(np.isfinite(table)):
-        problem = "non-finite entries"
-    elif not np.array_equal(table[:, 1:4], template.vertices):
-        problem = "control points are not the template vertices"
-    else:
-        return table[:, 4:7]
-    raise ArtifactError(f"{path}: {problem}; run register-geo again")
-
-
-def _read_endpoint(reg, i, template):
-    """Subject i's deformed template vertices: a finite (K, 3) table, of
-    momenta whose control points tie it to this template."""
-    _read_momenta(reg / f"momenta_{i:03d}.csv", template)
-    path = reg / f"deformed_{i:03d}.csv"
-    table = _read_csv(path)
-    if table.shape == (template.n_vertices, 3) and np.all(np.isfinite(table)):
-        return table
-    raise ArtifactError(f"{path}: not a finite {template.n_vertices} x 3 "
-                        "table; run register-geo again")
-
-
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def _check_subjects(cfg, n, stages):
@@ -330,65 +297,96 @@ def _check_columns(n, k):
              f"fpca_geo.n_components + fpca_fun.n_components, got {n}")
 
 
-def _read_scores(out):
-    """Both fpca score tables: equal row counts, enough rows for CCA."""
-    g = _read_csv(out / "fpca_geo" / "scores.csv")
-    f = _read_csv(out / "fpca_fun" / "scores.csv")
-    if len(g) != len(f):
-        raise ArtifactError(f"{out}: fpca_geo and fpca_fun scores.csv have "
-                            f"{len(g)} and {len(f)} rows; run both again")
+def _read_scores(study):
+    """Both fpca score tables, with enough rows for CCA."""
+    g = study.table("fpca-geo", "scores.csv")
+    f = study.table("fpca-fun", "scores.csv")
     _check_columns(len(g), g.shape[1] + f.shape[1])
     return g, f
 
 
 class Study:
-    """The sim/ inputs of the output directory `out`, each file read when
-    first needed and at most once. No other code knows their layout."""
+    """The artifacts of the output directory `out`, each read through the
+    record of the stage that wrote it. Records and meshes are parsed once
+    per instance."""
 
     def __init__(self, out):
         self.out = Path(out)
-        self.sim = self.out / "sim"
-        self.template_path = self.sim / "template.off"
-        self.kernel_path = self.sim / "kernel.json"
-        self.scores_path = self.sim / "true_scores.csv"
+        self._records = {}      # stage -> (sha256 of record.json, record)
+        self._meshes = {}       # (stage, OFF file name) -> its mesh
 
-    def subject_path(self, i):
-        return self.sim / f"subject_{i:03d}.off"
+    def dir(self, st):
+        return self.out / _ARTIFACT_DIRS[st]
 
-    def field_path(self, i):
-        return self.sim / f"field_{i:03d}.csv"
+    def record(self, st):
+        """Stage st's record, as the sha256 of its bytes and its contents."""
+        if st not in self._records:
+            data = (self.dir(st) / "record.json").read_bytes()
+            self._records[st] = _sha256(data), json.loads(data)
+        return self._records[st]
 
-    @cached_property
+    def check(self, upstream):
+        """ArtifactError unless each stage of `upstream` was built from the
+        current records of its own upstream stages."""
+        for st in upstream:
+            current = {u: self.record(u)[0] for u in _UPSTREAM[st]}
+            if self.record(st)[1]["upstream"] != current:
+                raise ArtifactError(f"{self.dir(st)}: built from other "
+                                    f"inputs; run {st} again")
+
+    def write_record(self, st, settings):
+        """Record the files in stage st's directory, the records of its
+        upstream stages and its settings."""
+        files = {p.name: _sha256(p.read_bytes())
+                 for p in sorted(self.dir(st).iterdir())
+                 if p.name != "record.json"}
+        record = {"files": files, "settings": settings, "upstream": {
+            u: self.record(u)[0] for u in _UPSTREAM[st]}}
+        data = json.dumps(record, indent=1).encode()
+        (self.dir(st) / "record.json").write_bytes(data)
+        self._records[st] = _sha256(data), record
+
+    def read(self, st, name):
+        """The path and bytes of stage st's file `name`, which must be the
+        file st's record names."""
+        path = self.dir(st) / name
+        files = self.record(st)[1]["files"]
+        data = path.read_bytes()
+        if files.get(name) != _sha256(data):
+            raise ArtifactError(f"{path}: not the file {st} wrote; run {st} "
+                                "again")
+        return path, data
+
+    def table(self, st, name):
+        return _read_csv(*self.read(st, name))
+
+    def field(self, mesh, st, name):
+        """Stage st's field file `name` as a ScalarField of mesh."""
+        return ScalarField(mesh, self.table(st, name).ravel())
+
+    def mesh(self, st, name):
+        if (st, name) not in self._meshes:
+            path, data = self.read(st, name)
+            try:
+                self._meshes[st, name] = parse_off(data.decode())
+            except MeshError as exc:
+                raise MeshError(f"{path}: {exc}") from exc
+        return self._meshes[st, name]
+
+    @property
     def template(self):
-        return load_mesh(self.template_path)
+        return self.mesh("simulate", "template.off")
 
     @cached_property
     def kernel(self):
-        with open(self.kernel_path) as fh:
-            return GaussianKernel(**json.load(fh))
+        return GaussianKernel(**json.loads(self.read("simulate",
+                                                      "kernel.json")[1]))
 
     @cached_property
     def n(self):
         """Subjects of the latest simulate run: every run rewrites the score
         table, while subject files of an earlier, larger run may remain."""
-        return len(_read_csv(self.scores_path))
-
-    @cached_property
-    def hashes(self):
-        """The sha256 of each subject mesh, by file name."""
-        return {p.name: _sha256(p) for p in map(self.subject_path,
-                                                 range(self.n))}
-
-    def check_registered(self):
-        """ArtifactError unless every subject mesh is the one register-geo
-        registered, by its record reg_geo/subjects.json."""
-        with open(self.out / "reg_geo" / "subjects.json") as fh:
-            registered = json.load(fh)
-        for name, digest in self.hashes.items():
-            if registered.get(name) != digest:
-                raise ArtifactError(f"{self.sim / name}: changed since "
-                                    "register-geo registered it; run "
-                                    "register-geo again")
+        return len(self.table("simulate", "true_scores.csv"))
 
 
 # -- stages -------------------------------------------------------------------
@@ -396,35 +394,35 @@ class Study:
 def _stage_simulate(cfg: PipelineConfig, study: Study):
     spec = cfg.settings["simulate"]
     ds = generate_dataset(spec)
-    sim = study.sim
+    sim = study.dir("simulate")
     sim.mkdir(parents=True, exist_ok=True)
-    save_mesh(ds.template, study.template_path)
+    save_mesh(ds.template, sim / "template.off")
     save_mesh(ds.observation_template, sim / "observation.off")
-    with open(study.kernel_path, "w") as fh:
+    with open(sim / "kernel.json", "w") as fh:
         json.dump(asdict(ds.kernel), fh)
     for i in range(spec.n):
-        save_mesh(ds.meshes[i], study.subject_path(i))
-        _write_csv(study.field_path(i), ds.fields[i].values)
+        save_mesh(ds.meshes[i], sim / f"subject_{i:03d}.off")
+        _write_csv(sim / f"field_{i:03d}.csv", ds.fields[i].values)
         _write_csv(sim / f"true_images_{i:03d}.csv",
                    ds.true_vertex_images[i], header="x,y,z")
-    _write_csv(study.scores_path, ds.scores, "a", 1)
+    _write_csv(sim / "true_scores.csv", ds.scores, "a", 1)
     _write_csv(sim / "true_fields.csv", ds.true_x)
     k = ds.template.n_vertices      # the modes' values on the template
     np.savez(sim / "modes.npz",
              psi1_g=ds.modes.psi1_g.momenta, psi2_g=ds.modes.psi2_g.momenta,
              psi1_f=ds.modes.psi1_f.values[:k], mu=ds.modes.mu.values[:k])
-    return {"n": spec.n, "template": str(study.template_path)}
+    return {"n": spec.n, "template": str(sim / "template.off")}
 
 
 def _stage_register_geo(cfg: PipelineConfig, study: Study):
-    reg = study.out / "reg_geo"
-    reg.mkdir(parents=True, exist_ok=True)
     template, n = study.template, study.n
+    targets = [study.mesh("simulate", f"subject_{i:03d}.off")
+               for i in range(n)]                   # before any write
+    reg = study.dir("register-geo")
+    reg.mkdir(parents=True, exist_ok=True)
     rcfg = cfg.settings["register_geo"].resolved(template)
-    hashes = study.hashes       # before the meshes are read
     diags = {}
-    for i in range(n):
-        target = load_mesh(study.subject_path(i))
+    for i, target in enumerate(targets):
         v0, diag = register_geometry(template, target, study.kernel, rcfg)
         _write_csv(reg / f"momenta_{i:03d}.csv",
                    np.column_stack([np.arange(template.n_vertices),
@@ -435,8 +433,6 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
         diags[i] = diag
     with open(reg / "diagnostics.json", "w") as fh:
         json.dump({i: d.as_dict() for i, d in diags.items()}, fh)
-    with open(reg / "subjects.json", "w") as fh:
-        json.dump(hashes, fh)
     runs = diags.values()
     stops = {rule: sum(d.stop == rule for d in runs) for rule in STOP_RULES}
     folded = sum(d.folded_faces > 0 for d in runs)
@@ -454,15 +450,15 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
 
 
 def _stage_register_fun(cfg: PipelineConfig, study: Study):
-    reg, fun = study.out / "reg_geo", study.out / "reg_fun"
-    fun.mkdir(parents=True, exist_ok=True)
     template, n = study.template, study.n
-    ends = [_read_endpoint(reg, i, template) for i in range(n)]
-    study.check_registered()
+    ends = [study.table("register-geo", f"deformed_{i:03d}.csv")
+            for i in range(n)]
+    fun = study.dir("register-fun")
+    fun.mkdir(parents=True, exist_ok=True)
     pulled = []
     for i, end in enumerate(ends):
-        subject = load_mesh(study.subject_path(i))
-        target_field = _read_field(subject, study.field_path(i))
+        subject = study.mesh("simulate", f"subject_{i:03d}.off")
+        target_field = study.field(subject, "simulate", f"field_{i:03d}.csv")
         values = pull_back_function(target_field, end)
         pulled.append(values)
         _write_csv(fun / f"pulled_{i:03d}.csv", values)
@@ -476,12 +472,11 @@ def _stage_register_fun(cfg: PipelineConfig, study: Study):
 
 
 def _stage_fpca_geo(cfg: PipelineConfig, study: Study):
-    reg, fg = study.out / "reg_geo", study.out / "fpca_geo"
-    fg.mkdir(parents=True, exist_ok=True)
     template = study.template
-    moms = [_read_momenta(reg / f"momenta_{i:03d}.csv", template)
+    moms = [study.table("register-geo", f"momenta_{i:03d}.csv")[:, 4:7]
             for i in range(study.n)]
-    study.check_registered()
+    fg = study.dir("fpca-geo")
+    fg.mkdir(parents=True, exist_ok=True)
     fit = geometric_fpca(moms, template.vertices, study.kernel,
                          n_components=cfg.settings["fpca_geo"].n_components)
     _write_csv(fg / "scores.csv", fit.scores, "pc", 1)
@@ -493,12 +488,13 @@ def _stage_fpca_geo(cfg: PipelineConfig, study: Study):
 
 
 def _stage_fpca_fun(cfg: PipelineConfig, study: Study):
-    fun, ff = study.out / "reg_fun", study.out / "fpca_fun"
     fcfg = cfg.settings["fpca_fun"]
-    ff.mkdir(parents=True, exist_ok=True)
     template = study.template
-    fields = [_read_field(template, fun / f"aligned_{i:03d}.csv").values
+    fields = [study.field(template, "register-fun",
+                          f"aligned_{i:03d}.csv").values
               for i in range(study.n)]
+    ff = study.dir("fpca-fun")
+    ff.mkdir(parents=True, exist_ok=True)
     lam = fcfg.lam
     info = {}
     if fcfg.cv_lambdas is not None:
@@ -520,8 +516,8 @@ def _stage_fpca_fun(cfg: PipelineConfig, study: Study):
 
 
 def _stage_cca(cfg: PipelineConfig, study: Study):
-    cc = study.out / "cca"
-    g, f = _read_scores(study.out)
+    cc = study.dir("cca")
+    g, f = _read_scores(study)
     cc.mkdir(parents=True, exist_ok=True)
     result = cca(g, f)
     test = bartlett_test(result)
@@ -536,14 +532,18 @@ def _stage_cca(cfg: PipelineConfig, study: Study):
             "p_values": [float(p) for p in test.p_values]}
 
 
-_STAGE_FUNCS = {
-    "simulate": _stage_simulate,
-    "register-geo": _stage_register_geo,
-    "register-fun": _stage_register_fun,
-    "fpca-geo": _stage_fpca_geo,
-    "fpca-fun": _stage_fpca_fun,
-    "cca": _stage_cca,
+# each stage's artifact directory, function and upstream stages
+_STAGE_TABLE = {
+    "simulate": ("sim", _stage_simulate, ()),
+    "register-geo": ("reg_geo", _stage_register_geo, ("simulate",)),
+    "register-fun": ("reg_fun", _stage_register_fun,
+                     ("simulate", "register-geo")),
+    "fpca-geo": ("fpca_geo", _stage_fpca_geo, ("simulate", "register-geo")),
+    "fpca-fun": ("fpca_fun", _stage_fpca_fun, ("simulate", "register-fun")),
+    "cca": ("cca", _stage_cca, ("fpca-geo", "fpca-fun")),
 }
+_ARTIFACT_DIRS, _STAGE_FUNCS, _UPSTREAM = (
+    {st: row[j] for st, row in _STAGE_TABLE.items()} for j in range(3))
 
 
 def _in_stage(st, func, *args):
@@ -580,13 +580,16 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
             manifest["stages"] = previous.get("stages", {})
     for st in stages:
         t0 = time.perf_counter()
+        _in_stage(st, study.check, _UPSTREAM[st])
+        (study.dir(st) / "record.json").unlink(missing_ok=True)
         summary = _in_stage(st, _STAGE_FUNCS[st], cfg, study)
+        study.write_record(st, asdict(cfg.settings[st.replace("-", "_")]))
         warnings = summary.pop("warnings", [])
         manifest["stages"][st] = {
             "summary": summary,
             "warnings": warnings,
             "wall_time_s": time.perf_counter() - t0,
-            "artifact_dir": str(out / _ARTIFACT_DIRS[st]),
+            "artifact_dir": str(study.dir(st)),
         }
         # the warnings of every stage on record, carried-over ones included
         manifest["warnings"] = [
@@ -602,7 +605,8 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
 def emit_covariation(out_dir, pair: int, t_values):
     """Write the score trajectories along one canonical direction."""
     study = Study(out_dir)
-    g, f = _read_scores(study.out)
+    study.check(_UPSTREAM["cca"])
+    g, f = _read_scores(study)
     result = cca(g, f)
     m = len(result.correlations)
     if pair < 0 or pair >= m:
@@ -625,23 +629,18 @@ def emit_mode_visualization(out_dir, mode: int, c_grid):
     each c on the grid, with the mean function attached. Shoots with the
     register-geo stage's recorded shooting_steps."""
     study = Study(out_dir)
-    out = study.out
-    with open(out / "manifest.json") as fh:
-        record = json.load(fh)["stages"].get("register-geo", {})
-    steps = record.get("summary", {}).get("shooting_steps")
-    if steps is None:
-        raise FileNotFoundError(f"{out / 'manifest.json'} records no "
-                                "register-geo shooting_steps")
-    data = np.load(out / "fpca_geo" / "components.npz")
+    study.check(("simulate", "register-geo", "register-fun", "fpca-geo"))
+    steps = study.record("register-geo")[1]["settings"]["shooting_steps"]
+    data = np.load(io.BytesIO(study.read("fpca-geo", "components.npz")[1]))
     comps, mean_mom = data["components"], data["mean"]
     points = data["control_points"]
     if mode < 0 or mode >= len(comps):
         raise ConfigError(f"mode {mode + 1} out of range 1..{len(comps)}")
-    variances = _read_csv(out / "fpca_geo" / "variances.csv").ravel()
+    variances = study.table("fpca-geo", "variances.csv").ravel()
     kernel, template = study.kernel, study.template
-    mean_field = _read_field(template,
-                             out / "reg_fun" / "template_field.csv").values
-    viz = out / "viz"
+    mean_field = study.field(template, "register-fun",
+                             "template_field.csv").values
+    viz = study.out / "viz"
     viz.mkdir(parents=True, exist_ok=True)
     written = []
     for idx, c in enumerate(c_grid):

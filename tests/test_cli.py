@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
+from fos import pipeline
 from fos.cli import build_parser, main
-from fos.pipeline import _write_csv
 
 
 @pytest.fixture(scope="module")
@@ -101,24 +100,51 @@ def test_malformed_or_stale_inputs_exit_2(tmp_path, capsys):
     for command in ("simulate", "register-geo"):
         assert main([command, "--config", str(cfg)]) == 0
     capsys.readouterr()
-    # momenta whose first control point is not the template's
-    momenta = tmp_path / "out" / "reg_geo" / "momenta_000.csv"
-    original = momenta.read_text()
-    lines = original.splitlines()
-    lines[1] = "0,1,2,3,0,0,0"
-    momenta.write_text("\n".join(lines) + "\n")
-    for command in ("fpca-geo", "register-fun"):
+    # momenta whose first control point is not the template's, and the
+    # endpoint of a vertex moved: each read by one stage
+    reg = tmp_path / "out" / "reg_geo"
+    for command, name, row in (("fpca-geo", "momenta_000.csv",
+                                "0,1,2,3,0,0,0"),
+                               ("register-fun", "deformed_000.csv", "1,2,3")):
+        original = (reg / name).read_text()
+        lines = original.splitlines()
+        lines[1] = row
+        (reg / name).write_text("\n".join(lines) + "\n")
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ")
-        assert "momenta_000.csv" in err and "run register-geo again" in err
-    momenta.write_text(original)
+        assert name in err and "run register-geo again" in err
+        (reg / name).write_text(original)
     # a truncated subject mesh
     subject = tmp_path / "out" / "sim" / "subject_001.off"
     subject.write_text(subject.read_text()[:200])
     assert main(["register-fun", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and "subject_001.off" in err
+
+
+def test_a_stage_interrupted_before_its_record_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    # an interrupted stage leaves no record, so nothing it wrote is read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                               "simulate": {"n": 3, "subdivisions": 1},
+                               "register_geo": {"max_iterations": 1}}))
+    for command in ("simulate", "register-geo"):
+        assert main([command, "--config", str(cfg)]) == 0
+
+    def interrupted(*args, **kwargs):
+        raise FloatingPointError("interrupted")
+
+    monkeypatch.setattr(pipeline, "register_geometry", interrupted)
+    assert main(["register-geo", "--config", str(cfg)]) == 3
+    capsys.readouterr()
+    record = tmp_path / "out" / "reg_geo" / "record.json"
+    assert not record.exists()
+    for command in ("register-fun", "fpca-geo"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("missing input: ") and str(record) in err
 
 
 def test_header_only_score_table_exits_2(tmp_path, capsys):
@@ -206,22 +232,29 @@ def test_full_run_checks_the_subject_count_before_it_starts(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rows, prefix, message", [
-    ((8, 7), "invalid input: ", "scores.csv have 8 and 7 rows"),
-    ((5, 5), "configuration error: ", "cca needs n > 5 for 4 "),
+@pytest.mark.parametrize("short, prefix, message", [
+    (True, "invalid input: ", "fpca_fun/scores.csv: not the file fpca-fun "
+     "wrote; run fpca-fun again"),
+    (False, "configuration error: ", "cca needs n > 5 for 4 "),
 ], ids=["stale", "too_few_subjects"])
-def test_score_tables_that_do_not_fit_exit_2(tmp_path, capsys, rows, prefix,
+def test_score_tables_that_do_not_fit_exit_2(tmp_path, capsys, short, prefix,
                                              message):
     # fpca_fun/scores.csv one row short of fpca_geo's, or 2 + 2 score
     # columns for 5 subjects: cca and covary refuse them before writing
     out = tmp_path / "out"
-    rng = np.random.default_rng(0)
-    for stage, n in zip(("fpca_geo", "fpca_fun"), rows):
-        (out / stage).mkdir(parents=True)
-        _write_csv(out / stage / "scores.csv", rng.normal(size=(n, 2)),
-                   "pc", 1)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"output_dir": str(out)}))
+    cfg.write_text(json.dumps({
+        "output_dir": str(out), "simulate": {"n": 5, "subdivisions": 1},
+        "register_geo": {"max_iterations": 1},
+        "register_fun": {"max_iterations": 1},
+        "fpca_geo": {"n_components": 2}, "fpca_fun": {"n_components": 2},
+        "stages": ["simulate", "register-geo", "register-fun", "fpca-geo",
+                   "fpca-fun"]}))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    if short:
+        scores = out / "fpca_fun" / "scores.csv"
+        scores.write_text("".join(scores.read_text().splitlines(True)[:-1]))
     for command in ("cca", "covary"):
         assert main([command, "--config", str(cfg)]) == 2, command
         captured = capsys.readouterr()

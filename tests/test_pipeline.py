@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from fos.georeg import STOP_RULES, register_geometry
 from fos.lddmm import InitialMomenta, shoot
 from fos import pipeline
-from fos.mesh import load_mesh
+from fos.mesh import load_mesh, parse_off, save_mesh
 from fos.pipeline import (ArtifactError, ConfigError, PipelineConfig,
                           Study, _read_csv, _write_csv, emit_covariation,
                           emit_mode_visualization, run_pipeline, STAGES)
@@ -99,21 +100,18 @@ def test_explicit_stage_list_is_checked_like_the_config(tmp_path):
 
 
 def test_a_run_reads_each_study_input_once(tmp_path, monkeypatch):
-    loads, hashed, sha256 = [], [], pipeline._sha256
+    parsed = []
 
-    def counting_load(path):
-        loads.append(Path(path).name)
-        return load_mesh(path)
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_off(text)
 
-    def counting_sha256(path):
-        hashed.append(Path(path).name)
-        return sha256(path)
-
-    monkeypatch.setattr(pipeline, "load_mesh", counting_load)
-    monkeypatch.setattr(pipeline, "_sha256", counting_sha256)
+    monkeypatch.setattr(pipeline, "parse_off", counting_parse)
     run_pipeline(tiny_config(tmp_path))
-    assert loads.count("template.off") == 1
-    assert hashed == [f"subject_{i:03d}.off" for i in range(6)]
+    # the template and each subject mesh, parsed once
+    sim = tmp_path / "sim"
+    meshes = ["template.off"] + [f"subject_{i:03d}.off" for i in range(6)]
+    assert sorted(parsed) == sorted((sim / m).read_text() for m in meshes)
 
 
 def test_parameter_hash_tracks_content():
@@ -272,6 +270,60 @@ def test_mode_visualization_shoots_with_the_stage_steps(tmp_path):
                           shoot(v0, 5).points[-1])
 
 
+def copied_run(finished_run, tmp_path):
+    """The config of a copy of the finished run's artifacts."""
+    shutil.copytree(finished_run[1], tmp_path / "out")
+    return tiny_config(tmp_path / "out")
+
+
+def test_mode_visualization_reads_the_register_geo_record(finished_run,
+                                                          tmp_path):
+    # another fpca_fun.lam drops register-geo from the manifest, while
+    # reg_geo/ and fpca_geo/ stay as they were
+    cfg = copied_run(finished_run, tmp_path)
+    cfg.fpca_fun["lam"] = 1.0
+    manifest = run_pipeline(cfg, ("fpca-fun",))
+    assert "register-geo" not in manifest["stages"]
+    files = emit_mode_visualization(cfg.output_dir, mode=0, c_grid=[0.0])
+    assert len(files) == 2
+
+
+@pytest.mark.parametrize("stage, change", [
+    ("simulate", {"seed": 1}), ("register-geo", {"lam": 0.5})],
+    ids=["simulate", "register-geo"])
+def test_stages_downstream_of_a_rerun_stage_refuse(finished_run, tmp_path,
+                                                   stage, change):
+    cfg = copied_run(finished_run, tmp_path)
+    getattr(cfg, stage.replace("-", "_")).update(change)
+    run_pipeline(cfg, (stage,))
+    for st, stale in (("fpca-fun", "reg_fun: built from other inputs; run "
+                       "register-fun again"),
+                      ("cca", "fpca_geo: built from other inputs; run "
+                       "fpca-geo again")):
+        with pytest.raises(RuntimeError, match=stale) as info:
+            run_pipeline(cfg, (st,))
+        assert isinstance(info.value.__cause__, ArtifactError)
+    with pytest.raises(ArtifactError, match="fpca_geo: built from other "
+                       "inputs; run fpca-geo again"):
+        emit_covariation(cfg.output_dir, pair=0, t_values=[0.0])
+
+
+def test_register_geo_refuses_an_edited_subject_before_it_writes(tmp_path):
+    cfg = PipelineConfig.from_dict({
+        "output_dir": str(tmp_path), "seed": 0,
+        "simulate": {"n": 3, "subdivisions": 1},
+        "register_geo": {"max_iterations": 1}})
+    run_pipeline(cfg, ("simulate",))
+    path = tmp_path / "sim" / "subject_002.off"
+    mesh = load_mesh(path)
+    save_mesh(mesh.with_vertices(1.01 * mesh.vertices), path)
+    with pytest.raises(RuntimeError, match=r"subject_002\.off: not the file "
+                       "simulate wrote; run simulate again") as info:
+        run_pipeline(cfg, ("register-geo",))
+    assert isinstance(info.value.__cause__, ArtifactError)
+    assert not (tmp_path / "reg_geo").exists()
+
+
 def test_register_geometry_defaults_are_the_stage_defaults(tmp_path):
     cfg = PipelineConfig.from_dict({
         "output_dir": str(tmp_path), "seed": 0,
@@ -362,36 +414,33 @@ def test_fpca_geo_rejects_stale_momenta(tmp_path):
                          "seed": seed},
             "register_geo": {"max_iterations": 1}})
 
+    stale = r"reg_geo: built from other inputs; run register-geo again"
     # momenta registered to the template of another simulate run
     run_pipeline(config(12.0), ("simulate", "register-geo"))
     run_pipeline(config(9.0), ("simulate",))
-    with pytest.raises(RuntimeError, match=r"momenta_000\.csv: control "
-                       "points are not .*; run register-geo again"):
+    with pytest.raises(RuntimeError, match=stale):
         run_pipeline(config(9.0), ("fpca-geo",))
     run_pipeline(config(9.0), ("register-geo",))
     # momenta registered to other subjects on the same template
     run_pipeline(config(9.0, seed=1), ("simulate",))
-    with pytest.raises(RuntimeError, match=r"subject_000\.off: changed "
-                       "since register-geo registered it"):
+    with pytest.raises(RuntimeError, match=stale):
         run_pipeline(config(9.0, seed=1), ("fpca-geo",))
+    run_pipeline(config(9.0, seed=1), ("register-geo",))
     path = tmp_path / "reg_geo" / "momenta_003.csv"
     table = _read_csv(path)
     table[2, 5] = np.nan
     _write_csv(path, table, header="k,cx,cy,cz,ax,ay,az")
-    with pytest.raises(RuntimeError, match=r"momenta_003\.csv: non-finite"):
-        run_pipeline(config(9.0), ("fpca-geo",))
+    with pytest.raises(RuntimeError, match=r"momenta_003\.csv: not the file "
+                       "register-geo wrote; run register-geo again"):
+        run_pipeline(config(9.0, seed=1), ("fpca-geo",))
 
 
-@pytest.mark.parametrize("change,problem", [
-    ({"scale": 9.0},
-     r"momenta_000\.csv: control points are not the template vertices"),
-    ({"subdivisions": 2}, r"momenta_000\.csv: \(\d+, 7\) table for \d+ "
-     "vertices"),
-    # the same template with other subjects: only the subject meshes tell
-    ({"seed": 1}, r"subject_000\.off: changed since register-geo "
-     "registered it")],
-    ids=["scale", "subdivisions", "seed"])
-def test_register_fun_rejects_stale_geometry(tmp_path, change, problem):
+# another template, another mesh of it, or the same template with other
+# subjects: each is a new simulate record
+@pytest.mark.parametrize("change", [{"scale": 9.0}, {"subdivisions": 2},
+                                    {"seed": 1}],
+                         ids=["scale", "subdivisions", "seed"])
+def test_register_fun_rejects_stale_geometry(tmp_path, change):
     def config(**simulate):
         return PipelineConfig.from_dict({
             "output_dir": str(tmp_path), "seed": 0,
@@ -401,8 +450,8 @@ def test_register_fun_rejects_stale_geometry(tmp_path, change, problem):
     # endpoints registered in another simulate run
     run_pipeline(config(), ("simulate", "register-geo"))
     run_pipeline(config(**change), ("simulate",))
-    with pytest.raises(RuntimeError, match=rf"{problem}; "
-                       "run register-geo again") as info:
+    with pytest.raises(RuntimeError, match=r"reg_geo: built from other "
+                       "inputs; run register-geo again") as info:
         run_pipeline(config(**change), ("register-fun",))
     assert isinstance(info.value.__cause__, ArtifactError)
 
@@ -419,8 +468,9 @@ def test_register_fun_rejects_malformed_endpoints(tmp_path):
     poisoned[4, 1] = np.inf
     for wrong in (table[:-1], table[:, :2], poisoned):
         _write_csv(path, wrong, header="x,y,z")
-        with pytest.raises(RuntimeError, match=r"deformed_001\.csv: not a "
-                           "finite .* table; run register-geo again") as info:
+        with pytest.raises(RuntimeError, match=r"deformed_001\.csv: not the "
+                           "file register-geo wrote; run register-geo "
+                           "again") as info:
             run_pipeline(cfg, ("register-fun",))
         assert isinstance(info.value.__cause__, ArtifactError)
 
