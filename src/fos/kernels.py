@@ -4,10 +4,10 @@ Isotropic matrix kernels are stored as their scalar factor; the implicit
 3x3-identity structure is applied in matrix-vector products.
 
 `gram` can fill a caller-owned workspace: two (|a|, |b|) float64 blocks,
-one for the squared distances and one for the kernel values it returns.
+one for the second Gaussian and one for the kernel values it returns.
 A plain call allocates the pair. `lddmm.flow_points` keeps one pair per
 flow, because glibc unmaps a freed block of 1,037 x 271 (2.2 MB) and
-faults it in again on the next call: a plain `gram` of that size takes
+faults it in again on the next call: a plain `gram` of that size took
 about 1,065 minor page faults and 5.1 ms, and 2.9 ms with no fault, in
 the workspace (2-core Xeon VM, one BLAS thread).
 """
@@ -19,29 +19,30 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _sqdist(points_a, points_b=None, work=None):
-    """Pairwise squared distances via the matmul expansion (BLAS-fast),
-    built in place; b defaults to a and then shares a's row norms.
-    Returns the workspace pair (d2, scratch), allocated when work is None."""
+def extended(x, *columns):
+    """[x, columns...] as a new array; a matmul with [x, 1] gives both a
+    product with x and the row sums."""
+    out = np.empty((len(x), x.shape[1] + len(columns)))
+    out[:, :x.shape[1]] = x
+    for j, column in enumerate(columns, x.shape[1]):
+        out[:, j] = column
+    return out
+
+
+def exponent(points_a, points_b, sigma, out=None):
+    """-|a_i - b_j|^2 / (2 sigma^2), written into out when given; b
+    defaults to a. The row term -|a_i|^2 / (2 sigma^2), the column term
+    -|b_j|^2 / (2 sigma^2) and a_i.b_j / sigma^2 are one matmul of the
+    extended points; one pass clamps it at 0 where it rounds above."""
+    s = 1.0 / sigma ** 2
     a = np.asarray(points_a, float)
-    aa = np.sum(a * a, axis=1)
-    if points_b is None:
-        b, bb = a, aa
-    else:
-        b = np.asarray(points_b, float)
-        bb = np.sum(b * b, axis=1)
-    shape = (len(a), len(b))
-    if work is None:
-        work = (np.empty(shape), np.empty(shape))
-    elif any(w.shape != shape or w.dtype != np.float64 for w in work):
-        raise ValueError(f"the workspace must be two {shape} float64 blocks")
-    d2, e = work
-    np.add(aa[:, None], bb[None, :], out=d2)
-    np.matmul(a, b.T, out=e)
-    e *= 2.0
-    d2 -= e
-    np.maximum(d2, 0.0, out=d2)
-    return d2, e
+    b = a if points_b is None else np.asarray(points_b, float)
+    row = (-0.5 * s) * np.sum(a * a, axis=1)
+    col = row if points_b is None else (-0.5 * s) * np.sum(b * b, axis=1)
+    b_t = extended(b, 1.0, col).T.copy()
+    b_t[:3] *= s
+    x = np.matmul(extended(a, row, 1.0), b_t, out=out)
+    return np.minimum(x, 0.0, out=x)
 
 
 @dataclass(frozen=True)
@@ -60,48 +61,60 @@ class GaussianKernel:
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
 
-    def _factors(self, d2, e, *orders):
-        """Radial factors at squared distances d2, one per entry of orders:
-        0 the kernel value K; 1 gamma, with grad_1 K(x, y) = gamma (x - y);
-        2 gamma' = d gamma / d d2, with the kernel Hessian
-        grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. A Gaussian of
-        width s and weight w, with e = w exp(-d2 / (2 s^2)), adds e,
-        -e / s^2 and e / (2 s^4).
-
-        The first Gaussian is computed in place in the scratch block e,
-        which order 0 returns; the second overwrites d2 and is added in
-        place. The sign sits in the divisor, d2 / (-2 s^2) and e / -s^2;
-        IEEE division makes that bit-equal to -d2 / (2 s^2) and -e / s^2,
-        so the factors equal the plain formula bit for bit."""
-        def gaussian(s, out):
-            np.divide(d2, -2.0 * s ** 2, out=out)
-            return np.exp(out, out=out)
-
-        def divisor(s, k):
-            return -s ** 2 if k == 1 else 2.0 * s ** 4
-
-        e = gaussian(self.sigma, e)
-        # order 0 is e itself, so the scaled factors are taken first
-        out = [e if k == 0 else e / divisor(self.sigma, k) for k in orders]
+    def _gaussians(self, points_a, points_b, first, second):
+        """Each Gaussian with its weight, written into first and second,
+        from the one exponent x of the first: the second's is
+        x sigma^2 / sigma2^2. Passes over the |a| x |b| block, which cost
+        more than the matmul: the clamp; for the second Gaussian a scaling,
+        and another unless its weight is 1; one exp each."""
+        x = exponent(points_a, points_b, self.sigma, out=first)
         if self.sigma2 is not None:
-            e = gaussian(self.sigma2, d2)
-            e *= self.weight
-            for f, k in zip(out, orders):
-                f += e if k == 0 else e / divisor(self.sigma2, k)
-        return out
+            np.multiply(x, (self.sigma / self.sigma2) ** 2, out=second)
+            np.exp(second, out=second)
+            if self.weight != 1.0:
+                second *= self.weight
+        np.exp(x, out=x)
+
+    def _factors(self, points_a, points_b, n):
+        """The first n radial factors: the kernel value K; gamma, with
+        grad_1 K(x, y) = gamma (x - y); gamma' = d gamma / d d2, with the
+        kernel Hessian grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. A
+        Gaussian e of width s adds e, -e / s^2 and e / (2 s^4), so the
+        factors are one matmul of those coefficients with the stacked
+        Gaussians: after `_gaussians`' passes, one pass that reads each
+        Gaussian once and writes each factor once."""
+        widths = [s for s in (self.sigma, self.sigma2) if s is not None]
+        coef = np.array([[1.0, -1.0 / s ** 2, 0.5 / s ** 4][:n]
+                         for s in widths]).T
+        n_a = len(points_a)
+        n_b = n_a if points_b is None else len(points_b)
+        e = np.empty((len(widths), n_a, n_b))
+        self._gaussians(points_a, points_b, e[0], e[-1])
+        return tuple((coef @ e.reshape(len(e), -1)).reshape(n, n_a, n_b))
 
     def gram(self, points_a, points_b=None, work=None):
         """Dense |a| x |b| matrix of kernel values, written into work[1]
-        when a workspace pair is given (see the module docstring)."""
-        return self._factors(*_sqdist(points_a, points_b, work), 0)[0]
+        when a workspace pair is given (see the module docstring). Passes:
+        `_gaussians`', then one sum for two Gaussians."""
+        n_a = len(points_a)
+        shape = (n_a, n_a if points_b is None else len(points_b))
+        if work is None:
+            work = (np.empty(shape), np.empty(shape))
+        elif any(w.shape != shape or w.dtype != np.float64 for w in work):
+            raise ValueError(f"the workspace must be two {shape} float64 blocks")
+        second, e = work
+        self._gaussians(points_a, points_b, e, second)
+        if self.sigma2 is not None:
+            e += second
+        return e
 
     def gram_pair(self, points_a, points_b=None):
-        """(gram, gamma) evaluated from a single distance computation."""
-        return tuple(self._factors(*_sqdist(points_a, points_b), 0, 1))
+        """(gram, gamma) from one exponent (see `_factors`)."""
+        return self._factors(points_a, points_b, 2)
 
     def gram_triple(self, points_a, points_b=None):
-        """(gram, gamma, gamma') from one distance computation."""
-        return tuple(self._factors(*_sqdist(points_a, points_b), 0, 1, 2))
+        """(gram, gamma, gamma') from one exponent (see `_factors`)."""
+        return self._factors(points_a, points_b, 3)
 
 
 def default_deformation_kernel(mesh, large=0.4, small=0.1):

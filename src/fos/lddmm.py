@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GaussianKernel
+from .kernels import GaussianKernel, extended
 
 
 class ShootingError(RuntimeError):
@@ -70,12 +70,12 @@ class GeodesicPath:
 
 
 def _rhs(kernel, c, a):
-    gram, gfac = kernel.gram_pair(c)
-    dc = gram @ a
-    # da_k = -1/2 sum_l gamma_kl (c_k - c_l) (a_k . a_l)
-    s = gfac * (a @ a.T)
-    da = -0.5 * (c * s.sum(axis=1)[:, None] - s @ c)
-    return dc, da
+    gram, s = kernel.gram_pair(c)
+    # da_k = -1/2 sum_l s_kl (c_k - c_l) with s = gamma (a a^T), formed in
+    # place; one matmul s @ [c, 1] gives s @ c and the row sums of s
+    np.multiply(s, a @ np.ascontiguousarray(a.T), out=s)
+    sc = s @ extended(c, 1.0)
+    return gram @ a, -0.5 * (c * sc[:, 3:] - sc[:, :3])
 
 
 def _rhs_vjp(kernel, c, a, p, q):
@@ -84,38 +84,31 @@ def _rhs_vjp(kernel, c, a, p, q):
 
     All contractions reduce to row/column sums and matrix products thanks
     to the radial structure grad1 K = gamma (x - y) and
-    grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I.
-
-    The k x k products are built in place, each with its operands in the
-    order of the formula beside it, so the result is that of the plain
-    expressions bit for bit.
+    grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. With s = a a^T and
+    d_kl = q_k.(c_l - c_k), the sensitivities to c through dc = K a and
+    through the Hessian term of da share W = gamma (p a^T) + gamma' s d,
+    read through W @ [c, 1] and W^T @ [c, 1]; t = gamma s is symmetric, so
+    t @ [q, 1] gives both of its products. Passes over the k x k blocks:
+    `gram_triple`'s, then five in place: three form W, one t, one gamma d.
+    The result agrees with the plain expressions up to rounding.
     """
     k, g, g2 = kernel.gram_triple(c)
-    s = a @ a.T
-    qc_diff = q @ c.T
-    np.subtract(np.sum(q * c, axis=1)[:, None], qc_diff,
-                out=qc_diff)                        # (q_k).(c_k - c_l)
-
-    # dc = K a: sensitivity to c through the kernel, to a through K itself
-    s1 = p @ a.T
-    np.multiply(g, s1, out=s1)                      # g * (p a^T)
-    cbar = c * (s1.sum(axis=1) + s1.sum(axis=0))[:, None] - s1 @ c - s1.T @ c
-    abar = k @ p
-
-    # da = -1/2 gamma (c_k - c_l)(a_k.a_l): sensitivity to c, including
-    # the kernel-Hessian radial term ...
-    w = np.multiply(2.0, g2, out=g2)
-    w *= s
-    w *= qc_diff                                    # 2 g2 * s * qc_diff
-    t = np.multiply(g, s, out=s)                    # g * s
-    cbar += -0.5 * (c * (w.sum(axis=1) + w.sum(axis=0))[:, None]
-                    - w @ c - w.T @ c
-                    + q * t.sum(axis=1)[:, None] - t.T @ q)
-
-    # ... and to a
-    u = np.multiply(g, qc_diff, out=qc_diff)        # g * qc_diff
-    abar += -0.5 * (u @ a + u.T @ a)
-    return cbar, abar
+    a_t = np.ascontiguousarray(a.T)
+    c1 = extended(c, 1.0)
+    c1_t = np.ascontiguousarray(c1.T)
+    s = a @ a_t
+    d = extended(q, -np.sum(q * c, axis=1)) @ c1_t
+    w = p @ a_t
+    w *= g
+    g2 *= s
+    g2 *= d
+    w += g2
+    t = np.multiply(g, s, out=s)
+    u = np.multiply(g, d, out=d)
+    wc = w @ c1 + (c1_t @ w).T                      # (W + W^T) @ [c, 1]
+    tq = t @ extended(q, 1.0)
+    cbar = c * wc[:, 3:] - wc[:, :3] - 0.5 * (q * tq[:, 3:] - tq[:, :3])
+    return cbar, k @ p + 0.5 * (u @ a + (a_t @ u).T)
 
 
 def shoot_gradient(path: GeodesicPath, cbar_end):

@@ -19,8 +19,8 @@ significant digits (`_write_csv`, `_read_csv`); a field is one row
 `v0,v1,...` read back as a ScalarField of its mesh, which checks the
 count; meshes are OFF (`mesh.save_mesh`, `mesh.parse_off`). A file that
 does not fit the run raises an ArtifactError naming it. Each stage writes
-its own directory, and each export (covary, viz-mode) one more. "bench"
-is the benchmark's check.
+its own directory, emptied when the stage starts, and each export
+(covary, viz-mode) one more. "bench" is the benchmark's check.
 
 One record per stage: after each stage of `_STAGE_TABLE`, `run_pipeline`
 writes its record.json, the sha256 of each file in its directory and of
@@ -71,6 +71,7 @@ import hashlib
 import io
 import json
 import platform
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -384,8 +385,7 @@ class Study:
 
     @cached_property
     def n(self):
-        """Subjects of the latest simulate run: every run rewrites the score
-        table, while subject files of an earlier, larger run may remain."""
+        """Subjects of the latest simulate run: the rows of its score table."""
         return len(self.table("simulate", "true_scores.csv"))
 
 
@@ -581,7 +581,8 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     for st in stages:
         t0 = time.perf_counter()
         _in_stage(st, study.check, _UPSTREAM[st])
-        (study.dir(st) / "record.json").unlink(missing_ok=True)
+        if study.dir(st).exists():
+            shutil.rmtree(study.dir(st))
         summary = _in_stage(st, _STAGE_FUNCS[st], cfg, study)
         study.write_record(st, asdict(cfg.settings[st.replace("-", "_")]))
         warnings = summary.pop("warnings", [])

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import exponent
+
 
 class SimilarityResult:
     """Current distance `value` and its `gradient` with respect to the
@@ -70,17 +72,8 @@ def _moments(centers, normals):
 
 
 def _gaussian_block(points_a, points_b, sigma):
-    """exp(-|a_i - b_j|^2 / (2 sigma^2)). The exponent, a_i.b_j / sigma^2
-    plus the row term -|a_i|^2 / (2 sigma^2) and the column term
-    -|b_j|^2 / (2 sigma^2), is one matmul of the points extended by those
-    terms, clamped at 0 as `kernels._sqdist` clamps the squared distance."""
-    s = 1.0 / sigma ** 2
-    row = (-0.5 * s) * np.sum(points_a * points_a, axis=1)
-    col = (-0.5 * s) * np.sum(points_b * points_b, axis=1)
-    a = np.column_stack([points_a, row, np.ones_like(row)])
-    b = np.column_stack([s * points_b, np.ones_like(col), col])
-    e = a @ b.T
-    np.minimum(e, 0.0, out=e)
+    """exp(-|a_i - b_j|^2 / (2 sigma^2)), from `kernels.exponent`."""
+    e = exponent(points_a, points_b, sigma)
     return np.exp(e, out=e)
 
 

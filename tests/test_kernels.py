@@ -126,7 +126,12 @@ def plain_factors(kernel, d2, *orders):
     return out
 
 
-def assert_kernels_exact(kernel, points_a, points_b=None):
+def assert_close(got, want, name=None):
+    """Agreement to rounding: within 1e-13 of the largest magnitude."""
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+def assert_kernels_match_plain(kernel, points_a, points_b=None):
     d2 = plain_sqdist(points_a, points_b)
     expected = {"gram": plain_factors(kernel, d2, 0),
                 "gram_pair": plain_factors(kernel, d2, 0, 1),
@@ -136,7 +141,7 @@ def assert_kernels_exact(kernel, points_a, points_b=None):
         got = [got] if name == "gram" else list(got)
         assert len(got) == len(factors)
         for g, f in zip(got, factors):
-            assert np.array_equal(g, f), name
+            assert_close(g, f, name)
     # a workspace holding stale values gives the same gram, in its block
     work = (np.full(d2.shape, np.nan), np.full(d2.shape, np.nan))
     got = kernel.gram(points_a, points_b, work=work)
@@ -144,26 +149,29 @@ def assert_kernels_exact(kernel, points_a, points_b=None):
     assert np.array_equal(got, kernel.gram(points_a, points_b))
 
 
-def test_in_place_factors_are_bit_identical_two_gaussians():
+def test_factors_match_the_plain_formula_two_gaussians():
     from fos.synthdata import ellipsoid_patch
     template = ellipsoid_patch(2)
     assert template.n_vertices == 73
     kernel = default_deformation_kernel(template)
-    assert_kernels_exact(kernel, template.vertices)
-    assert_kernels_exact(kernel, template.vertices,
-                         template.vertices[::-1] + 0.01)
+    assert_kernels_match_plain(kernel, template.vertices)
+    assert_kernels_match_plain(kernel, template.vertices,
+                               template.vertices[::-1] + 0.01)
+    # a second weight that is not 1 is applied once, to the second Gaussian
+    assert_kernels_match_plain(GaussianKernel(kernel.sigma, kernel.sigma2,
+                                              0.3), template.vertices)
 
 
-def test_in_place_factors_are_bit_identical_cross_block():
+def test_factors_match_the_plain_formula_cross_block():
     from fos.synthdata import ellipsoid_patch, refine_mesh
     template = ellipsoid_patch(2)
     subject = refine_mesh(template, 1)
     assert (template.n_faces, subject.n_faces) == (122, 488)
-    assert_kernels_exact(GaussianKernel(sigma=0.3), template.face_centers,
-                         subject.face_centers)
+    assert_kernels_match_plain(GaussianKernel(sigma=0.3),
+                               template.face_centers, subject.face_centers)
 
 
-def test_in_place_factors_are_bit_identical_at_coincident_points():
+def test_factors_match_the_plain_formula_at_coincident_points():
     # repeated points whose expanded d2 rounds below zero: the clamp acts
     rng = np.random.default_rng(1)
     pts = np.repeat(rng.normal(size=(6, 3)), 3, axis=0)
@@ -171,8 +179,10 @@ def test_in_place_factors_are_bit_identical_at_coincident_points():
     assert (aa[:, None] + aa[None, :] - 2.0 * (pts @ pts.T)).min() < 0.0
     assert plain_sqdist(pts).min() == 0.0
     kernel = GaussianKernel(sigma=0.8, sigma2=0.4, weight=2.0)
-    assert_kernels_exact(kernel, pts)
-    assert_kernels_exact(kernel, pts, pts[::-1].copy())
+    assert_kernels_match_plain(kernel, pts)
+    assert_kernels_match_plain(kernel, pts, pts[::-1].copy())
+    # the kernel's own clamp: no value of a coincident pair exceeds K(0)
+    assert kernel.gram(pts).max() == 1.0 + kernel.weight
 
 
 @pytest.mark.parametrize("n_b, shapes, dtype", [

@@ -5,7 +5,7 @@ from fos.kernels import GaussianKernel, default_deformation_kernel
 from fos.lddmm import (InitialMomenta, ShootingError, _rhs, _rhs_vjp,
                        flow_points, shoot, shoot_gradient)
 from fos.synthdata import SimSpec, ellipsoid_patch, make_template, refine_mesh
-from test_kernels import plain_factors, plain_sqdist
+from test_kernels import assert_close, plain_factors, plain_sqdist
 
 
 def small_system(seed=0, k=12, sigma=0.8, scale=0.3):
@@ -123,7 +123,7 @@ def test_stored_midpoints_reproduce_recomputed_integration():
     c, a, x = advect(kern, path.points[0], path.momenta[0], pts, 0.1, 10)
     assert np.array_equal(c, path.points[-1])
     assert np.array_equal(a, path.momenta[-1])
-    assert np.array_equal(flow_points(path, pts), x)
+    assert_close(flow_points(path, pts), x)
 
 
 @pytest.mark.parametrize("two_gaussians", [True, False],
@@ -146,7 +146,7 @@ def test_flow_points_at_the_generator_size_matches_joint_advection(
     assert np.array_equal(c, path.points[-1])
     assert np.array_equal(a, path.momenta[-1])
     assert np.abs(x - obs.vertices).max() > 0.1
-    assert np.array_equal(flow_points(path, obs.vertices), x)
+    assert_close(flow_points(path, obs.vertices), x)
 
 
 def test_shoot_gradient_matches_finite_differences():
@@ -180,9 +180,17 @@ def test_divergence_raises():
         shoot(v0, 5)
 
 
+def plain_rhs(kernel, c, a):
+    """_rhs written with out-of-place products and the plain kernel formula."""
+    gram, gfac = plain_factors(kernel, plain_sqdist(c), 0, 1)
+    s = gfac * (a @ a.T)
+    return gram @ a, -0.5 * (c * s.sum(axis=1)[:, None] - s @ c)
+
+
 def plain_rhs_vjp(kernel, c, a, p, q):
-    """_rhs_vjp written with out-of-place products."""
-    k, g, g2 = kernel.gram_triple(c)
+    """_rhs_vjp written with out-of-place products and the plain kernel
+    formula."""
+    k, g, g2 = plain_factors(kernel, plain_sqdist(c), 0, 1, 2)
     s = a @ a.T
     qc_diff = np.sum(q * c, axis=1)[:, None] - q @ c.T
     s1 = g * (p @ a.T)
@@ -198,12 +206,24 @@ def plain_rhs_vjp(kernel, c, a, p, q):
     return cbar, abar
 
 
-def test_in_place_rhs_vjp_is_bit_identical():
+def rhs_inputs(seed):
+    """The K=73 template's vertices as control points under a two-Gaussian
+    kernel, with random momenta and cotangents."""
     mesh = ellipsoid_patch(2)
     kern = GaussianKernel(sigma=0.8, sigma2=0.2, weight=1.0)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     c = mesh.vertices
-    a, p, q = (rng.normal(size=c.shape) for _ in range(3))
+    return kern, c, *(rng.normal(size=c.shape) for _ in range(3))
+
+
+def test_rhs_matches_the_plain_expressions():
+    kern, c, a, _, _ = rhs_inputs(6)
+    for got, want in zip(_rhs(kern, c, a), plain_rhs(kern, c, a)):
+        assert_close(got, want)
+
+
+def test_rhs_vjp_matches_the_plain_expressions():
+    kern, c, a, p, q = rhs_inputs(7)
     for got, want in zip(_rhs_vjp(kern, c, a, p, q),
                          plain_rhs_vjp(kern, c, a, p, q)):
-        assert np.array_equal(got, want)
+        assert_close(got, want)

@@ -366,6 +366,22 @@ def test_subject_count_follows_latest_simulate(tmp_path):
     assert len(diags) == 3
 
 
+def test_a_rerun_stage_keeps_no_file_of_its_earlier_run(tmp_path):
+    def config(n):
+        return PipelineConfig.from_dict({
+            "output_dir": str(tmp_path), "seed": 0,
+            "simulate": {"n": n, "subdivisions": 1}})
+
+    run_pipeline(config(5), ("simulate",))
+    assert (tmp_path / "sim" / "subject_004.off").exists()
+    run_pipeline(config(3), ("simulate",))
+    record = json.loads((tmp_path / "sim" / "record.json").read_text())
+    on_disk = {p.name for p in (tmp_path / "sim").iterdir()}
+    assert set(record["files"]) == on_disk - {"record.json"}
+    subjects = {name for name in on_disk if name.startswith("subject_")}
+    assert subjects == {f"subject_{i:03d}.off" for i in range(3)}
+
+
 def test_manifest_drops_stages_of_another_config(tmp_path):
     def config(lam):
         return PipelineConfig.from_dict({
