@@ -19,29 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def extended(x, *columns):
-    """[x, columns...] as a new array; a matmul with [x, 1] gives both a
-    product with x and the row sums."""
-    out = np.empty((len(x), x.shape[1] + len(columns)))
-    out[:, :x.shape[1]] = x
-    for j, column in enumerate(columns, x.shape[1]):
-        out[:, j] = column
-    return out
-
-
 def exponent(points_a, points_b, sigma, out=None):
     """-|a_i - b_j|^2 / (2 sigma^2), written into out when given; b
-    defaults to a. The row term -|a_i|^2 / (2 sigma^2), the column term
-    -|b_j|^2 / (2 sigma^2) and a_i.b_j / sigma^2 are one matmul of the
-    extended points; one pass clamps it at 0 where it rounds above."""
+    defaults to a. One matmul of two fresh buffers, the (|a|, 5) rows
+    [a_i, -|a_i|^2 / (2 sigma^2), 1] and the (5, |b|) columns [b_j / sigma^2,
+    1, -|b_j|^2 / (2 sigma^2)], gives all three terms (the row term is the
+    column term when b is a); one pass clamps the result at 0."""
     s = 1.0 / sigma ** 2
     a = np.asarray(points_a, float)
     b = a if points_b is None else np.asarray(points_b, float)
-    row = (-0.5 * s) * np.sum(a * a, axis=1)
-    col = row if points_b is None else (-0.5 * s) * np.sum(b * b, axis=1)
-    b_t = extended(b, 1.0, col).T.copy()
-    b_t[:3] *= s
-    x = np.matmul(extended(a, row, 1.0), b_t, out=out)
+    rows, cols = np.empty((len(a), 5)), np.empty((5, len(b)))
+    rows[:, :3], rows[:, 4], cols[3] = a, 1.0, 1.0
+    np.multiply(-0.5 * s, np.sum(a * a, axis=1), out=rows[:, 3])
+    if points_b is None:
+        cols[4] = rows[:, 3]
+    else:
+        np.multiply(-0.5 * s, np.sum(b * b, axis=1), out=cols[4])
+    np.multiply(b.T, s, out=cols[:3])
+    x = np.matmul(rows, cols, out=out)
     return np.minimum(x, 0.0, out=x)
 
 
@@ -60,6 +55,11 @@ class GaussianKernel:
             raise ValueError("sigma2 must be positive")
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
+        widths = [s for s in (self.sigma, self.sigma2) if s is not None]
+        # `_factors`' (n x Gaussians) coefficients for n = 2, 3, built once
+        object.__setattr__(self, "_coefficients", {n: np.array(
+            [[1.0, -1.0 / s ** 2, 0.5 / s ** 4][:n] for s in widths]).T
+            for n in (2, 3)})
 
     def _gaussians(self, points_a, points_b, first, second):
         """Each Gaussian with its weight, written into first and second,
@@ -83,14 +83,11 @@ class GaussianKernel:
         factors are one matmul of those coefficients with the stacked
         Gaussians: after `_gaussians`' passes, one pass that reads each
         Gaussian once and writes each factor once."""
-        widths = [s for s in (self.sigma, self.sigma2) if s is not None]
-        coef = np.array([[1.0, -1.0 / s ** 2, 0.5 / s ** 4][:n]
-                         for s in widths]).T
-        n_a = len(points_a)
-        n_b = n_a if points_b is None else len(points_b)
-        e = np.empty((len(widths), n_a, n_b))
+        coef = self._coefficients[n]
+        shape = len(points_a), len(points_a if points_b is None else points_b)
+        e = np.empty((coef.shape[1],) + shape)
         self._gaussians(points_a, points_b, e[0], e[-1])
-        return tuple((coef @ e.reshape(len(e), -1)).reshape(n, n_a, n_b))
+        return tuple((coef @ e.reshape(len(e), -1)).reshape((n,) + shape))
 
     def gram(self, points_a, points_b=None, work=None):
         """Dense |a| x |b| matrix of kernel values, written into work[1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GaussianKernel, extended
+from .kernels import GaussianKernel
 
 
 class ShootingError(RuntimeError):
@@ -69,12 +69,19 @@ class GeodesicPath:
         return len(self.mid_points)
 
 
+def _extended(x, column):
+    """[x, column] in one new (k, 4) buffer."""
+    out = np.empty((len(x), 4))
+    out[:, :3], out[:, 3] = x, column
+    return out
+
+
 def _rhs(kernel, c, a):
     gram, s = kernel.gram_pair(c)
     # da_k = -1/2 sum_l s_kl (c_k - c_l) with s = gamma (a a^T), formed in
     # place; one matmul s @ [c, 1] gives s @ c and the row sums of s
     np.multiply(s, a @ np.ascontiguousarray(a.T), out=s)
-    sc = s @ extended(c, 1.0)
+    sc = s @ _extended(c, 1.0)
     return gram @ a, -0.5 * (c * sc[:, 3:] - sc[:, :3])
 
 
@@ -88,16 +95,18 @@ def _rhs_vjp(kernel, c, a, p, q):
     d_kl = q_k.(c_l - c_k), the sensitivities to c through dc = K a and
     through the Hessian term of da share W = gamma (p a^T) + gamma' s d,
     read through W @ [c, 1] and W^T @ [c, 1]; t = gamma s is symmetric, so
-    t @ [q, 1] gives both of its products. Passes over the k x k blocks:
+    t @ [q, 1], the buffer of [q, -q.c] with its last column set to 1,
+    gives both of its products. Passes over the k x k blocks:
     `gram_triple`'s, then five in place: three form W, one t, one gamma d.
     The result agrees with the plain expressions up to rounding.
     """
     k, g, g2 = kernel.gram_triple(c)
     a_t = np.ascontiguousarray(a.T)
-    c1 = extended(c, 1.0)
+    c1 = _extended(c, 1.0)
     c1_t = np.ascontiguousarray(c1.T)
     s = a @ a_t
-    d = extended(q, -np.sum(q * c, axis=1)) @ c1_t
+    q1 = _extended(q, -np.sum(q * c, axis=1))
+    d = q1 @ c1_t
     w = p @ a_t
     w *= g
     g2 *= s
@@ -106,7 +115,8 @@ def _rhs_vjp(kernel, c, a, p, q):
     t = np.multiply(g, s, out=s)
     u = np.multiply(g, d, out=d)
     wc = w @ c1 + (c1_t @ w).T                      # (W + W^T) @ [c, 1]
-    tq = t @ extended(q, 1.0)
+    q1[:, 3] = 1.0
+    tq = t @ q1
     cbar = c * wc[:, 3:] - wc[:, :3] - 0.5 * (q * tq[:, 3:] - tq[:, :3])
     return cbar, k @ p + 0.5 * (u @ a + (a_t @ u).T)
 
@@ -134,34 +144,31 @@ def shoot_gradient(path: GeodesicPath, cbar_end):
 
 
 def _check_finite(*arrays):
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise ShootingError(
-                "integration diverged; use smaller momenta or more steps")
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ShootingError(
+            "integration diverged; use smaller momenta or more steps")
 
 
 def shoot(v0: InitialMomenta, steps: int) -> GeodesicPath:
-    """Integrate the Hamiltonian system from (c, a(0)) to t=1."""
+    """Integrate the Hamiltonian system from (c, a(0)) to t=1. The path's
+    four arrays are allocated once, and each state c + (dt dc) is written
+    into them in place: a step allocates only what `_rhs` returns."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = 1.0 / steps
-    c = v0.control_points.copy()
-    a = v0.momenta.copy()
-    cs, As, cms, ams = [c.copy()], [a.copy()], [], []
-    for _ in range(steps):
+    points, momenta = np.empty((2, steps + 1) + v0.control_points.shape)
+    mid_points, mid_momenta = np.empty((2, steps) + v0.control_points.shape)
+    points[0], momenta[0] = v0.control_points, v0.momenta
+    for t in range(steps):
+        c, a, cm, am = points[t], momenta[t], mid_points[t], mid_momenta[t]
         dc, da = _rhs(v0.kernel, c, a)
-        cm = c + 0.5 * dt * dc
-        am = a + 0.5 * dt * da
+        np.add(c, np.multiply(dc, 0.5 * dt, out=dc), out=cm)
+        np.add(a, np.multiply(da, 0.5 * dt, out=da), out=am)
         dc, da = _rhs(v0.kernel, cm, am)
-        c = c + dt * dc
-        a = a + dt * da
-        _check_finite(c, a)
-        cs.append(c.copy())
-        As.append(a.copy())
-        cms.append(cm)
-        ams.append(am)
-    return GeodesicPath(np.array(cs), np.array(As), np.array(cms),
-                        np.array(ams), v0.kernel)
+        np.add(c, np.multiply(dc, dt, out=dc), out=points[t + 1])
+        np.add(a, np.multiply(da, dt, out=da), out=momenta[t + 1])
+        _check_finite(points[t + 1], momenta[t + 1])
+    return GeodesicPath(points, momenta, mid_points, mid_momenta, v0.kernel)
 
 
 def flow_points(path: GeodesicPath, points) -> np.ndarray:

@@ -421,9 +421,11 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
     reg = study.dir("register-geo")
     reg.mkdir(parents=True, exist_ok=True)
     rcfg = cfg.settings["register_geo"].resolved(template)
-    diags = {}
+    diags, seconds = {}, []
     for i, target in enumerate(targets):
+        t0 = time.perf_counter()
         v0, diag = register_geometry(template, target, study.kernel, rcfg)
+        seconds.append(time.perf_counter() - t0)
         _write_csv(reg / f"momenta_{i:03d}.csv",
                    np.column_stack([np.arange(template.n_vertices),
                                     v0.control_points, v0.momenta]),
@@ -446,7 +448,7 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
     return {"subjects": n, **settings,
             "iterations": sum(d.iterations for d in runs), "stop": stops,
             "folded_faces": sum(d.folded_faces for d in runs),
-            "warnings": warnings}
+            "subject_wall_time_s": seconds, "warnings": warnings}
 
 
 def _stage_register_fun(cfg: PipelineConfig, study: Study):

@@ -99,12 +99,6 @@ class TangentFrameAtlas:
         c = np.asarray(coefficients, float).reshape(-1, 2)
         return c[:, :1] * self.e1 + c[:, 1:] * self.e2
 
-    def to_frame(self, ambient_vectors):
-        """Project ambient 3-vectors to the tangent planes, in coefficients."""
-        v = np.asarray(ambient_vectors, float)
-        return np.stack([np.sum(v * self.e1, axis=1),
-                         np.sum(v * self.e2, axis=1)], axis=1)
-
 
 def _one_rings(mesh: TriangleMesh):
     """(ring, wedges, closed) for every vertex, by one walk.

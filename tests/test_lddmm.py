@@ -43,6 +43,27 @@ def recomputing_shoot_gradient(path, cbar_end):
     return cb, ab
 
 
+def plain_shoot(v0, steps):
+    """The shooting loop with a copy of each state in a list and one
+    restack at the end, kept as the oracle for `shoot`'s in-place path."""
+    dt = 1.0 / steps
+    c = v0.control_points.copy()
+    a = v0.momenta.copy()
+    cs, As, cms, ams = [c.copy()], [a.copy()], [], []
+    for _ in range(steps):
+        dc, da = _rhs(v0.kernel, c, a)
+        cm = c + 0.5 * dt * dc
+        am = a + 0.5 * dt * da
+        dc, da = _rhs(v0.kernel, cm, am)
+        c = c + dt * dc
+        a = a + dt * da
+        cs.append(c.copy())
+        As.append(a.copy())
+        cms.append(cm)
+        ams.append(am)
+    return np.array(cs), np.array(As), np.array(cms), np.array(ams)
+
+
 def plain_velocity(kernel, x, c, a):
     """v(x) = sum_k K(x, c_k) a_k from the out-of-place kernel formula."""
     return plain_factors(kernel, plain_sqdist(x, c), 0)[0] @ a
@@ -103,6 +124,21 @@ def test_flow_points_matches_control_trajectories():
     path = shoot(v0, 40)
     moved = flow_points(path, v0.control_points)
     assert np.allclose(moved, path.points[-1], atol=1e-12)
+
+
+def test_in_place_path_is_bit_identical_to_the_list_loop():
+    # the K=73 template under the pipeline's default two-Gaussian kernel
+    template = make_template(SimSpec(subdivisions=2))
+    assert template.n_vertices == 73
+    rng = np.random.default_rng(11)
+    v0 = InitialMomenta(template.vertices,
+                        0.05 * rng.normal(size=template.vertices.shape),
+                        default_deformation_kernel(template))
+    path = shoot(v0, 10)
+    got = (path.points, path.momenta, path.mid_points, path.mid_momenta)
+    for g, want in zip(got, plain_shoot(v0, 10)):
+        assert g.shape == want.shape
+        assert np.array_equal(g, want)
 
 
 def test_stored_midpoints_reproduce_recomputed_integration():
@@ -172,12 +208,19 @@ def test_shoot_gradient_matches_finite_differences():
 
 
 def test_divergence_raises():
+    """Two points 0.1 apart under sigma = 0.1, at momenta 1e8 and 1e200.
+    At 1e8 the state turns non-finite only through the cancellation in
+    |a|^2 + |b|^2 - 2a.b of the uncentred exponent; centring the
+    expansion (ROADMAP, "Centered Gaussian blocks") keeps that case
+    finite. At 1e200, a.a is already inf, so the state overflows wherever
+    the expansion's origin lies."""
     pts = np.zeros((2, 3))
     pts[1, 0] = 0.1
-    v0 = InitialMomenta(pts, 1e8 * np.ones((2, 3)),
-                        GaussianKernel(sigma=0.1))
-    with pytest.raises(ShootingError), np.errstate(all="ignore"):
-        shoot(v0, 5)
+    for scale in (1e8, 1e200):
+        v0 = InitialMomenta(pts, scale * np.ones((2, 3)),
+                            GaussianKernel(sigma=0.1))
+        with pytest.raises(ShootingError), np.errstate(all="ignore"):
+            shoot(v0, 5)
 
 
 def plain_rhs(kernel, c, a):

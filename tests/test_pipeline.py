@@ -139,6 +139,9 @@ def test_manifest_structure(finished_run):
     summary = manifest["stages"]["register-geo"]["summary"]
     for key in ("iterations", "folded_faces"):
         assert summary[key] == sum(d[key] for d in diags.values())
+    # one registration time per subject, in the manifest only
+    assert len(summary["subject_wall_time_s"]) == len(diags) == 6
+    assert all(t >= 0.0 for t in summary["subject_wall_time_s"])
     assert summary["stop"] == {
         rule: sum(d["stop"] == rule for d in diags.values())
         for rule in STOP_RULES}

@@ -26,6 +26,14 @@ def flat_patch(n=5):
     return TriangleMesh(vv, np.array(faces))
 
 
+def to_frame(atlas, ambient_vectors):
+    """Ambient 3-vectors projected to the atlas's tangent planes, in frame
+    coefficients."""
+    v = np.asarray(ambient_vectors, float)
+    return np.stack([np.sum(v * atlas.e1, axis=1),
+                     np.sum(v * atlas.e2, axis=1)], axis=1)
+
+
 def mixed_solve_update(conn, theta2, rhs, lam):
     """The mixed (saddle-point) solve that `solve_update` replaced, with
     the boundary coefficients of u held at zero by leaving them out:
@@ -65,7 +73,7 @@ def test_frame_round_trip():
     atlas = build_frames(mesh)
     rng = np.random.default_rng(0)
     coeffs = rng.normal(size=(mesh.n_vertices, 2))
-    back = atlas.to_frame(atlas.to_ambient(coeffs))
+    back = to_frame(atlas, atlas.to_ambient(coeffs))
     assert np.allclose(back, coeffs, atol=1e-12)
 
 
@@ -177,7 +185,7 @@ def test_flat_patch_constant_field_has_zero_energy():
     mesh = flat_patch(5)
     atlas = build_frames(mesh)
     r0, r1 = assemble_connection_matrices(mesh, atlas)
-    const = atlas.to_frame(np.tile([1.0, 0.0, 0.0], (mesh.n_vertices, 1)))
+    const = to_frame(atlas, np.tile([1.0, 0.0, 0.0], (mesh.n_vertices, 1)))
     x = const.ravel()
     assert abs(x @ (r1 @ x)) <= 1e-10
 
@@ -306,7 +314,7 @@ def test_frame_rotation_invariance_of_ambient_solution():
     def solve_in(atlas_k):
         conn = connection(mesh, atlas_k)
         theta2, rhs = apply_dirichlet(
-            conn, *build_system(conn, atlas_k.to_frame(j_ambient), z))
+            conn, *build_system(conn, to_frame(atlas_k, j_ambient), z))
         return atlas_k.to_ambient(solve_update(conn, theta2, rhs, 1.0))
 
     base = solve_in(atlas)
