@@ -1,8 +1,9 @@
 """Command-line entry point: per-stage subcommands plus the end-to-end
-pipeline driver. Exit codes: 0 success, 2 invalid configuration or a
-missing, malformed or stale input file (such as an artifact of an earlier
-stage that has not run, or that was written for other inputs), 3
-numerical failure.
+pipeline driver. Exit codes: 0 success, 2 invalid configuration (an
+unknown key; a value mistyped, out of range or not finite) or a missing,
+malformed or stale input file (such as an artifact of an earlier stage
+that has not run, or that was written for other inputs), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -63,14 +64,15 @@ def build_parser():
 
 
 def _load_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_json(args.config) if args.config \
-        else PipelineConfig()
+    """--config's configuration, --output-dir and --seed set in its root."""
+    overrides = {}
     if args.output_dir:
-        cfg.output_dir = args.output_dir
+        overrides["output_dir"] = args.output_dir
     if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
-    return cfg
+        overrides["seed"] = args.seed
+    if args.config:
+        return PipelineConfig.from_json(args.config, **overrides)
+    return PipelineConfig.from_dict(overrides)
 
 
 def _grid(text, option):

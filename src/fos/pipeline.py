@@ -10,8 +10,9 @@ object, whose defaults and checks are the block's: simulate ->
 synthdata.SimSpec (seed defaults to the root seed), register_geo ->
 georeg.RegistrationConfig (every field but similarity), register_fun ->
 demons.DemonsConfig, and fpca_geo, fpca_fun, cca -> FpcaGeoSettings,
-FpcaFunSettings, CcaSettings below. `PipelineConfig.validate` builds all
-six, so a bad value is a ConfigError before any stage runs.
+FpcaFunSettings, CcaSettings below. `PipelineConfig.from_dict` builds all
+six into the config's fields of those names, so a bad value is a
+ConfigError before any stage runs, and the stages read them as built.
 
 This module alone reads and writes the artifacts below, under the output
 directory. A table is a header row, then rows of numbers with 17
@@ -73,7 +74,7 @@ import json
 import platform
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import get_type_hints
@@ -97,9 +98,9 @@ STAGES = ("simulate", "register-geo", "register-fun",
 
 
 def _is_number(value, kind=(int, float)):
-    """Whether value is a number >= 0 of the given kind; bools are not."""
+    """Whether value is a finite number >= 0 of the given kind, not a bool."""
     return isinstance(value, kind) and not isinstance(value, bool) \
-        and value >= 0
+        and 0 <= value < np.inf
 
 
 @dataclass
@@ -128,28 +129,12 @@ class FpcaFunSettings:
         if lams is not None and not (isinstance(lams, (list, tuple))
                                      and lams and all(map(_is_number, lams))):
             raise ValueError("cv_lambdas must be a non-empty list of "
-                             "numbers >= 0")
+                             "finite numbers >= 0")
 
 
 @dataclass
 class CcaSettings:
     """The cca stage takes no settings."""
-
-
-_SETTINGS = {
-    "simulate": SimSpec,
-    "register_geo": RegistrationConfig,
-    "register_fun": DemonsConfig,
-    "fpca_geo": FpcaGeoSettings,
-    "fpca_fun": FpcaFunSettings,
-    "cca": CcaSettings,
-}
-
-
-def _block_keys(block_name):
-    # similarity is set by library callers only
-    return [f.name for f in fields(_SETTINGS[block_name])
-            if f.name != "similarity"]
 
 
 class ConfigError(ValueError):
@@ -167,7 +152,9 @@ def _require(cond, msg):
 
 
 def _check_stages(stages):
-    """stages as a tuple: ConfigError unless known, ordered and not empty."""
+    """stages as a tuple: ConfigError unless a list of known stages, ordered
+    and not empty."""
+    _require(isinstance(stages, (list, tuple)), "stages must be a list")
     stages = tuple(stages)
     for st in stages:
         _require(st in STAGES, f"unknown stage {st!r}")
@@ -177,20 +164,20 @@ def _check_stages(stages):
     return stages
 
 
-def _settings(block_name, block):
-    """The settings object of one config block."""
+def _settings(block_name, cls, block):
+    """The settings object of class cls of one config block."""
     _require(isinstance(block, dict), f"{block_name} block must be an object")
-    unknown = set(block) - set(_block_keys(block_name))
-    _require(not unknown, f"unknown {block_name} keys: {sorted(unknown)}")
-    cls = _SETTINGS[block_name]
     hints = get_type_hints(cls)
+    hints.pop("similarity", None)       # set by library callers only
+    unknown = set(block) - set(hints)
+    _require(not unknown, f"unknown {block_name} keys: {sorted(unknown)}")
     for key, value in block.items():
         name = f"{block_name}.{key}"
         _require(value is not None, f"{name} must not be null")
         if hints[key] is int:
             _require(_is_number(value, int), f"{name} must be an int >= 0")
         elif hints[key] in (float, float | None):
-            _require(_is_number(value), f"{name} must be a number >= 0")
+            _require(_is_number(value), f"{name} must be a finite number >= 0")
     try:
         return cls(**block)
     except (TypeError, ValueError) as exc:
@@ -199,52 +186,60 @@ def _settings(block_name, block):
 
 @dataclass
 class PipelineConfig:
-    """The run's JSON configuration. `validate` sets `settings`, the
-    settings object of every stage block keyed by block name."""
+    """The run's configuration: the root fields and the settings object of
+    each stage block. `from_dict` builds it from the JSON form; the root
+    fields are checked however it is built."""
 
     output_dir: str = "fos_out"
     seed: int = 0
     stages: tuple = STAGES
-    simulate: dict = field(default_factory=dict)
-    register_geo: dict = field(default_factory=dict)
-    register_fun: dict = field(default_factory=dict)
-    fpca_geo: dict = field(default_factory=dict)
-    fpca_fun: dict = field(default_factory=dict)
-    cca: dict = field(default_factory=dict)
+    simulate: SimSpec = field(default_factory=SimSpec)
+    register_geo: RegistrationConfig = field(
+        default_factory=RegistrationConfig)
+    register_fun: DemonsConfig = field(default_factory=DemonsConfig)
+    fpca_geo: FpcaGeoSettings = field(default_factory=FpcaGeoSettings)
+    fpca_fun: FpcaFunSettings = field(default_factory=FpcaFunSettings)
+    cca: CcaSettings = field(default_factory=CcaSettings)
+
+    def __post_init__(self):
+        _require(isinstance(self.output_dir, str),
+                 "output_dir must be a string")
+        self.stages = _check_stages(self.stages)
+        _require(_is_number(self.seed, int), "seed must be an int >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         _require(isinstance(data, dict), "config must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
+        hints = get_type_hints(cls)
+        unknown = set(data) - set(hints)
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
+        blocks = {name: data.get(name, {}) for name in hints
+                  if is_dataclass(hints[name])}
+        cfg = cls(**{k: v for k, v in data.items() if k not in blocks},
+                  **{name: _settings(name, hints[name], block)
+                     for name, block in blocks.items()})
+        ff = blocks["fpca_fun"]
+        _require("cv_lambdas" not in ff or "lam" not in ff,
+                 "give fpca_fun.lam or fpca_fun.cv_lambdas, not both")
+        _require("cv_lambdas" in ff or "folds" not in ff,
+                 "fpca_fun.folds needs fpca_fun.cv_lambdas")
+        if "seed" not in blocks["simulate"]:
+            cfg.simulate = replace(cfg.simulate, seed=cfg.seed)
         return cfg
 
     @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
+    def from_json(cls, path, **overrides) -> "PipelineConfig":
+        """The JSON file's config, overrides in place of its root fields."""
         try:
             with open(str(path)) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(data)
-
-    def validate(self):
-        self.stages = _check_stages(self.stages)
-        _require(_is_number(self.seed, int), "seed must be an int >= 0")
-        self.settings = {name: _settings(name, getattr(self, name))
-                         for name in _SETTINGS}
-        ff = self.fpca_fun
-        _require("cv_lambdas" not in ff or "lam" not in ff,
-                 "give fpca_fun.lam or fpca_fun.cv_lambdas, not both")
-        _require("cv_lambdas" in ff or "folds" not in ff,
-                 "fpca_fun.folds needs fpca_fun.cv_lambdas")
-        if "seed" not in self.simulate:
-            self.settings["simulate"] = replace(self.settings["simulate"],
-                                                seed=self.seed)
+        _require(isinstance(data, dict), "config must be a JSON object")
+        return cls.from_dict({**data, **overrides})
 
     def parameter_hash(self) -> str:
+        """sha256 of the settings as resolved: one run's configs hash equal."""
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -285,7 +280,7 @@ def _sha256(data):
 def _check_subjects(cfg, n, stages):
     """ConfigError unless n subjects suffice for the fpca-fun folds and the
     configured cca score columns of `stages`."""
-    fg, ff = cfg.settings["fpca_geo"], cfg.settings["fpca_fun"]
+    fg, ff = cfg.fpca_geo, cfg.fpca_fun
     _require("fpca-fun" not in stages or not ff.cv_lambdas or ff.folds <= n,
              f"fpca_fun.folds = {ff.folds} exceeds the {n} subjects")
     if "cca" in stages:
@@ -392,7 +387,7 @@ class Study:
 # -- stages -------------------------------------------------------------------
 
 def _stage_simulate(cfg: PipelineConfig, study: Study):
-    spec = cfg.settings["simulate"]
+    spec = cfg.simulate
     ds = generate_dataset(spec)
     sim = study.dir("simulate")
     sim.mkdir(parents=True, exist_ok=True)
@@ -420,7 +415,7 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
                for i in range(n)]                   # before any write
     reg = study.dir("register-geo")
     reg.mkdir(parents=True, exist_ok=True)
-    rcfg = cfg.settings["register_geo"].resolved(template)
+    rcfg = cfg.register_geo.resolved(template)
     diags, seconds = {}, []
     for i, target in enumerate(targets):
         t0 = time.perf_counter()
@@ -444,7 +439,7 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
                         "failed line search")
     if folded:
         warnings.append(f"{folded}/{n} subjects end with folded faces")
-    settings = {key: getattr(rcfg, key) for key in _block_keys("register_geo")}
+    settings = {k: v for k, v in asdict(rcfg).items() if k != "similarity"}
     return {"subjects": n, **settings,
             "iterations": sum(d.iterations for d in runs), "stop": stops,
             "folded_faces": sum(d.folded_faces for d in runs),
@@ -464,7 +459,7 @@ def _stage_register_fun(cfg: PipelineConfig, study: Study):
         values = pull_back_function(target_field, end)
         pulled.append(values)
         _write_csv(fun / f"pulled_{i:03d}.csv", values)
-    dcfg = cfg.settings["register_fun"]
+    dcfg = cfg.register_fun
     mean, _, aligned = groupwise_template(template, pulled, config=dcfg)
     for i in range(n):
         _write_csv(fun / f"aligned_{i:03d}.csv", aligned[i])
@@ -480,7 +475,7 @@ def _stage_fpca_geo(cfg: PipelineConfig, study: Study):
     fg = study.dir("fpca-geo")
     fg.mkdir(parents=True, exist_ok=True)
     fit = geometric_fpca(moms, template.vertices, study.kernel,
-                         n_components=cfg.settings["fpca_geo"].n_components)
+                         n_components=cfg.fpca_geo.n_components)
     _write_csv(fg / "scores.csv", fit.scores, "pc", 1)
     _write_csv(fg / "variances.csv", fit.variances, "pc", 1)
     np.savez(fg / "components.npz", components=fit.components,
@@ -490,7 +485,7 @@ def _stage_fpca_geo(cfg: PipelineConfig, study: Study):
 
 
 def _stage_fpca_fun(cfg: PipelineConfig, study: Study):
-    fcfg = cfg.settings["fpca_fun"]
+    fcfg = cfg.fpca_fun
     template = study.template
     fields = [study.field(template, "register-fun",
                           f"aligned_{i:03d}.csv").values
@@ -558,7 +553,6 @@ def _in_stage(st, func, *args):
 
 def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     """Run the requested stage subset; returns and persists the manifest."""
-    cfg.validate()
     stages = cfg.stages if stages is None else _check_stages(stages)
     out = Path(cfg.output_dir)
     # read after simulate when it runs: simulate writes the study
@@ -566,7 +560,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     # every stage but cca reads the subject count: check it before any
     # stage writes
     if "simulate" in stages:
-        _check_subjects(cfg, cfg.settings["simulate"].n, stages)
+        _check_subjects(cfg, cfg.simulate.n, stages)
     elif stages != ("cca",):
         _check_subjects(cfg, _in_stage(stages[0], lambda: study.n), stages)
     out.mkdir(parents=True, exist_ok=True)
@@ -586,7 +580,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         if study.dir(st).exists():
             shutil.rmtree(study.dir(st))
         summary = _in_stage(st, _STAGE_FUNCS[st], cfg, study)
-        study.write_record(st, asdict(cfg.settings[st.replace("-", "_")]))
+        study.write_record(st, asdict(getattr(cfg, st.replace("-", "_"))))
         warnings = summary.pop("warnings", [])
         manifest["stages"][st] = {
             "summary": summary,

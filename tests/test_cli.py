@@ -72,6 +72,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad)]) == 2
     bad.write_text(json.dumps({"mystery_block": 1}))
     assert main(["pipeline", "--config", str(bad)]) == 2
+    # mistyped root fields, each named in the message
+    capsys.readouterr()
+    for data, field in (({"output_dir": 5}, "output_dir"),
+                        ({"stages": "cca"}, "stages")):
+        bad.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and field in err
 
 
 def test_out_of_range_setting_exits_2_before_any_stage(tmp_path, capsys):
@@ -81,6 +89,34 @@ def test_out_of_range_setting_exits_2_before_any_stage(tmp_path, capsys):
     assert main(["register-geo", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_setting_exits_2_before_any_stage(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text('{"output_dir": %s, "register_geo": {"lam": Infinity}}'
+                   % json.dumps(str(out)))
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "register_geo.lam must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("simulate, recorded", [({}, 3), ({"seed": 7}, 7)],
+                         ids=["root-seed", "own-seed"])
+def test_seed_and_output_dir_options(tmp_path, capsys, simulate, recorded):
+    # --seed sets the root seed, which simulate.seed defaults to
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "output_dir": str(tmp_path / "from_config"),
+        "simulate": {"n": 2, "subdivisions": 1, **simulate}}))
+    out = tmp_path / "from_option"
+    assert main(["simulate", "--config", str(cfg), "--seed", "3",
+                 "--output-dir", str(out)]) == 0
+    record = json.loads((out / "sim" / "record.json").read_text())
+    assert record["settings"]["seed"] == recorded
+    assert not (tmp_path / "from_config").exists()
 
 
 def test_missing_inputs_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_config_rejects_negative_lambda():
                   {"cv_lambdas": "abc"}, {"cv_lambdas": []},
                   {"cv_lambdas": [0.0, "10"]}):
         with pytest.raises(ConfigError):
-            PipelineConfig.from_dict({"fpca_fun": block}).validate()
+            PipelineConfig.from_dict({"fpca_fun": block})
 
 
 def test_config_rejects_unknown_keys():
@@ -71,6 +72,12 @@ def test_config_rejects_unknown_keys():
     ("fpca_fun", {"folds": 2}),
     ("simulate", {"template": "hemisphere"}),
     ("register_fun", {"max_iterations": 0}),
+    # JSON's Infinity, which no stage can run with
+    ("register_geo", {"lam": np.inf}),
+    ("register_fun", {"lam": np.inf}),
+    ("fpca_fun", {"lam": np.inf}),
+    ("simulate", {"scale": np.inf}),
+    ("fpca_fun", {"cv_lambdas": [0, np.inf]}),
 ])
 def test_config_rejects_out_of_range_values(block, values):
     with pytest.raises(ConfigError):
@@ -86,9 +93,15 @@ def test_config_rejects_null_values():
 
 def test_config_rejects_bad_stage_order():
     with pytest.raises(ConfigError):
-        PipelineConfig.from_dict({"stages": ["cca", "simulate"]}).validate()
+        PipelineConfig.from_dict({"stages": ["cca", "simulate"]})
     with pytest.raises(ConfigError):
-        PipelineConfig.from_dict({"stages": ["not-a-stage"]}).validate()
+        PipelineConfig.from_dict({"stages": ["not-a-stage"]})
+    # one stage name is not a list of its letters
+    with pytest.raises(ConfigError, match="stages must be a list"):
+        PipelineConfig.from_dict({"stages": "cca"})
+    # a config built directly is checked too
+    with pytest.raises(ConfigError, match="pipeline order"):
+        PipelineConfig(stages=("cca", "simulate"))
 
 
 def test_explicit_stage_list_is_checked_like_the_config(tmp_path):
@@ -120,6 +133,12 @@ def test_parameter_hash_tracks_content():
     c = PipelineConfig.from_dict({"seed": 1})
     assert a.parameter_hash() == b.parameter_hash()
     assert a.parameter_hash() != c.parameter_hash()
+    # the same run, with its defaults spelled out or left out
+    for spelled, omitted in (({"simulate": {"n": 50}}, {"simulate": {}}),
+                             ({"seed": 2, "simulate": {"seed": 2}},
+                              {"seed": 2})):
+        assert PipelineConfig.from_dict(spelled).parameter_hash() == \
+            PipelineConfig.from_dict(omitted).parameter_hash()
 
 
 def test_manifest_structure(finished_run):
@@ -239,13 +258,24 @@ def test_suffix_resume_is_bit_identical(finished_run):
     assert "register-geo: on record" in manifest["warnings"]
 
 
+def _tree(root):
+    """The sha256 of every file under root, by path relative to it."""
+    return {p.relative_to(root): _digest(p) for p in root.rglob("*")
+            if p.is_file()}
+
+
 def test_full_rerun_is_deterministic(finished_run, tmp_path):
     _, out, _ = finished_run
     other = tmp_path / "out2"
     run_pipeline(tiny_config(other))
-    for rel in ("sim/true_scores.csv", "reg_geo/momenta_000.csv",
-                "fpca_fun/scores.csv", "cca/correlations.csv"):
-        assert _digest(out / rel) == _digest(other / rel)
+    # every file of every stage, its record.json included; the manifest
+    # holds wall times
+    dirs = sorted(p.name for p in other.iterdir() if p.is_dir())
+    assert dirs == sorted(Study(other).dir(st).name for st in STAGES)
+    assert {p.name for p in other.iterdir() if p.is_file()} == \
+        {"manifest.json"}
+    for name in dirs:
+        assert _tree(out / name) == _tree(other / name), name
 
 
 def test_emit_covariation_and_viz(finished_run):
@@ -263,7 +293,8 @@ def test_emit_covariation_and_viz(finished_run):
 
 def test_mode_visualization_shoots_with_the_stage_steps(tmp_path):
     cfg = tiny_config(tmp_path)
-    cfg.register_geo["shooting_steps"] = 5
+    cfg = replace(cfg, register_geo=replace(cfg.register_geo,
+                                            shooting_steps=5))
     run_pipeline(cfg)
     data = np.load(tmp_path / "fpca_geo" / "components.npz")
     files = emit_mode_visualization(tmp_path, mode=0, c_grid=[0.0])
@@ -284,7 +315,7 @@ def test_mode_visualization_reads_the_register_geo_record(finished_run,
     # another fpca_fun.lam drops register-geo from the manifest, while
     # reg_geo/ and fpca_geo/ stay as they were
     cfg = copied_run(finished_run, tmp_path)
-    cfg.fpca_fun["lam"] = 1.0
+    cfg = replace(cfg, fpca_fun=replace(cfg.fpca_fun, lam=1.0))
     manifest = run_pipeline(cfg, ("fpca-fun",))
     assert "register-geo" not in manifest["stages"]
     files = emit_mode_visualization(cfg.output_dir, mode=0, c_grid=[0.0])
@@ -297,7 +328,8 @@ def test_mode_visualization_reads_the_register_geo_record(finished_run,
 def test_stages_downstream_of_a_rerun_stage_refuse(finished_run, tmp_path,
                                                    stage, change):
     cfg = copied_run(finished_run, tmp_path)
-    getattr(cfg, stage.replace("-", "_")).update(change)
+    block = stage.replace("-", "_")
+    cfg = replace(cfg, **{block: replace(getattr(cfg, block), **change)})
     run_pipeline(cfg, (stage,))
     for st, stale in (("fpca-fun", "reg_fun: built from other inputs; run "
                        "register-fun again"),
