@@ -165,7 +165,9 @@ def _minimize(objective, config):
     """L-BFGS from zero momenta (the identity deformation).
 
     Each iteration searches along d = -H g, with first trial step
-    min(1, step_cap / max|d|), halving on a `ShootingError` or an
+    min(1, step_cap / max|d|), halving on a `ShootingError`, on a trial
+    whose similarity is negative or whose value is not finite (a squared
+    distance that rounding has cancelled away is no decrease), or on an
     insufficient decrease. A pair (s, y) is stored only when s.y is
     positive against |s||y|; a direction that is not a descent direction
     restarts the memory from -g. The gradient is computed at the start of
@@ -204,7 +206,8 @@ def _minimize(objective, config):
             except ShootingError:
                 trial *= ARMIJO_SHRINK
                 continue
-            if cval <= value + ARMIJO_C * trial * slope:
+            if csim.value >= 0 and np.isfinite(cval) \
+                    and cval <= value + ARMIJO_C * trial * slope:
                 break
             trial *= ARMIJO_SHRINK
         else:

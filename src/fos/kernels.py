@@ -3,13 +3,21 @@
 Isotropic matrix kernels are stored as their scalar factor; the implicit
 3x3-identity structure is applied in matrix-vector products.
 
-`gram` can fill a caller-owned workspace: two (|a|, |b|) float64 blocks,
-one for the second Gaussian and one for the kernel values it returns.
-A plain call allocates the pair. `lddmm.flow_points` keeps one pair per
-flow, because glibc unmaps a freed block of 1,037 x 271 (2.2 MB) and
-faults it in again on the next call: a plain `gram` of that size took
-about 1,065 minor page faults and 5.1 ms, and 2.9 ms with no fault, in
-the workspace (2-core Xeon VM, one BLAS thread).
+`gram` and `gram_pair` can fill a caller-owned workspace, so that a loop
+forming blocks of one size allocates them once: for `gram` two (|a|, |b|)
+float64 blocks, one for the second Gaussian and one for the kernel values
+it returns; for `gram_pair` the two blocks `factor_workspace` makes. A
+plain call allocates its blocks. Once a block is past glibc's mmap
+threshold (128 KiB in a fresh process, raised to the largest mapped block
+freed since), freeing it can hand its pages back to the OS, and the next
+call faults them in again. So `lddmm.shoot` keeps one `gram_pair`
+workspace per path and `lddmm.flow_points` one `gram` pair of one row
+tile per flow. In a fresh process, generating 20 subjects at K=271 with
+the tiled flow took 220k minor page faults and 1.04-1.20 s while `shoot`
+allocated its blocks at every step, and 14k faults and 0.78-0.87 s with
+its workspace (2-core Xeon VM, one BLAS thread). A flow of whole blocks
+hides those faults: its freed 2.2 MB block raises the threshold above
+`shoot`'s 1.2 MB blocks.
 """
 
 from __future__ import annotations
@@ -75,19 +83,35 @@ class GaussianKernel:
                 second *= self.weight
         np.exp(x, out=x)
 
-    def _factors(self, points_a, points_b, n):
+    def factor_workspace(self, shape, n=2):
+        """Blocks for n factors of |a| x |b| = shape: the stacked Gaussians
+        and the stacked factors, which `_factors` returns as views."""
+        return (np.empty((self._coefficients[n].shape[1],) + shape),
+                np.empty((n,) + shape))
+
+    def _factors(self, points_a, points_b, n, work=None):
         """The first n radial factors: the kernel value K; gamma, with
         grad_1 K(x, y) = gamma (x - y); gamma' = d gamma / d d2, with the
         kernel Hessian grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. A
         Gaussian e of width s adds e, -e / s^2 and e / (2 s^4), so the
         factors are one matmul of those coefficients with the stacked
         Gaussians: after `_gaussians`' passes, one pass that reads each
-        Gaussian once and writes each factor once."""
+        Gaussian once and writes each factor once. Written into work when
+        it is given, as `factor_workspace` makes it."""
         coef = self._coefficients[n]
         shape = len(points_a), len(points_a if points_b is None else points_b)
-        e = np.empty((coef.shape[1],) + shape)
+        shapes = (coef.shape[1],) + shape, (n,) + shape
+        if work is None:
+            work = self.factor_workspace(shape, n)
+        elif (work[0].shape, work[1].shape) != shapes \
+                or work[0].dtype != np.float64 or work[1].dtype != np.float64 \
+                or not work[1].flags.c_contiguous:
+            raise ValueError(f"the workspace must be float64 blocks of "
+                             f"shapes {shapes}, the second contiguous")
+        e, f = work
         self._gaussians(points_a, points_b, e[0], e[-1])
-        return tuple((coef @ e.reshape(len(e), -1)).reshape((n,) + shape))
+        np.matmul(coef, e.reshape(len(e), -1), out=f.reshape(n, -1))
+        return tuple(f)
 
     def gram(self, points_a, points_b=None, work=None):
         """Dense |a| x |b| matrix of kernel values, written into work[1]
@@ -105,9 +129,10 @@ class GaussianKernel:
             e += second
         return e
 
-    def gram_pair(self, points_a, points_b=None):
-        """(gram, gamma) from one exponent (see `_factors`)."""
-        return self._factors(points_a, points_b, 2)
+    def gram_pair(self, points_a, points_b=None, work=None):
+        """(gram, gamma) from one exponent (see `_factors`), written into
+        work when a `factor_workspace` is given."""
+        return self._factors(points_a, points_b, 2, work)
 
     def gram_triple(self, points_a, points_b=None):
         """(gram, gamma, gamma') from one exponent (see `_factors`)."""

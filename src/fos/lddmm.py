@@ -24,6 +24,15 @@ import numpy as np
 
 from .kernels import GaussianKernel
 
+# Bytes of one float64 kernel block in `flow_points`' row tiles: rows =
+# TILE_BYTES // (8 * controls), 241 rows at K=271 and 897 at K=73. One
+# flow of the simulate stage's 1,037 observation points under K=271
+# controls, 10 steps, took 31 ms as one 2.2 MB block, and in tiles of 64,
+# 128, 192, 241, 320, 400 and 600 rows 28-29, 26-29, 24, 23-25, 23, 23-24
+# and 28 ms (medians of 7, two sweeps; 2-core Xeon VM, 2 MB L2 per core,
+# one BLAS thread): tiles of 0.4-0.9 MB leave the pair room in L2.
+TILE_BYTES = 512 * 1024
+
 
 class ShootingError(RuntimeError):
     """Non-finite state during integration (diverged shooting).
@@ -76,11 +85,16 @@ def _extended(x, column):
     return out
 
 
-def _rhs(kernel, c, a):
-    gram, s = kernel.gram_pair(c)
+def _rhs(kernel, c, a, work=None):
+    """(dc, da) at the state (c, a). Given a `factor_workspace` of k x k
+    blocks, the kernel blocks are formed in it, and a a^T in its first
+    Gaussian block, which `gram_pair` leaves free."""
+    gram, s = kernel.gram_pair(c, work=work)
     # da_k = -1/2 sum_l s_kl (c_k - c_l) with s = gamma (a a^T), formed in
     # place; one matmul s @ [c, 1] gives s @ c and the row sums of s
-    np.multiply(s, a @ np.ascontiguousarray(a.T), out=s)
+    aat = np.matmul(a, np.ascontiguousarray(a.T),
+                    out=None if work is None else work[0][0])
+    np.multiply(s, aat, out=s)
     sc = s @ _extended(c, 1.0)
     return gram @ a, -0.5 * (c * sc[:, 3:] - sc[:, :3])
 
@@ -151,44 +165,67 @@ def _check_finite(*arrays):
 
 def shoot(v0: InitialMomenta, steps: int) -> GeodesicPath:
     """Integrate the Hamiltonian system from (c, a(0)) to t=1. The path's
-    four arrays are allocated once, and each state c + (dt dc) is written
-    into them in place: a step allocates only what `_rhs` returns."""
+    four arrays and one kernel workspace for all 2 * steps `_rhs` calls
+    are allocated once (see the `kernels` module docstring), and each
+    state c + (dt dc) is written into the path in place: a step allocates
+    no k x k block, only what `_rhs` returns."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = 1.0 / steps
     points, momenta = np.empty((2, steps + 1) + v0.control_points.shape)
     mid_points, mid_momenta = np.empty((2, steps) + v0.control_points.shape)
     points[0], momenta[0] = v0.control_points, v0.momenta
+    k = len(v0.control_points)
+    work = v0.kernel.factor_workspace((k, k))
     for t in range(steps):
         c, a, cm, am = points[t], momenta[t], mid_points[t], mid_momenta[t]
-        dc, da = _rhs(v0.kernel, c, a)
+        dc, da = _rhs(v0.kernel, c, a, work)
         np.add(c, np.multiply(dc, 0.5 * dt, out=dc), out=cm)
         np.add(a, np.multiply(da, 0.5 * dt, out=da), out=am)
-        dc, da = _rhs(v0.kernel, cm, am)
+        dc, da = _rhs(v0.kernel, cm, am, work)
         np.add(c, np.multiply(dc, dt, out=dc), out=points[t + 1])
         np.add(a, np.multiply(da, dt, out=da), out=momenta[t + 1])
         _check_finite(points[t + 1], momenta[t + 1])
     return GeodesicPath(points, momenta, mid_points, mid_momenta, v0.kernel)
 
 
+def _velocity(kernel, x, c, a, work, out):
+    """v(x) = K(x, c) a written into out, one row tile of x at a time:
+    each tile's kernel block is formed in the workspace pair `work` and
+    multiplied by a while it is still in cache. A last, shorter tile uses
+    the leading rows of the pair."""
+    rows = len(work[0])
+    for i in range(0, len(x), rows):
+        tile = x[i:i + rows]
+        block = kernel.gram(tile, c, work=(work[0][:len(tile)],
+                                           work[1][:len(tile)]))
+        np.matmul(block, a, out=out[i:i + rows])
+    return out
+
+
 def flow_points(path: GeodesicPath, points) -> np.ndarray:
     """Advect points through the flow ODE to t=1 with the same RK2 scheme
     and grid, driven by the control states stored on the path.
 
-    One gram workspace serves all 2 * steps kernel evaluations, so its
-    pages are faulted in once per flow, not once per evaluation (see the
-    `kernels` module docstring)."""
+    Each velocity is computed in row tiles of the points (`_velocity`):
+    a tile's kernel block takes about TILE_BYTES, so the six passes that
+    form it and its product with the momenta read it from L2, where the
+    whole (points x controls) block would not fit. One workspace pair of
+    one tile serves all 2 * steps velocities, so its pages are faulted
+    in once per flow (see the `kernels` module docstring). A block that
+    fits in one tile is computed as one tile."""
     x = np.asarray(points, float)
     dt = 1.0 / path.steps
     kernel = path.kernel
-    shape = (len(x), path.points.shape[1])
-    work = (np.empty(shape), np.empty(shape))
+    k = path.points.shape[1]
+    rows = max(1, min(len(x), TILE_BYTES // (8 * k)))
+    work = (np.empty((rows, k)), np.empty((rows, k)))
+    dx = np.empty_like(x)
     for t in range(path.steps):
-        dx = kernel.gram(x, path.points[t], work=work) @ path.momenta[t]
+        _velocity(kernel, x, path.points[t], path.momenta[t], work, dx)
         xm = x + 0.5 * dt * dx
-        dx = kernel.gram(xm, path.mid_points[t], work=work) \
-            @ path.mid_momenta[t]
+        _velocity(kernel, xm, path.mid_points[t], path.mid_momenta[t], work,
+                  dx)
         x = x + dt * dx
         _check_finite(x)
     return x
-

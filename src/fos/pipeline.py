@@ -103,6 +103,17 @@ def _is_number(value, kind=(int, float)):
         and 0 <= value < np.inf
 
 
+def _as_float(value):
+    """An int as the float of equal value (inf past the float range), so
+    that one setting has one spelling; any other value as it is."""
+    if not _is_number(value, int):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf
+
+
 @dataclass
 class FpcaGeoSettings:
     n_components: int = 5
@@ -117,7 +128,7 @@ class FpcaFunSettings:
     n_components: int = 3
     lam: float = 100.0
     # when given, lam is chosen among these by cross-validation over folds
-    cv_lambdas: list | None = None
+    cv_lambdas: list[float] | None = None
     folds: int = 5
 
     def __post_init__(self):
@@ -165,21 +176,27 @@ def _check_stages(stages):
 
 
 def _settings(block_name, cls, block):
-    """The settings object of class cls of one config block."""
+    """The settings object of class cls of one config block. An int given
+    for a float field, or in a list of floats, is stored as its float."""
     _require(isinstance(block, dict), f"{block_name} block must be an object")
     hints = get_type_hints(cls)
     hints.pop("similarity", None)       # set by library callers only
     unknown = set(block) - set(hints)
     _require(not unknown, f"unknown {block_name} keys: {sorted(unknown)}")
+    values = dict(block)
     for key, value in block.items():
         name = f"{block_name}.{key}"
         _require(value is not None, f"{name} must not be null")
         if hints[key] is int:
             _require(_is_number(value, int), f"{name} must be an int >= 0")
         elif hints[key] in (float, float | None):
-            _require(_is_number(value), f"{name} must be a finite number >= 0")
+            values[key] = _as_float(value)
+            _require(_is_number(values[key]),
+                     f"{name} must be a finite number >= 0")
+        elif hints[key] == list[float] | None and isinstance(value, list):
+            values[key] = [_as_float(v) for v in value]
     try:
-        return cls(**block)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {block_name} block: {exc}") from exc
 
@@ -188,12 +205,13 @@ def _settings(block_name, cls, block):
 class PipelineConfig:
     """The run's configuration: the root fields and the settings object of
     each stage block. `from_dict` builds it from the JSON form; the root
-    fields are checked however it is built."""
+    fields are checked however it is built. Without a simulate block, or
+    without its seed in `from_dict`, the simulation takes the root seed."""
 
     output_dir: str = "fos_out"
     seed: int = 0
     stages: tuple = STAGES
-    simulate: SimSpec = field(default_factory=SimSpec)
+    simulate: SimSpec = None            # None: SimSpec(seed=seed)
     register_geo: RegistrationConfig = field(
         default_factory=RegistrationConfig)
     register_fun: DemonsConfig = field(default_factory=DemonsConfig)
@@ -206,6 +224,8 @@ class PipelineConfig:
                  "output_dir must be a string")
         self.stages = _check_stages(self.stages)
         _require(_is_number(self.seed, int), "seed must be an int >= 0")
+        if self.simulate is None:
+            self.simulate = SimSpec(seed=self.seed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

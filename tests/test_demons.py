@@ -6,8 +6,8 @@ from fos.demons import (DemonsConfig, SurfaceProjector, gradient_operator,
                         groupwise_template, register_functions,
                         surface_gradient, vertex_gradient)
 from fos.mesh import _dot
-from fos.synthdata import (c_shape_images, ellipsoid_patch,
-                           graph_geodesic_distances, icosphere)
+from fos.synthdata import (SimSpec, c_shape_images, ellipsoid_patch,
+                           graph_geodesic_distances, icosphere, make_template)
 from fos.tangent_fem import build_frames
 from test_tangent_fem import mixed_solve_update, to_frame
 
@@ -174,8 +174,9 @@ def test_projection_past_a_boundary_side_lands_on_it():
     assert np.all(bary[np.arange(len(rows)), (side + 2) % 3] == 0.0)
 
 
-@pytest.mark.parametrize("mesh", [icosphere(2), ellipsoid_patch(2)],
-                         ids=["icosphere2", "patch2"])
+@pytest.mark.parametrize("mesh", [icosphere(2), ellipsoid_patch(2),
+                                  make_template(SimSpec(subdivisions=3))],
+                         ids=["icosphere2", "patch2", "template271"])
 def test_projection_matches_the_closest_point_over_all_faces(mesh):
     # near-surface points and points off the boundary sides project to the
     # global closest point, found by the reference region test over every
@@ -205,12 +206,16 @@ def test_projection_matches_the_closest_point_over_all_faces(mesh):
     assert np.abs(proj.interpolate_at(fidx, bary, mesh.vertices) - q).max() \
         <= 1e-15 * h
 
-    # every vertex attaches to itself with a one-hot coordinate
+    # every vertex attaches to itself with a one-hot coordinate, on the
+    # lowest-index face incident to it: its faces tie, at distance 0
     q, fidx, bary = proj.project(mesh.vertices)
     assert np.array_equal(q, mesh.vertices)
     own = mesh.faces[fidx] == np.arange(mesh.n_vertices)[:, None]
     assert np.all(own.sum(axis=1) == 1)
     assert np.array_equal(bary, own.astype(float))
+    lowest = np.full(mesh.n_vertices, mesh.n_faces)
+    np.minimum.at(lowest, mesh.faces, np.arange(mesh.n_faces)[:, None])
+    assert np.array_equal(fidx, lowest)
 
 
 def test_vertex_map_attachments_reproduce_registration():

@@ -1,4 +1,5 @@
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,6 +218,49 @@ def test_failed_line_search_stops_the_registration(monkeypatch):
     assert diag.line_search_failed and diag.stop == "line_search"
     assert diag.iterations == 0 and not diag.converged
     assert len(calls) == 1 + georeg.MAX_SHRINKS
+    assert not np.any(v0.momenta)
+
+
+class StubObjective:
+    """Similarity |alpha - 1|^2 with no energy term, on a translated
+    template; a trial with an entry past `reach` reads (similarity, value)
+    = `bad` instead, as a diverged evaluation can."""
+
+    def __init__(self, bad, reach):
+        self.template = ellipsoid_patch(1)
+        self.kernel = GaussianKernel(sigma=1.2)
+        self.bad, self.reach = bad, reach
+        self.trials = []
+
+    def evaluate(self, alpha):
+        self.trials.append(alpha.copy())
+        similarity = value = float(np.sum((alpha - 1.0) ** 2))
+        if np.abs(alpha).max() > self.reach:
+            similarity, value = self.bad
+        path = SimpleNamespace(points=[self.template.vertices + alpha])
+        return value, SimpleNamespace(value=similarity), 0.0, path
+
+    def gradient(self, alpha, sim, path):
+        return 2.0 * (alpha - 1.0)
+
+
+@pytest.mark.parametrize("bad", [(-3.7e38, -3.7e38), (1.0, -np.inf)],
+                         ids=["negative-similarity", "infinite-value"])
+def test_a_negative_or_non_finite_trial_shrinks_the_step(bad):
+    # uncapped, the first trial steps to 2 (past reach) and reads `bad`;
+    # the halved step reaches the minimiser 1
+    cfg = RegistrationConfig(step_cap_rel=0.0, max_iterations=5)
+    objective = StubObjective(bad, reach=1.5)
+    v0, diag = georeg._minimize(objective, cfg)
+    assert [np.abs(t).max() for t in objective.trials] == [0.0, 2.0, 1.0]
+    assert np.array_equal(v0.momenta, np.ones_like(v0.momenta))
+    assert diag.stop == "gradient" and diag.iterations == 1
+    assert diag.similarity_trace[-1] == 0.0
+    # every trial reads `bad`: no step survives
+    objective = StubObjective(bad, reach=0.0)
+    v0, diag = georeg._minimize(objective, cfg)
+    assert diag.stop == "line_search" and diag.iterations == 0
+    assert len(objective.trials) == 1 + georeg.MAX_SHRINKS
     assert not np.any(v0.momenta)
 
 

@@ -147,6 +147,15 @@ def assert_kernels_match_plain(kernel, points_a, points_b=None):
     got = kernel.gram(points_a, points_b, work=work)
     assert got is work[1]
     assert np.array_equal(got, kernel.gram(points_a, points_b))
+    # and the same gram_pair, in the factor block of its workspace
+    work = kernel.factor_workspace(d2.shape)
+    for w in work:
+        w.fill(np.nan)
+    got = kernel.gram_pair(points_a, points_b, work=work)
+    for g, want, block in zip(got, kernel.gram_pair(points_a, points_b),
+                              work[1]):
+        assert np.shares_memory(g, block)
+        assert np.array_equal(g, want)
 
 
 def test_factors_match_the_plain_formula_two_gaussians():
@@ -201,3 +210,16 @@ def test_workspace_of_the_wrong_shape_or_dtype_raises(n_b, shapes, dtype):
     with pytest.raises(ValueError, match="workspace"):
         GaussianKernel(sigma=1.0).gram(a, b, work=work)
     assert not any(w.any() for w in work)
+
+
+def test_factor_workspace_that_does_not_fit_raises():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+    kernel = GaussianKernel(sigma=1.0, sigma2=0.5)
+    e, f = kernel.factor_workspace((5, 7))
+    for work in ((e[:1], f),                              # one Gaussian
+                 (e, np.zeros((2, 7, 5))),                # transposed
+                 (e, np.zeros((2, 5, 14))[:, :, ::2]),    # not contiguous
+                 (e, np.zeros((2, 5, 7), np.float32))):
+        with pytest.raises(ValueError, match="workspace"):
+            kernel.gram_pair(a, b, work=work)

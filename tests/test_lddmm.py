@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fos.kernels import GaussianKernel, default_deformation_kernel
+from fos import lddmm
 from fos.lddmm import (InitialMomenta, ShootingError, _rhs, _rhs_vjp,
                        flow_points, shoot, shoot_gradient)
 from fos.synthdata import SimSpec, ellipsoid_patch, make_template, refine_mesh
@@ -124,6 +125,76 @@ def test_flow_points_matches_control_trajectories():
     path = shoot(v0, 40)
     moved = flow_points(path, v0.control_points)
     assert np.allclose(moved, path.points[-1], atol=1e-12)
+
+
+def whole_block_flow(path, points):
+    """The flow with one (points x controls) kernel block per velocity,
+    kept as the oracle for `flow_points`' row tiles."""
+    x = np.asarray(points, float)
+    dt = 1.0 / path.steps
+    kernel = path.kernel
+    shape = (len(x), path.points.shape[1])
+    work = (np.empty(shape), np.empty(shape))
+    for t in range(path.steps):
+        dx = kernel.gram(x, path.points[t], work=work) @ path.momenta[t]
+        xm = x + 0.5 * dt * dx
+        dx = kernel.gram(xm, path.mid_points[t], work=work) \
+            @ path.mid_momenta[t]
+        x = x + dt * dx
+    return x
+
+
+def tiled_flows(monkeypatch, path, points, tile_rows):
+    """flow_points with tiles of each height in tile_rows, and the
+    number of kernel blocks each flow formed."""
+    gram = GaussianKernel.gram
+    blocks = []
+
+    def counting_gram(self, *args, **kwargs):
+        blocks[-1] += 1
+        return gram(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianKernel, "gram", counting_gram)
+    flows = []
+    for rows in tile_rows:
+        monkeypatch.setattr(lddmm, "TILE_BYTES",
+                            8 * path.points.shape[1] * rows)
+        blocks.append(0)
+        flows.append(flow_points(path, points))
+    return flows, blocks
+
+
+def test_flow_points_in_one_tile_is_the_whole_block_flow(monkeypatch):
+    # the population size: K=73 controls, 267 observation vertices, one
+    # tile under the module's TILE_BYTES
+    template = make_template(SimSpec(subdivisions=2))
+    obs = refine_mesh(template, 1)
+    assert (template.n_vertices, obs.n_vertices) == (73, 267)
+    rows = lddmm.TILE_BYTES // (8 * 73)
+    assert rows >= 267
+    rng = np.random.default_rng(3)
+    v0 = InitialMomenta(template.vertices,
+                        0.05 * rng.normal(size=template.vertices.shape),
+                        default_deformation_kernel(template))
+    path = shoot(v0, 10)
+    (got,), blocks = tiled_flows(monkeypatch, path, obs.vertices, [rows])
+    assert blocks == [20]
+    assert np.array_equal(got, whole_block_flow(path, obs.vertices))
+
+
+def test_flow_points_in_several_tiles_matches_the_whole_block_flow(
+        monkeypatch):
+    # 40 points in tiles of 7 rows (the last of 5), 8 and 20, and of 39
+    # (the last of 1)
+    v0 = small_system(seed=4, k=12)
+    path = shoot(v0, 10)
+    pts = np.random.default_rng(4).normal(size=(40, 3))
+    want = whole_block_flow(path, pts)
+    flows, blocks = tiled_flows(monkeypatch, path, pts, [7, 8, 20, 39])
+    assert blocks == [20 * n for n in (6, 5, 2, 2)]
+    for got in flows:
+        assert np.abs(got - pts).max() > 0.1
+        assert_close(got, want)
 
 
 def test_in_place_path_is_bit_identical_to_the_list_loop():

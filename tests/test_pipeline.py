@@ -14,6 +14,7 @@ from fos.mesh import load_mesh, parse_off, save_mesh
 from fos.pipeline import (ArtifactError, ConfigError, PipelineConfig,
                           Study, _read_csv, _write_csv, emit_covariation,
                           emit_mode_visualization, run_pipeline, STAGES)
+from fos.synthdata import SimSpec
 from test_bench_contract import load_bench
 
 
@@ -133,12 +134,26 @@ def test_parameter_hash_tracks_content():
     c = PipelineConfig.from_dict({"seed": 1})
     assert a.parameter_hash() == b.parameter_hash()
     assert a.parameter_hash() != c.parameter_hash()
-    # the same run, with its defaults spelled out or left out
-    for spelled, omitted in (({"simulate": {"n": 50}}, {"simulate": {}}),
-                             ({"seed": 2, "simulate": {"seed": 2}},
-                              {"seed": 2})):
-        assert PipelineConfig.from_dict(spelled).parameter_hash() == \
-            PipelineConfig.from_dict(omitted).parameter_hash()
+    # the same run, with its defaults spelled out or left out, or with a
+    # number spelled as an int or as a float
+    for one, other in (({"simulate": {"n": 50}}, {"simulate": {}}),
+                       ({"seed": 2, "simulate": {"seed": 2}}, {"seed": 2}),
+                       ({"fpca_fun": {"lam": 100}},
+                        {"fpca_fun": {"lam": 100.0}}),
+                       ({"fpca_fun": {"cv_lambdas": [0, 100]}},
+                        {"fpca_fun": {"cv_lambdas": [0.0, 100.0]}})):
+        assert PipelineConfig.from_dict(one).parameter_hash() == \
+            PipelineConfig.from_dict(other).parameter_hash()
+    lam = PipelineConfig.from_dict({"register_geo": {"lam": 1}}).register_geo.lam
+    assert type(lam) is float and lam == 1.0
+
+
+def test_a_config_built_directly_simulates_with_the_root_seed():
+    assert PipelineConfig(seed=3).simulate == SimSpec(seed=3)
+    assert PipelineConfig(seed=3) == PipelineConfig.from_dict({"seed": 3})
+    # a simulate block passed in keeps its own seed
+    assert PipelineConfig(seed=3, simulate=SimSpec(n=10)).simulate == \
+        SimSpec(n=10)
 
 
 def test_manifest_structure(finished_run):
