@@ -35,6 +35,10 @@ GRAD_TOLERANCE = 1e-8
 # what can stop the optimization: the iteration budget, a vanishing
 # gradient (converged), a line search that finds no acceptable step
 STOP_RULES = ("iterations", "gradient", "line_search")
+# a registration that ends above this fraction of its initial similarity
+# is far from its target, whichever rule stopped it; the register-geo
+# stage warns of it
+STALL_RATIO = 0.05
 # width of the current metric's kernel, when not given, as a fraction of the
 # template bounding-box diagonal
 SIGMA_Z_REL = 0.11

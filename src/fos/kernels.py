@@ -12,12 +12,13 @@ threshold (128 KiB in a fresh process, raised to the largest mapped block
 freed since), freeing it can hand its pages back to the OS, and the next
 call faults them in again. So `lddmm.shoot` keeps one `gram_pair`
 workspace per path and `lddmm.flow_points` one `gram` pair of one row
-tile per flow. In a fresh process, generating 20 subjects at K=271 with
-the tiled flow took 220k minor page faults and 1.04-1.20 s while `shoot`
-allocated its blocks at every step, and 14k faults and 0.78-0.87 s with
-its workspace (2-core Xeon VM, one BLAS thread). A flow of whole blocks
-hides those faults: its freed 2.2 MB block raises the threshold above
-`shoot`'s 1.2 MB blocks.
+tile per flow. In a fresh process, generating 20 subjects at K=271,
+which flows the 766 observation points the shoot does not carry in
+tiles, took 220k minor page faults and 0.91-0.92 s while `shoot`
+allocated its blocks at every step, and 14k faults and 0.64-0.66 s with
+its workspace (three runs each; 2-core Xeon VM, one BLAS thread). A flow
+of whole blocks hides those faults: its freed block, 1.7 MB for those
+766 points, raises the threshold above `shoot`'s 1.2 MB blocks.
 """
 
 from __future__ import annotations

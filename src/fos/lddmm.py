@@ -25,8 +25,10 @@ import numpy as np
 from .kernels import GaussianKernel
 
 # Bytes of one float64 kernel block in `flow_points`' row tiles: rows =
-# TILE_BYTES // (8 * controls), 241 rows at K=271 and 897 at K=73. One
-# flow of the simulate stage's 1,037 observation points under K=271
+# TILE_BYTES // (8 * controls), 241 rows at K=271 and 897 at K=73. The
+# sweep was measured on a flow of all 1,037 points of the K=271
+# observation mesh; the generator now takes the template's 271 from the
+# shoot and flows the other 766, in 4 tiles. That flow, under K=271
 # controls, 10 steps, took 31 ms as one 2.2 MB block, and in tiles of 64,
 # 128, 192, 241, 320, 400 and 600 rows 28-29, 26-29, 24, 23-25, 23, 23-24
 # and 28 ms (medians of 7, two sweeps; 2-core Xeon VM, 2 MB L2 per core,

@@ -86,8 +86,8 @@ import scipy
 from .covariation import bartlett_test, cca, covariation_sequence
 from .demons import DemonsConfig, groupwise_template
 from .fpca import cross_validate_lambda, functional_fpca, geometric_fpca
-from .georeg import (STOP_RULES, RegistrationConfig, pull_back_function,
-                     register_geometry)
+from .georeg import (STALL_RATIO, STOP_RULES, RegistrationConfig,
+                     pull_back_function, register_geometry)
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, shoot
 from .mesh import MeshError, ScalarField, parse_off, save_mesh
@@ -453,17 +453,25 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
     runs = diags.values()
     stops = {rule: sum(d.stop == rule for d in runs) for rule in STOP_RULES}
     folded = sum(d.folded_faces > 0 for d in runs)
+    # final over initial similarity; an initial 0 has nothing to stall on
+    stalled = [i for i, d in diags.items() if d.similarity_trace[0] > 0
+               and d.similarity_trace[-1] / d.similarity_trace[0]
+               > STALL_RATIO]
     warnings = []
     if stops["line_search"]:
         warnings.append(f"{stops['line_search']}/{n} subjects stopped on a "
                         "failed line search")
     if folded:
         warnings.append(f"{folded}/{n} subjects end with folded faces")
+    if stalled:
+        warnings.append(f"{len(stalled)}/{n} subjects end above "
+                        f"{STALL_RATIO:g} of their initial similarity")
     settings = {k: v for k, v in asdict(rcfg).items() if k != "similarity"}
     return {"subjects": n, **settings,
             "iterations": sum(d.iterations for d in runs), "stop": stops,
             "folded_faces": sum(d.folded_faces for d in runs),
-            "subject_wall_time_s": seconds, "warnings": warnings}
+            "stalled": stalled, "subject_wall_time_s": seconds,
+            "warnings": warnings}
 
 
 def _stage_register_fun(cfg: PipelineConfig, study: Study):

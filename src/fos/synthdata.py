@@ -124,7 +124,8 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel, seed: int,
 
     The functional mode and mean are sampled on the observation mesh
     `obs`: the template itself, or a refinement of it whose first vertices
-    are the template's.
+    are the template's bit for bit, since `generate_dataset` gives those
+    rows the control points' images from the shoot.
     """
     pts = template.vertices
     centroid = pts.mean(axis=0)
@@ -147,7 +148,7 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel, seed: int,
     psi2_g = InitialMomenta(pts, a2, kernel)
 
     k_t = template.n_vertices
-    if not np.allclose(obs.vertices[:k_t], pts):
+    if not np.array_equal(obs.vertices[:k_t], pts):
         raise ValueError("observation mesh must refine the template "
                          "(template vertices first)")
 
@@ -229,7 +230,8 @@ class SimDataset:
     scores: np.ndarray              # (n, 2) true (a_i1, a_i2)
     true_x: np.ndarray              # (n, K) noiseless X_i at template vertices
     observation_template: TriangleMesh
-    # true deformed positions of the template vertices per subject (n, K, 3)
+    # true deformed positions of the template vertices per subject (n, K, 3):
+    # the shoot's endpoint, the operator register-geo deforms the template by
     true_vertex_images: np.ndarray
 
 
@@ -247,6 +249,11 @@ def generate_dataset(spec: SimSpec) -> SimDataset:
     with the analysis template survives into the estimation pipeline;
     ground truth (scores, noiseless fields, true vertex images) is kept at
     template resolution.
+
+    The observation mesh's first K vertices are the control points, which
+    move along the flow they carry: those rows of each subject mesh, and
+    the true vertex images, are the shoot's endpoint `path.points[-1]`,
+    and `flow_points` carries only the vertices the refinement added.
     """
     template = make_template(spec)
     kernel = default_deformation_kernel(template, spec.kernel_large,
@@ -268,9 +275,10 @@ def generate_dataset(spec: SimSpec) -> SimDataset:
             v0 = InitialMomenta(template.vertices, alpha, kernel)
             try:
                 path = shoot(v0, spec.shooting_steps)
-                flowed = flow_points(path, obs.vertices)
+                tail = flow_points(path, obs.vertices[k_t:])
             except ShootingError:
                 continue
+            flowed = np.concatenate([path.points[-1], tail])
             if not np.any(folded_faces(obs, flowed)):
                 break
         else:
@@ -283,7 +291,7 @@ def generate_dataset(spec: SimSpec) -> SimDataset:
         fields.append(ScalarField(deformed, x + noise))
         scores[i] = (a1, a2)
         true_x[i] = x[:k_t]
-        images[i] = flowed[:k_t]
+        images[i] = path.points[-1]
     return SimDataset(template, kernel, modes, meshes, fields, scores,
                       true_x, obs, images)
 

@@ -5,7 +5,8 @@ from fos.kernels import GaussianKernel, default_deformation_kernel
 from fos import lddmm
 from fos.lddmm import (InitialMomenta, ShootingError, _rhs, _rhs_vjp,
                        flow_points, shoot, shoot_gradient)
-from fos.synthdata import SimSpec, ellipsoid_patch, make_template, refine_mesh
+from fos.synthdata import (SimSpec, ellipsoid_patch, make_modes,
+                           make_template, refine_mesh)
 from test_kernels import assert_close, plain_factors, plain_sqdist
 
 
@@ -125,6 +126,22 @@ def test_flow_points_matches_control_trajectories():
     path = shoot(v0, 40)
     moved = flow_points(path, v0.control_points)
     assert np.allclose(moved, path.points[-1], atol=1e-12)
+    # the generator's size (K=271, its kernel and modes, two standard
+    # deviations of each score), where the subject meshes take the control
+    # points' images from the shoot in place of their flow
+    spec = SimSpec()
+    template = make_template(spec)
+    kernel = default_deformation_kernel(template, spec.kernel_large,
+                                        spec.kernel_small)
+    modes = make_modes(template, kernel, 0, template)
+    alpha = -2 * spec.sigma1 * modes.psi1_g.momenta \
+        + 2 * spec.sigma2 * modes.psi2_g.momenta
+    path = shoot(InitialMomenta(template.vertices, alpha, kernel),
+                 spec.shooting_steps)
+    end = path.points[-1]
+    assert template.n_vertices == 271
+    assert np.abs(flow_points(path, template.vertices) - end).max() \
+        <= 1e-13 * np.abs(end).max()
 
 
 def whole_block_flow(path, points):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fos.georeg import STOP_RULES, register_geometry
+from fos.georeg import STALL_RATIO, STOP_RULES, register_geometry
 from fos.lddmm import InitialMomenta, shoot
 from fos import pipeline
 from fos.mesh import load_mesh, parse_off, save_mesh
@@ -192,6 +192,12 @@ def test_manifest_structure(finished_run):
     if folded:
         expected.append(f"register-geo: {folded}/6 subjects end with folded "
                         "faces")
+    stalled = [int(i) for i, d in diags.items() if d["similarity_trace"][-1]
+               > STALL_RATIO * d["similarity_trace"][0]]
+    assert summary["stalled"] == stalled
+    if stalled:
+        expected.append(f"register-geo: {len(stalled)}/6 subjects end above "
+                        f"{STALL_RATIO:g} of their initial similarity")
     assert manifest["warnings"] == expected
     assert on_disk["warnings"] == expected
     assert manifest["stages"]["register-geo"]["warnings"] == \
@@ -211,6 +217,45 @@ def test_register_geo_warns_of_folded_endpoints(tmp_path, monkeypatch):
         == 12
     assert "register-geo: 6/6 subjects end with folded faces" in \
         manifest["warnings"]
+
+
+def test_register_geo_warns_of_stalled_subjects(tmp_path):
+    def register(iterations):
+        cfg = PipelineConfig.from_dict({
+            "output_dir": str(tmp_path / str(iterations)), "seed": 0,
+            "simulate": {"n": 3, "subdivisions": 2},
+            "register_geo": {"max_iterations": iterations}})
+        return run_pipeline(cfg, ("simulate", "register-geo"))
+
+    # the default budget brings every subject below STALL_RATIO
+    manifest = register(30)
+    assert manifest["stages"]["register-geo"]["summary"]["stalled"] == []
+    assert manifest["warnings"] == []
+    # one iteration leaves each far from its target
+    manifest = register(1)
+    assert manifest["stages"]["register-geo"]["summary"]["stalled"] == \
+        [0, 1, 2]
+    assert manifest["warnings"] == [
+        f"register-geo: 3/3 subjects end above {STALL_RATIO:g} of their "
+        "initial similarity"]
+
+
+def test_a_target_matched_from_the_start_is_not_stalled(tmp_path,
+                                                         monkeypatch):
+    traces = iter(([0.0, 0.0], [2.0, 2.0 * STALL_RATIO], [2.0, 0.2],
+                   [0.0, 0.0], [1.0, 1.0], [1.0, 0.0]))
+
+    def traced(*args, **kwargs):
+        v0, diag = register_geometry(*args, **kwargs)
+        diag.similarity_trace = next(traces)
+        return v0, diag
+
+    monkeypatch.setattr(pipeline, "register_geometry", traced)
+    manifest = run_pipeline(tiny_config(tmp_path),
+                            ("simulate", "register-geo"))
+    assert manifest["stages"]["register-geo"]["summary"]["stalled"] == [2, 4]
+    assert f"register-geo: 2/6 subjects end above {STALL_RATIO:g} of their " \
+        "initial similarity" in manifest["warnings"]
 
 
 def test_artifacts_exist(finished_run):

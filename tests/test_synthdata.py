@@ -3,6 +3,8 @@ import pytest
 
 from fos import synthdata
 from fos.fpca import consistent_mass
+from fos.kernels import default_deformation_kernel
+from fos.lddmm import InitialMomenta, flow_points, shoot
 from fos.synthdata import (SimSpec, c_shape_images, ellipsoid_patch,
                            generate_dataset, graph_geodesic_distances,
                            icosphere, make_modes, make_template, refine_mesh)
@@ -85,9 +87,40 @@ def test_generate_dataset_observation_mesh_refines_template():
     ds = generate_dataset(spec)
     k = ds.template.n_vertices
     assert ds.observation_template.n_vertices > k
-    assert np.allclose(ds.observation_template.vertices[:k],
-                       ds.template.vertices)
+    assert np.array_equal(ds.observation_template.vertices[:k],
+                          ds.template.vertices)
     assert ds.meshes[0].n_vertices == ds.observation_template.n_vertices
+
+
+def test_make_modes_refuses_an_approximate_template_block():
+    spec = SimSpec(subdivisions=1)
+    template = make_template(spec)
+    kernel = default_deformation_kernel(template)
+    obs = refine_mesh(template)
+    make_modes(template, kernel, 0, obs)
+    moved = obs.vertices.copy()
+    moved[3, 1] += 1e-12
+    with pytest.raises(ValueError, match="refine the template"):
+        make_modes(template, kernel, 0, obs.with_vertices(moved))
+
+
+# with no refinement the tail is empty and each subject mesh is the images
+@pytest.mark.parametrize("observation_subdivisions", [1, 0])
+def test_subject_meshes_take_the_template_images_from_the_shoot(
+        observation_subdivisions):
+    spec = SimSpec(n=3, subdivisions=1, seed=2,
+                   observation_subdivisions=observation_subdivisions)
+    ds = generate_dataset(spec)
+    k = ds.template.n_vertices
+    obs = ds.observation_template
+    for i, (a1, a2) in enumerate(ds.scores):
+        alpha = a1 * ds.modes.psi1_g.momenta + a2 * ds.modes.psi2_g.momenta
+        path = shoot(InitialMomenta(ds.template.vertices, alpha, ds.kernel),
+                     spec.shooting_steps)
+        assert np.array_equal(path.points[-1], ds.true_vertex_images[i])
+        assert np.array_equal(path.points[-1], ds.meshes[i].vertices[:k])
+        assert np.array_equal(flow_points(path, obs.vertices[k:]),
+                              ds.meshes[i].vertices[k:])
 
 
 def test_generate_dataset_no_inverted_faces():
