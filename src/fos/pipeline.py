@@ -25,11 +25,12 @@ its own directory, emptied when the stage starts, and each export
 
 One record per stage: after each stage of `_STAGE_TABLE`, `run_pipeline`
 writes its record.json, the sha256 of each file in its directory and of
-each upstream stage's record, and its settings. A `Study` reads every
-artifact, refusing one whose sha256 its writer's record does not name.
-Before a stage or export reads, `Study.check` refuses an upstream stage
-built from other records than the current ones. Each refusal names the
-stage to run again; an interrupted stage leaves no record.
+each upstream stage's record, and its settings. `Study.record`, which
+every read goes through, is the one staleness rule: it refuses a record
+built from other records than its upstream stages' as they stand, checked
+back to simulate, and `Study.read` a file whose sha256 the record does not
+name. Each refusal names the stage to run again; an interrupted stage
+leaves no record. manifest.json keeps the entries of the standing records.
 
   artifact                    layout                  readers
   <stage dir>/record.json     sha256s and settings    Study
@@ -61,7 +62,7 @@ stage to run again; an interrupted stage leaves no record.
   cca/{x,y}_weights.csv       dir1,... rows           -
   cca/{x,y}_variates.csv      dir1,... rows           -
   cca/bartlett.json           the Bartlett test       bench
-  manifest.json               a record per stage      run_pipeline
+  manifest.json               each standing record    run_pipeline
   covary/sequence_pairP.csv   t,g1,..,f1,.. rows      -
   viz/modeM_II.off, .csv      OFF, field of the OFF   -
 """
@@ -205,8 +206,9 @@ def _settings(block_name, cls, block):
 class PipelineConfig:
     """The run's configuration: the root fields and the settings object of
     each stage block. `from_dict` builds it from the JSON form; the root
-    fields are checked however it is built. Without a simulate block, or
-    without its seed in `from_dict`, the simulation takes the root seed."""
+    fields and the class of each block are checked however it is built.
+    Without a simulate block, or without its seed in `from_dict`, the
+    simulation takes the root seed."""
 
     output_dir: str = "fos_out"
     seed: int = 0
@@ -226,6 +228,10 @@ class PipelineConfig:
         _require(_is_number(self.seed, int), "seed must be an int >= 0")
         if self.simulate is None:
             self.simulate = SimSpec(seed=self.seed)
+        for name, kind in get_type_hints(PipelineConfig).items():
+            if is_dataclass(kind):
+                _require(isinstance(getattr(self, name), kind),
+                         f"{name} block must be a {kind.__name__}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -257,11 +263,6 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         _require(isinstance(data, dict), "config must be a JSON object")
         return cls.from_dict({**data, **overrides})
-
-    def parameter_hash(self) -> str:
-        """sha256 of the settings as resolved: one run's configs hash equal."""
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 # -- artifact helpers ---------------------------------------------------------
@@ -335,20 +336,25 @@ class Study:
         return self.out / _ARTIFACT_DIRS[st]
 
     def record(self, st):
-        """Stage st's record, as the sha256 of its bytes and its contents."""
+        """Stage st's record, as the sha256 of its bytes and its contents.
+        ArtifactError unless it was built from the records of its upstream
+        stages as they stand, each checked the same way."""
         if st not in self._records:
             data = (self.dir(st) / "record.json").read_bytes()
-            self._records[st] = _sha256(data), json.loads(data)
-        return self._records[st]
-
-    def check(self, upstream):
-        """ArtifactError unless each stage of `upstream` was built from the
-        current records of its own upstream stages."""
-        for st in upstream:
-            current = {u: self.record(u)[0] for u in _UPSTREAM[st]}
-            if self.record(st)[1]["upstream"] != current:
+            record = json.loads(data)
+            if record["upstream"] != {u: self.record(u)[0]
+                                      for u in _UPSTREAM[st]}:
                 raise ArtifactError(f"{self.dir(st)}: built from other "
                                     f"inputs; run {st} again")
+            self._records[st] = _sha256(data), record
+        return self._records[st]
+
+    def stands(self, st, entry):
+        """Whether the manifest entry, or None, is of st's standing record."""
+        try:
+            return bool(entry) and entry.get("record") == self.record(st)[0]
+        except (OSError, ValueError):
+            return False
 
     def write_record(self, st, settings):
         """Record the files in stage st's directory, the records of its
@@ -360,6 +366,9 @@ class Study:
             u: self.record(u)[0] for u in _UPSTREAM[st]}}
         data = json.dumps(record, indent=1).encode()
         (self.dir(st) / "record.json").write_bytes(data)
+        # the records read downstream of st were built from its old one
+        self._records = {u: self._records[u] for u in STAGES[:STAGES.index(st)]
+                         if u in self._records}
         self._records[st] = _sha256(data), record
 
     def read(self, st, name):
@@ -592,19 +601,15 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     elif stages != ("cca",):
         _check_subjects(cfg, _in_stage(stages[0], lambda: study.n), stages)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    manifest = {"parameter_hash": cfg.parameter_hash(), "versions": {
+    path = out / "manifest.json"
+    manifest = {"versions": {
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__}, "stages": {}, "warnings": []}
-    if manifest_path.exists():
-        with open(manifest_path) as fh:
-            previous = json.load(fh)
-        # results of another configuration are not carried over
-        if previous.get("parameter_hash") == manifest["parameter_hash"]:
-            manifest["stages"] = previous.get("stages", {})
+    if path.exists():
+        manifest["stages"] = json.loads(path.read_text()).get("stages", {})
     for st in stages:
         t0 = time.perf_counter()
-        _in_stage(st, study.check, _UPSTREAM[st])
+        _in_stage(st, lambda: [study.record(u) for u in _UPSTREAM[st]])
         if study.dir(st).exists():
             shutil.rmtree(study.dir(st))
         summary = _in_stage(st, _STAGE_FUNCS[st], cfg, study)
@@ -615,13 +620,15 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
             "warnings": warnings,
             "wall_time_s": time.perf_counter() - t0,
             "artifact_dir": str(study.dir(st)),
+            "record": study.record(st)[0],
         }
-        # the warnings of every stage on record, carried-over ones included
-        manifest["warnings"] = [
-            f"{name}: {text}" for name in STAGES
-            for text in manifest["stages"].get(name, {}).get("warnings", [])]
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=1)
+        # the entries of the records that stand, carried-over ones included
+        entries = {name: manifest["stages"][name] for name in STAGES
+                   if study.stands(name, manifest["stages"].get(name))}
+        manifest.update(stages=entries, warnings=[
+            f"{name}: {text}" for name in entries
+            for text in entries[name]["warnings"]])
+        path.write_text(json.dumps(manifest, indent=1))
     return manifest
 
 
@@ -630,7 +637,6 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
 def emit_covariation(out_dir, pair: int, t_values):
     """Write the score trajectories along one canonical direction."""
     study = Study(out_dir)
-    study.check(_UPSTREAM["cca"])
     g, f = _read_scores(study)
     result = cca(g, f)
     m = len(result.correlations)
@@ -654,7 +660,6 @@ def emit_mode_visualization(out_dir, mode: int, c_grid):
     each c on the grid, with the mean function attached. Shoots with the
     register-geo stage's recorded shooting_steps."""
     study = Study(out_dir)
-    study.check(("simulate", "register-geo", "register-fun", "fpca-geo"))
     steps = study.record("register-geo")[1]["settings"]["shooting_steps"]
     data = np.load(io.BytesIO(study.read("fpca-geo", "components.npz")[1]))
     comps, mean_mom = data["components"], data["mean"]

@@ -181,9 +181,6 @@ def make_modes(template: TriangleMesh, kernel: GaussianKernel, seed: int,
 
 # -- dataset generation --------------------------------------------------------
 
-TEMPLATES = {"ellipsoid-patch": ellipsoid_patch, "sphere": icosphere}
-
-
 @dataclass
 class SimSpec:
     """Settings of the generative model. The defaults are the simulate
@@ -195,7 +192,6 @@ class SimSpec:
     delta: float = 0.1
     sigma_noise: float = 0.3
     seed: int = 0
-    template: str = "ellipsoid-patch"   # a key of TEMPLATES
     subdivisions: int = 3
     # overall template size; unit-V-norm modes displace by O(1) length units
     # regardless of template size, so this sets the relative deformation scale
@@ -212,8 +208,6 @@ class SimSpec:
             raise ValueError("n must be >= 2")
         if min(self.sigma1, self.sigma2) <= 0:
             raise ValueError("score standard deviations must be positive")
-        if self.template not in TEMPLATES:
-            raise ValueError(f"unknown template kind {self.template!r}")
         if self.shooting_steps < 1:
             raise ValueError("shooting_steps must be >= 1")
         if min(self.scale, self.kernel_large, self.kernel_small) <= 0:
@@ -236,7 +230,7 @@ class SimDataset:
 
 
 def make_template(spec: SimSpec) -> TriangleMesh:
-    base = TEMPLATES[spec.template](spec.subdivisions)
+    base = ellipsoid_patch(spec.subdivisions)
     return base.with_vertices(spec.scale * base.vertices)
 
 

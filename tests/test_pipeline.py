@@ -1,7 +1,7 @@
 import hashlib
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +64,14 @@ def test_config_rejects_unknown_keys():
     ("register_geo", {"sigma_z": 0}),
     ("register_fun", {"lam": 0}),
     ("simulate", {"n": 1}),
-    ("simulate", {"template": "torus"}),
+    ("simulate", {"shooting_steps": 0}),
     ("fpca_geo", {"n_components": 0}),
     ("fpca_fun", {"folds": 0, "cv_lambdas": [0.0, 10.0]}),
     # settings the stage would drop: lam is chosen among cv_lambdas, and
     # folds is read only when it is
     ("fpca_fun", {"lam": 5.0, "cv_lambdas": [0.0, 100.0]}),
     ("fpca_fun", {"folds": 2}),
-    ("simulate", {"template": "hemisphere"}),
+    ("simulate", {"kernel_small": 0}),
     ("register_fun", {"max_iterations": 0}),
     # JSON's Infinity, which no stage can run with
     ("register_geo", {"lam": np.inf}),
@@ -128,22 +128,28 @@ def test_a_run_reads_each_study_input_once(tmp_path, monkeypatch):
     assert sorted(parsed) == sorted((sim / m).read_text() for m in meshes)
 
 
-def test_parameter_hash_tracks_content():
+def recorded_settings(cfg):
+    """The settings text of each stage's record, as run_pipeline writes it."""
+    return {st: json.dumps(asdict(getattr(cfg, st.replace("-", "_"))))
+            for st in STAGES}
+
+
+def test_record_settings_track_content():
     a = PipelineConfig.from_dict({"seed": 0})
     b = PipelineConfig.from_dict({"seed": 0})
     c = PipelineConfig.from_dict({"seed": 1})
-    assert a.parameter_hash() == b.parameter_hash()
-    assert a.parameter_hash() != c.parameter_hash()
+    assert recorded_settings(a) == recorded_settings(b)
+    assert recorded_settings(a)["simulate"] != recorded_settings(c)["simulate"]
     # the same run, with its defaults spelled out or left out, or with a
-    # number spelled as an int or as a float
+    # number spelled as an int or as a float, writes the same records
     for one, other in (({"simulate": {"n": 50}}, {"simulate": {}}),
                        ({"seed": 2, "simulate": {"seed": 2}}, {"seed": 2}),
                        ({"fpca_fun": {"lam": 100}},
                         {"fpca_fun": {"lam": 100.0}}),
                        ({"fpca_fun": {"cv_lambdas": [0, 100]}},
                         {"fpca_fun": {"cv_lambdas": [0.0, 100.0]}})):
-        assert PipelineConfig.from_dict(one).parameter_hash() == \
-            PipelineConfig.from_dict(other).parameter_hash()
+        assert recorded_settings(PipelineConfig.from_dict(one)) == \
+            recorded_settings(PipelineConfig.from_dict(other))
     lam = PipelineConfig.from_dict({"register_geo": {"lam": 1}}).register_geo.lam
     assert type(lam) is float and lam == 1.0
 
@@ -156,16 +162,30 @@ def test_a_config_built_directly_simulates_with_the_root_seed():
         SimSpec(n=10)
 
 
+def test_a_config_built_directly_refuses_a_block_of_another_class():
+    with pytest.raises(ConfigError, match="register_geo block must be a "
+                       "RegistrationConfig"):
+        PipelineConfig(register_geo={"lam": 1.0})
+    with pytest.raises(ConfigError, match="simulate block must be a SimSpec"):
+        PipelineConfig(simulate={"n": 10})
+    cfg = PipelineConfig()
+    with pytest.raises(ConfigError, match="cca block must be a CcaSettings"):
+        replace(cfg, cca={})
+
+
 def test_manifest_structure(finished_run):
     _, out, manifest = finished_run
-    assert set(manifest["stages"]) == set(STAGES)
-    assert "parameter_hash" in manifest
+    assert list(manifest["stages"]) == list(STAGES)
+    assert set(manifest) == {"versions", "stages", "warnings"}
     for st in STAGES:
         entry = manifest["stages"][st]
         assert entry["wall_time_s"] >= 0.0
         assert Path(entry["artifact_dir"]).is_dir()
+        # the sha256 of the record the entry describes
+        assert entry["record"] == \
+            _digest(Path(entry["artifact_dir"]) / "record.json")
     on_disk = json.loads((out / "manifest.json").read_text())
-    assert set(on_disk["stages"]) == set(STAGES)
+    assert on_disk["stages"] == manifest["stages"]
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
     assert manifest["versions"]["numpy"] == np.__version__
     # register-geo totals agree with the per-subject diagnostics
@@ -372,35 +392,79 @@ def copied_run(finished_run, tmp_path):
 
 def test_mode_visualization_reads_the_register_geo_record(finished_run,
                                                           tmp_path):
-    # another fpca_fun.lam drops register-geo from the manifest, while
-    # reg_geo/ and fpca_geo/ stay as they were
+    # the shooting steps come from reg_geo/record.json, not the manifest
     cfg = copied_run(finished_run, tmp_path)
-    cfg = replace(cfg, fpca_fun=replace(cfg.fpca_fun, lam=1.0))
-    manifest = run_pipeline(cfg, ("fpca-fun",))
-    assert "register-geo" not in manifest["stages"]
+    (Path(cfg.output_dir) / "manifest.json").unlink()
     files = emit_mode_visualization(cfg.output_dir, mode=0, c_grid=[0.0])
     assert len(files) == 2
 
 
-@pytest.mark.parametrize("stage, change", [
-    ("simulate", {"seed": 1}), ("register-geo", {"lam": 0.5})],
+def test_a_rerun_keeps_the_entries_of_standing_records(finished_run,
+                                                       tmp_path):
+    # another fpca_fun.lam leaves the records of the other stages standing,
+    # and register-geo's warnings with them
+    cfg = copied_run(finished_run, tmp_path)
+    before = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
+    assert any(w.startswith("register-geo: ") for w in before["warnings"])
+    cfg = replace(cfg, fpca_fun=replace(cfg.fpca_fun, lam=1.0))
+    manifest = run_pipeline(cfg, ("fpca-fun", "cca"))
+    assert list(manifest["stages"]) == list(STAGES)
+    for st in ("simulate", "register-geo", "register-fun", "fpca-geo"):
+        assert manifest["stages"][st] == before["stages"][st]
+    assert manifest["stages"]["fpca-fun"]["summary"]["lam"] == 1.0
+    assert manifest["warnings"] == before["warnings"]
+
+
+def test_a_rerun_register_geo_drops_the_entries_built_on_it(finished_run,
+                                                            tmp_path):
+    cfg = copied_run(finished_run, tmp_path)
+    cfg = replace(cfg, register_geo=replace(cfg.register_geo, lam=0.5))
+    manifest = run_pipeline(cfg, ("register-geo",))
+    assert list(manifest["stages"]) == ["simulate", "register-geo"]
+    on_disk = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
+    assert list(on_disk["stages"]) == ["simulate", "register-geo"]
+
+
+def stale(st):
+    """The refusal of stage st's record as built from other inputs."""
+    return f"{Study('.').dir(st).name}: built from other inputs; run {st} " \
+        "again"
+
+
+# each refusal names the earliest stage whose record does not stand
+@pytest.mark.parametrize("stage, change, fun_stale, geo_stale", [
+    ("simulate", {"seed": 1}, "register-geo", "register-geo"),
+    ("register-geo", {"lam": 0.5}, "register-fun", "fpca-geo")],
     ids=["simulate", "register-geo"])
 def test_stages_downstream_of_a_rerun_stage_refuse(finished_run, tmp_path,
-                                                   stage, change):
+                                                   stage, change, fun_stale,
+                                                   geo_stale):
     cfg = copied_run(finished_run, tmp_path)
     block = stage.replace("-", "_")
     cfg = replace(cfg, **{block: replace(getattr(cfg, block), **change)})
     run_pipeline(cfg, (stage,))
-    for st, stale in (("fpca-fun", "reg_fun: built from other inputs; run "
-                       "register-fun again"),
-                      ("cca", "fpca_geo: built from other inputs; run "
-                       "fpca-geo again")):
-        with pytest.raises(RuntimeError, match=stale) as info:
+    for st, first in (("fpca-fun", fun_stale), ("cca", geo_stale)):
+        with pytest.raises(RuntimeError, match=stale(first)) as info:
             run_pipeline(cfg, (st,))
         assert isinstance(info.value.__cause__, ArtifactError)
-    with pytest.raises(ArtifactError, match="fpca_geo: built from other "
-                       "inputs; run fpca-geo again"):
+    with pytest.raises(ArtifactError, match=stale(geo_stale)):
         emit_covariation(cfg.output_dir, pair=0, t_values=[0.0])
+
+
+def test_exports_refuse_a_stale_upstream_of_their_inputs(finished_run,
+                                                         tmp_path):
+    # register-geo and fpca-geo run again: the fpca-fun scores and the
+    # template field still rest on the registration of before, through
+    # register-fun
+    cfg = copied_run(finished_run, tmp_path)
+    cfg = replace(cfg, register_geo=replace(cfg.register_geo, lam=0.5))
+    run_pipeline(cfg, ("register-geo", "fpca-geo"))
+    with pytest.raises(ArtifactError, match=stale("register-fun")):
+        emit_covariation(cfg.output_dir, pair=0, t_values=[0.0])
+    with pytest.raises(ArtifactError, match=stale("register-fun")):
+        emit_mode_visualization(cfg.output_dir, mode=0, c_grid=[0.0])
+    with pytest.raises(RuntimeError, match=stale("register-fun")):
+        run_pipeline(cfg, ("cca",))
 
 
 def test_register_geo_refuses_an_edited_subject_before_it_writes(tmp_path):
@@ -478,17 +542,29 @@ def test_a_rerun_stage_keeps_no_file_of_its_earlier_run(tmp_path):
 
 
 def test_manifest_drops_stages_of_another_config(tmp_path):
-    def config(lam):
+    def config(seed):
         return PipelineConfig.from_dict({
             "output_dir": str(tmp_path), "seed": 0,
-            "simulate": {"n": 3, "subdivisions": 1},
-            "register_geo": {"max_iterations": 1, "lam": lam}})
+            "simulate": {"n": 3, "subdivisions": 1, "seed": seed},
+            "register_geo": {"max_iterations": 1}})
 
-    run_pipeline(config(0.05), ("simulate", "register-geo"))
-    manifest = run_pipeline(config(0.5), ("simulate",))
-    assert set(manifest["stages"]) == {"simulate"}
+    run_pipeline(config(0), ("simulate", "register-geo"))
+    # the same simulate record again: register-geo's record stands
+    manifest = run_pipeline(config(0), ("simulate",))
+    assert list(manifest["stages"]) == ["simulate", "register-geo"]
+    # another simulate record: register-geo's was built from the old one
+    manifest = run_pipeline(config(1), ("simulate",))
+    assert list(manifest["stages"]) == ["simulate"]
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(on_disk["stages"]) == {"simulate"}
+    assert list(on_disk["stages"]) == ["simulate"]
+    # an entry of an older manifest names no record
+    run_pipeline(config(1), ("register-geo",))
+    path = tmp_path / "manifest.json"
+    older = json.loads(path.read_text())
+    del older["stages"]["register-geo"]["record"]
+    path.write_text(json.dumps(older))
+    manifest = run_pipeline(config(1), ("simulate",))
+    assert list(manifest["stages"]) == ["simulate"]
 
 
 def test_tables_read_back_in_their_shape(tmp_path):

@@ -5,6 +5,7 @@ from fos import synthdata
 from fos.fpca import consistent_mass
 from fos.kernels import default_deformation_kernel
 from fos.lddmm import InitialMomenta, flow_points, shoot
+from fos.pipeline import ConfigError, PipelineConfig
 from fos.synthdata import (SimSpec, c_shape_images, ellipsoid_patch,
                            generate_dataset, graph_geodesic_distances,
                            icosphere, make_modes, make_template, refine_mesh)
@@ -209,5 +210,9 @@ def test_simspec_validation():
         SimSpec(n=1)
     with pytest.raises(ValueError):
         SimSpec(sigma1=0.0)
-    with pytest.raises(ValueError):
-        make_template(SimSpec(template="torus"))
+    # the closed template does not register, so no template is offered
+    with pytest.raises(TypeError):
+        SimSpec(template="sphere")
+    with pytest.raises(ConfigError, match=r"unknown simulate keys: "
+                       r"\['template'\]"):
+        PipelineConfig.from_dict({"simulate": {"template": "sphere"}})
