@@ -153,8 +153,8 @@ class SurfaceProjector:
 class VertexMap:
     """Mapping s of the surface into itself, held as the attachments of
     s(v) for every vertex v: the triple SurfaceProjector.project returns.
-    `updates` lists the ambient update fields composed so far, one (K, 3)
-    array each, for the update count of bench/tracing.py."""
+    `updates` lists, for each update composed so far, the largest vertex
+    length of the applied ambient step, after the cap."""
 
     points: np.ndarray              # (K, 3) s(vertices)
     faces: np.ndarray               # (K,) face of each attachment
@@ -239,7 +239,7 @@ def _demons_step(d: _Demons, mapping, moving, warped, fixed, g_fixed):
     proj = d.projector
     mapping.points, mapping.faces, mapping.bary = proj.project(
         mapping.points + proj.interpolate_at(mapping.faces, mapping.bary, amb))
-    mapping.updates.append(amb)
+    mapping.updates.append(min(umax, d.step_cap))
     return proj.interpolate_at(mapping.faces, mapping.bary, moving)
 
 

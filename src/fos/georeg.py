@@ -122,12 +122,12 @@ class _Objective:
         # constant across the optimization; recomputing it every evaluation
         # dominates the runtime on study-sized meshes
         self.gram0 = kernel.gram(template.vertices)
-        # the current metric's kernel width and the target's fixed side of
-        # it: its face centers, its moments and its self term
-        self.sigma_z = config.sigma_z
+        # the current metric's kernel and the target's fixed side of it:
+        # its face centers, its moments and its self term
+        self.current = GaussianKernel(config.sigma_z)
         tc = target.face_centers
         moments, self.target_self_term = target_terms(
-            tc, target.face_area_normals, self.sigma_z)
+            tc, target.face_area_normals, self.current)
         self.target = tc, moments
 
     def evaluate(self, alpha):
@@ -135,7 +135,7 @@ class _Objective:
         path = shoot(v0, self.steps)
         endpoint = path.points[-1]
         sim = _current_core(endpoint, self.template.faces, *self.target,
-                            self.sigma_z,
+                            self.current,
                             target_self_term=self.target_self_term)
         energy = float(np.sum((self.gram0 @ alpha) * alpha))
         value = sim.value + self.lam * energy

@@ -3,22 +3,21 @@
 Isotropic matrix kernels are stored as their scalar factor; the implicit
 3x3-identity structure is applied in matrix-vector products.
 
-`gram` and `gram_pair` can fill a caller-owned workspace, so that a loop
-forming blocks of one size allocates them once: for `gram` two (|a|, |b|)
-float64 blocks, one for the second Gaussian and one for the kernel values
-it returns; for `gram_pair` the two blocks `factor_workspace` makes. A
-plain call allocates its blocks. Once a block is past glibc's mmap
-threshold (128 KiB in a fresh process, raised to the largest mapped block
-freed since), freeing it can hand its pages back to the OS, and the next
-call faults them in again. So `lddmm.shoot` keeps one `gram_pair`
-workspace per path and `lddmm.flow_points` one `gram` pair of one row
-tile per flow. In a fresh process, generating 20 subjects at K=271,
-which flows the 766 observation points the shoot does not carry in
-tiles, took 220k minor page faults and 0.91-0.92 s while `shoot`
-allocated its blocks at every step, and 14k faults and 0.64-0.66 s with
-its workspace (three runs each; 2-core Xeon VM, one BLAS thread). A flow
-of whole blocks hides those faults: its freed block, 1.7 MB for those
-766 points, raises the threshold above `shoot`'s 1.2 MB blocks.
+`GaussianKernel` forms every Gaussian block of the package. `gram`,
+`gram_pair` and `gram_triple`, the first n = 1, 2, 3 radial factors, fill
+a `factor_workspace(shape, n)` when given one and allocate their own
+otherwise. Every kernel loop forms its blocks, and the block-sized
+temporaries it can, in one workspace: `lddmm.shoot` one per path,
+`lddmm.shoot_gradient` one per call, `lddmm.flow_points` one of a row
+tile per flow. Once a block is past glibc's mmap threshold (128 KiB in a
+fresh process, raised to the largest mapped block freed since), freeing
+it can hand its pages back to the OS, and the next call faults them in
+again. In a fresh process (2-core Xeon VM, one BLAS thread), generating
+20 subjects at K=271 took 220k minor page faults and 0.91-0.92 s while
+`shoot` allocated its blocks at every step, and 14k and 0.64-0.66 s with
+its workspace. Ten K=271 `shoot_gradient` calls took 165k faults and
+0.48-0.67 s while `_rhs_vjp` allocated eight K x K blocks per call, and
+1.1k and 0.22-0.23 s with its workspace (three runs each).
 """
 
 from __future__ import annotations
@@ -65,10 +64,10 @@ class GaussianKernel:
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
         widths = [s for s in (self.sigma, self.sigma2) if s is not None]
-        # `_factors`' (n x Gaussians) coefficients for n = 2, 3, built once
+        # `_factors`' (n x Gaussians) coefficients, built once
         object.__setattr__(self, "_coefficients", {n: np.array(
             [[1.0, -1.0 / s ** 2, 0.5 / s ** 4][:n] for s in widths]).T
-            for n in (2, 3)})
+            for n in (1, 2, 3)})
 
     def _gaussians(self, points_a, points_b, first, second):
         """Each Gaussian with its weight, written into first and second,
@@ -86,9 +85,10 @@ class GaussianKernel:
 
     def factor_workspace(self, shape, n=2):
         """Blocks for n factors of |a| x |b| = shape: the stacked Gaussians
-        and the stacked factors, which `_factors` returns as views."""
-        return (np.empty((self._coefficients[n].shape[1],) + shape),
-                np.empty((n,) + shape))
+        and the stacked factors, which `_factors` returns as views. The
+        kernel value alone (n = 1) is formed in the first Gaussian's block."""
+        e = np.empty((self._coefficients[n].shape[1],) + shape)
+        return e, e[:1] if n == 1 else np.empty((n,) + shape)
 
     def _factors(self, points_a, points_b, n, work=None):
         """The first n radial factors: the kernel value K; gamma, with
@@ -97,8 +97,9 @@ class GaussianKernel:
         Gaussian e of width s adds e, -e / s^2 and e / (2 s^4), so the
         factors are one matmul of those coefficients with the stacked
         Gaussians: after `_gaussians`' passes, one pass that reads each
-        Gaussian once and writes each factor once. Written into work when
-        it is given, as `factor_workspace` makes it."""
+        Gaussian once and writes each factor once; K alone is the first
+        Gaussian, formed in its block, plus the second. Written into work
+        when it is given, as `factor_workspace` makes it."""
         coef = self._coefficients[n]
         shape = len(points_a), len(points_a if points_b is None else points_b)
         shapes = (coef.shape[1],) + shape, (n,) + shape
@@ -110,34 +111,27 @@ class GaussianKernel:
             raise ValueError(f"the workspace must be float64 blocks of "
                              f"shapes {shapes}, the second contiguous")
         e, f = work
-        self._gaussians(points_a, points_b, e[0], e[-1])
-        np.matmul(coef, e.reshape(len(e), -1), out=f.reshape(n, -1))
+        self._gaussians(points_a, points_b, f[0] if n == 1 else e[0], e[-1])
+        if n > 1:
+            np.matmul(coef, e.reshape(len(e), -1), out=f.reshape(n, -1))
+        elif self.sigma2 is not None:
+            f[0] += e[-1]
         return tuple(f)
 
     def gram(self, points_a, points_b=None, work=None):
-        """Dense |a| x |b| matrix of kernel values, written into work[1]
-        when a workspace pair is given (see the module docstring). Passes:
-        `_gaussians`', then one sum for two Gaussians."""
-        n_a = len(points_a)
-        shape = (n_a, n_a if points_b is None else len(points_b))
-        if work is None:
-            work = (np.empty(shape), np.empty(shape))
-        elif any(w.shape != shape or w.dtype != np.float64 for w in work):
-            raise ValueError(f"the workspace must be two {shape} float64 blocks")
-        second, e = work
-        self._gaussians(points_a, points_b, e, second)
-        if self.sigma2 is not None:
-            e += second
-        return e
+        """Dense |a| x |b| matrix of kernel values (see `_factors`),
+        written into work when a `factor_workspace` for n = 1 is given."""
+        return self._factors(points_a, points_b, 1, work)[0]
 
     def gram_pair(self, points_a, points_b=None, work=None):
         """(gram, gamma) from one exponent (see `_factors`), written into
         work when a `factor_workspace` is given."""
         return self._factors(points_a, points_b, 2, work)
 
-    def gram_triple(self, points_a, points_b=None):
-        """(gram, gamma, gamma') from one exponent (see `_factors`)."""
-        return self._factors(points_a, points_b, 3)
+    def gram_triple(self, points_a, points_b=None, work=None):
+        """(gram, gamma, gamma') from one exponent (see `_factors`), written
+        into work when a `factor_workspace` for n = 3 is given."""
+        return self._factors(points_a, points_b, 3, work)
 
 
 def default_deformation_kernel(mesh, large=0.4, small=0.1):

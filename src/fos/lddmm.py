@@ -101,7 +101,7 @@ def _rhs(kernel, c, a, work=None):
     return gram @ a, -0.5 * (c * sc[:, 3:] - sc[:, :3])
 
 
-def _rhs_vjp(kernel, c, a, p, q):
+def _rhs_vjp(kernel, c, a, p, q, work):
     """Vector-Jacobian product of _rhs at (c, a) with cotangents (p, q):
     returns (cbar, abar) = (d f / d c)^T (p, q), (d f / d a)^T (p, q).
 
@@ -109,51 +109,58 @@ def _rhs_vjp(kernel, c, a, p, q):
     to the radial structure grad1 K = gamma (x - y) and
     grad1 grad1 K = 2 gamma' (x-y)(x-y)^T + gamma I. With s = a a^T and
     d_kl = q_k.(c_l - c_k), the sensitivities to c through dc = K a and
-    through the Hessian term of da share W = gamma (p a^T) + gamma' s d,
+    through the Hessian term of da share W = gamma' s d + gamma (p a^T),
     read through W @ [c, 1] and W^T @ [c, 1]; t = gamma s is symmetric, so
     t @ [q, 1], the buffer of [q, -q.c] with its last column set to 1,
-    gives both of its products. Passes over the k x k blocks:
-    `gram_triple`'s, then five in place: three form W, one t, one gamma d.
-    The result agrees with the plain expressions up to rounding.
+    gives both of its products. Every k x k block is formed in `work`, a
+    `factor_workspace` for n = 3: after `gram_triple`'s blocks and K @ p,
+    d in K's block; s, t = gamma s, then p a^T in the first Gaussian's;
+    W in gamma''s. Passes past `gram_triple`'s: six in place, four form W,
+    one t, one gamma d. The result agrees with the plain expressions up to
+    rounding.
     """
-    k, g, g2 = kernel.gram_triple(c)
+    k, g, g2 = kernel.gram_triple(c, work=work)
+    kp = k @ p
     a_t = np.ascontiguousarray(a.T)
     c1 = _extended(c, 1.0)
     c1_t = np.ascontiguousarray(c1.T)
-    s = a @ a_t
     q1 = _extended(q, -np.sum(q * c, axis=1))
-    d = q1 @ c1_t
-    w = p @ a_t
-    w *= g
+    d = np.matmul(q1, c1_t, out=k)
+    s = np.matmul(a, a_t, out=work[0][0])
     g2 *= s
     g2 *= d
-    w += g2
     t = np.multiply(g, s, out=s)
-    u = np.multiply(g, d, out=d)
-    wc = w @ c1 + (c1_t @ w).T                      # (W + W^T) @ [c, 1]
     q1[:, 3] = 1.0
     tq = t @ q1
+    pa = np.matmul(p, a_t, out=t)
+    pa *= g
+    w = np.add(g2, pa, out=g2)
+    u = np.multiply(g, d, out=d)
+    wc = w @ c1 + (c1_t @ w).T                      # (W + W^T) @ [c, 1]
     cbar = c * wc[:, 3:] - wc[:, :3] - 0.5 * (q * tq[:, 3:] - tq[:, :3])
-    return cbar, k @ p + 0.5 * (u @ a + (a_t @ u).T)
+    return cbar, kp + 0.5 * (u @ a + (a_t @ u).T)
 
 
 def shoot_gradient(path: GeodesicPath, cbar_end):
     """Exact adjoint of the RK2 shooting map: pulls the cotangent of the
     control points at t=1 back to t=0. Returns (cbar0, abar0); abar0 is
     the gradient of any endpoint functional with gradient cbar_end with
-    respect to the initial momenta.
+    respect to the initial momenta. One kernel workspace serves all
+    2 * steps `_rhs_vjp` calls (see the `kernels` module docstring).
     """
     dt = 1.0 / path.steps
     cb = np.asarray(cbar_end, float).copy()
     ab = np.zeros_like(cb)
     kernel = path.kernel
+    work = kernel.factor_workspace((len(cb), len(cb)), 3)
     for t in range(path.steps - 1, -1, -1):
         # y1 = y + dt f(m), m = y + dt/2 f(y)
         cmb, amb = _rhs_vjp(kernel, path.mid_points[t], path.mid_momenta[t],
-                            cb, ab)
+                            cb, ab, work)
         cmb *= dt
         amb *= dt
-        cyb, ayb = _rhs_vjp(kernel, path.points[t], path.momenta[t], cmb, amb)
+        cyb, ayb = _rhs_vjp(kernel, path.points[t], path.momenta[t], cmb, amb,
+                            work)
         cb = cb + cmb + 0.5 * dt * cyb
         ab = ab + amb + 0.5 * dt * ayb
     return cb, ab
@@ -193,14 +200,14 @@ def shoot(v0: InitialMomenta, steps: int) -> GeodesicPath:
 
 def _velocity(kernel, x, c, a, work, out):
     """v(x) = K(x, c) a written into out, one row tile of x at a time:
-    each tile's kernel block is formed in the workspace pair `work` and
-    multiplied by a while it is still in cache. A last, shorter tile uses
-    the leading rows of the pair."""
-    rows = len(work[0])
+    each tile's kernel block is formed in `work`, a `factor_workspace` for
+    n = 1 of one tile, and multiplied by a while it is still in cache. A
+    last, shorter tile uses the leading rows of the workspace."""
+    rows = work[1].shape[1]
     for i in range(0, len(x), rows):
         tile = x[i:i + rows]
-        block = kernel.gram(tile, c, work=(work[0][:len(tile)],
-                                           work[1][:len(tile)]))
+        block = kernel.gram(tile, c, work=(work[0][:, :len(tile)],
+                                           work[1][:, :len(tile)]))
         np.matmul(block, a, out=out[i:i + rows])
     return out
 
@@ -212,7 +219,7 @@ def flow_points(path: GeodesicPath, points) -> np.ndarray:
     Each velocity is computed in row tiles of the points (`_velocity`):
     a tile's kernel block takes about TILE_BYTES, so the six passes that
     form it and its product with the momenta read it from L2, where the
-    whole (points x controls) block would not fit. One workspace pair of
+    whole (points x controls) block would not fit. One workspace of
     one tile serves all 2 * steps velocities, so its pages are faulted
     in once per flow (see the `kernels` module docstring). A block that
     fits in one tile is computed as one tile."""
@@ -221,7 +228,7 @@ def flow_points(path: GeodesicPath, points) -> np.ndarray:
     kernel = path.kernel
     k = path.points.shape[1]
     rows = max(1, min(len(x), TILE_BYTES // (8 * k)))
-    work = (np.empty((rows, k)), np.empty((rows, k)))
+    work = kernel.factor_workspace((rows, k), 1)
     dx = np.empty_like(x)
     for t in range(path.steps):
         _velocity(kernel, x, path.points[t], path.momenta[t], work, dx)

@@ -212,46 +212,41 @@ def load_mesh(path):
         raise MeshError(f"{path}: {exc}") from exc
 
 
-def _tokens(text):
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield from line.split()
-
-
 def parse_off(text):
-    """The triangle mesh of OFF text; a MeshError when it is malformed."""
-    tok = _tokens(text)
+    """The triangle mesh of OFF text; a MeshError when it is malformed.
+    The comment-free text is split once, and numpy converts the vertex
+    and face blocks by Python's float and int rules."""
+    tok = " ".join(line.split("#", 1)[0]
+                   for line in text.splitlines()).split()
+    body = 4 if tok[:1] == ["OFF"] else 3      # the first vertex's index
     try:
-        first = next(tok)
-        if first == "OFF":
-            nv, nf = int(next(tok)), int(next(tok))
-        else:
-            nv, nf = int(first), int(next(tok))
-        next(tok)  # edge count, ignored
+        counts = [int(t) for t in tok[body - 3:body - 1]]
+        if len(tok) < body:     # the counts, then an edge count, ignored
+            raise StopIteration
+        nv, nf = counts
         if nv < 1 or nf < 1:
             raise MeshError(f"an OFF mesh needs at least one vertex and "
                             f"one face, got {nv} and {nf}")
-        verts = np.array([float(next(tok)) for _ in range(3 * nv)]).reshape(nv, 3)
-        faces = []
-        for _ in range(nf):
-            k = int(next(tok))
-            if k != 3:
-                raise MeshError("only triangle faces are supported")
-            faces.append([int(next(tok)) for _ in range(3)])
-        if next(tok, None) is not None:
+        end = body + 3 * nv
+        verts = np.array(tok[body:end], dtype=float)
+        faces = np.array(tok[end:end + 4 * nf], dtype=int)
+        if np.any(faces[::4] != 3):
+            raise MeshError("only triangle faces are supported")
+        if len(verts) < 3 * nv or len(faces) < 4 * nf:
+            raise StopIteration
+        if len(tok) > end + 4 * nf:
             raise MeshError(f"data after the {nf} declared faces")
     except (StopIteration, ValueError) as exc:
         raise MeshError(f"malformed OFF file: {exc}") from exc
-    return TriangleMesh(verts, faces)
+    return TriangleMesh(verts.reshape(nv, 3), faces.reshape(nf, 4)[:, 1:])
 
 
 def save_mesh(mesh, path):
-    """Write OFF with 17 significant digits (round-trip exact)."""
+    """Write OFF with 17 significant digits (round-trip exact), formatted
+    in one operation."""
+    v, f = mesh.vertices, mesh.faces
+    form = "OFF\n%d %d 0\n" + "%.17g %.17g %.17g\n" * len(v) \
+        + "3 %d %d %d\n" * len(f)
     with open(str(path), "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(form % (len(v), len(f), *v.ravel().tolist(),
+                         *f.ravel().tolist()))

@@ -28,9 +28,11 @@ writes its record.json, the sha256 of each file in its directory and of
 each upstream stage's record, and its settings. `Study.record`, which
 every read goes through, is the one staleness rule: it refuses a record
 built from other records than its upstream stages' as they stand, checked
-back to simulate, and `Study.read` a file whose sha256 the record does not
-name. Each refusal names the stage to run again; an interrupted stage
-leaves no record. manifest.json keeps the entries of the standing records.
+back to simulate, in a run one built with other settings than the run's
+config block of its stage, and `Study.read` a file whose sha256 the record
+does not name. Each refusal names the stage to run again; an interrupted
+stage leaves no record. manifest.json keeps the entries of the standing
+records.
 
   artifact                    layout                  readers
   <stage dir>/record.json     sha256s and settings    Study
@@ -269,14 +271,14 @@ class PipelineConfig:
 
 def _write_csv(path, array, prefix="v", first=0, header=None):
     """Rows of numbers under `header`, by default columns numbered from
-    `first` after `prefix` (v0, v1, ... for per-vertex values)."""
+    `first` after `prefix` (v0, v1, ... for per-vertex values), formatted
+    in one operation."""
     arr = np.atleast_2d(np.asarray(array, float))
     if header is None:
         header = ",".join(f"{prefix}{j + first}" for j in range(arr.shape[1]))
+    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(str(path), "w") as fh:
-        fh.write(header + "\n")
-        for row in arr:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(header + "\n" + row * len(arr) % tuple(arr.ravel().tolist()))
 
 
 def _read_csv(path, data=None):
@@ -322,13 +324,28 @@ def _read_scores(study):
     return g, f
 
 
+def _json_object(path, data, keys):
+    """The JSON object in data, the bytes of the file at path, with an
+    object at each of keys; an ArtifactError naming the file otherwise."""
+    try:
+        value = json.loads(data)
+        for key in keys:
+            if not isinstance(value.get(key), dict):
+                raise TypeError(f"no object {key!r}")
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ArtifactError(f"{path}: malformed: {exc}") from exc
+    return value
+
+
 class Study:
     """The artifacts of the output directory `out`, each read through the
     record of the stage that wrote it. Records and meshes are parsed once
-    per instance."""
+    per instance. Given `settings`, each stage's settings in their JSON
+    form, the study refuses a record of other settings."""
 
-    def __init__(self, out):
+    def __init__(self, out, settings=None):
         self.out = Path(out)
+        self.settings = settings
         self._records = {}      # stage -> (sha256 of record.json, record)
         self._meshes = {}       # (stage, OFF file name) -> its mesh
 
@@ -338,21 +355,28 @@ class Study:
     def record(self, st):
         """Stage st's record, as the sha256 of its bytes and its contents.
         ArtifactError unless it was built from the records of its upstream
-        stages as they stand, each checked the same way."""
+        stages as they stand, each checked the same way, and with the
+        study's settings of st when it has them."""
         if st not in self._records:
-            data = (self.dir(st) / "record.json").read_bytes()
-            record = json.loads(data)
+            path = self.dir(st) / "record.json"
+            data = path.read_bytes()
+            record = _json_object(path, data, ("files", "settings",
+                                               "upstream"))
             if record["upstream"] != {u: self.record(u)[0]
                                       for u in _UPSTREAM[st]}:
                 raise ArtifactError(f"{self.dir(st)}: built from other "
                                     f"inputs; run {st} again")
+            if self.settings and record["settings"] != self.settings[st]:
+                raise ArtifactError(f"{self.dir(st)}: built with other "
+                                    f"settings; run {st} again")
             self._records[st] = _sha256(data), record
         return self._records[st]
 
     def stands(self, st, entry):
         """Whether the manifest entry, or None, is of st's standing record."""
         try:
-            return bool(entry) and entry.get("record") == self.record(st)[0]
+            return isinstance(entry, dict) \
+                and entry.get("record") == self.record(st)[0]
         except (OSError, ValueError):
             return False
 
@@ -592,8 +616,10 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     """Run the requested stage subset; returns and persists the manifest."""
     stages = cfg.stages if stages is None else _check_stages(stages)
     out = Path(cfg.output_dir)
+    settings = {st: json.loads(json.dumps(asdict(getattr(
+        cfg, st.replace("-", "_"))))) for st in STAGES}
     # read after simulate when it runs: simulate writes the study
-    study = Study(out)
+    study = Study(out, settings)
     # every stage but cca reads the subject count: check it before any
     # stage writes
     if "simulate" in stages:
@@ -606,14 +632,15 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__}, "stages": {}, "warnings": []}
     if path.exists():
-        manifest["stages"] = json.loads(path.read_text()).get("stages", {})
+        manifest["stages"] = _json_object(path, path.read_bytes(),
+                                          ("stages",))["stages"]
     for st in stages:
         t0 = time.perf_counter()
         _in_stage(st, lambda: [study.record(u) for u in _UPSTREAM[st]])
         if study.dir(st).exists():
             shutil.rmtree(study.dir(st))
         summary = _in_stage(st, _STAGE_FUNCS[st], cfg, study)
-        study.write_record(st, asdict(getattr(cfg, st.replace("-", "_"))))
+        study.write_record(st, settings[st])
         warnings = summary.pop("warnings", [])
         manifest["stages"][st] = {
             "summary": summary,

@@ -5,11 +5,12 @@ vertex positions.
 Face normals enter the current metric area-weighted (un-normalized), the
 convention under which D(M, M) = 0 holds exactly.
 
-The kernel is one Gaussian, E(x, y) = exp(-|x - y|^2 / (2 sigma^2)), whose
-gradient in x is -(x - y) E(x, y) / sigma^2. So the value and both parts
-of the gradient are contractions of one kernel block per surface pair with
-the moments of the other surface's faces, M = [n, n (x) c] (F, 12), where
-column 3 + 3d + e holds n_d c_e. With face centers c and area normals n of
+The kernel is a one-Gaussian `GaussianKernel`, E(x, y) =
+exp(-|x - y|^2 / (2 sigma^2)), whose gradient in x is
+-(x - y) E(x, y) / sigma^2. So the value and both parts of the gradient
+are contractions of one kernel block per surface pair with the moments of
+the other surface's faces, M = [n, n (x) c] (F, 12), where column
+3 + 3d + e holds n_d c_e. With face centers c and area normals n of
 the deformed surface, Q_ss = E(c, c) @ M and Q_st = E(c, c_t) @ M_t:
 
     D^2 = sum_i n_i . (Q_ss - 2 Q_st)[i, :3] + sum_tt' E(c_t, c_t') n_t.n_t'
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import exponent
+from .kernels import GaussianKernel
 
 
 class SimilarityResult:
@@ -71,29 +72,22 @@ def _moments(centers, normals):
     return np.hstack([normals, outer.reshape(len(normals), 9)])
 
 
-def _gaussian_block(points_a, points_b, sigma):
-    """exp(-|a_i - b_j|^2 / (2 sigma^2)), from `kernels.exponent`."""
-    e = exponent(points_a, points_b, sigma)
-    return np.exp(e, out=e)
-
-
-def target_terms(centers, normals, sigma):
-    """The target's fixed side of the current distance: its moments
-    (T, 12) and its self term sum E(c_t, c_t') n_t.n_t'."""
-    self_term = np.vdot(normals, _gaussian_block(centers, centers, sigma)
-                        @ normals)
+def target_terms(centers, normals, kernel: GaussianKernel):
+    """The target's fixed side of the current distance under `kernel`:
+    its moments (T, 12) and its self term sum E(c_t, c_t') n_t.n_t'."""
+    self_term = np.vdot(normals, kernel.gram(centers) @ normals)
     return _moments(centers, normals), float(self_term)
 
 
-def _current_core(vertices, faces, target_centers, target_moments, sigma,
-                  *, target_self_term):
-    """Current distance, under the Gaussian of width `sigma`, of the
-    surface (vertices, faces) to the target given by its face centers and
-    its moments and self term from `target_terms`, with its gradient on
+def _current_core(vertices, faces, target_centers, target_moments,
+                  kernel: GaussianKernel, *, target_self_term):
+    """Current distance, under the one-Gaussian `kernel`, of the surface
+    (vertices, faces) to the target given by its face centers and its
+    moments and self term from `target_terms`, with its gradient on
     demand."""
     tri, c, n = _face_data(vertices, faces)
-    q_ss = _gaussian_block(c, c, sigma) @ _moments(c, n)
-    q_st = _gaussian_block(c, target_centers, sigma) @ target_moments
+    q_ss = kernel.gram(c) @ _moments(c, n)
+    q_st = kernel.gram(c, target_centers) @ target_moments
 
     value = float(np.vdot(n, q_ss[:, :3] - 2.0 * q_st[:, :3])
                   + target_self_term)
@@ -102,7 +96,7 @@ def _current_core(vertices, faces, target_centers, target_moments, sigma,
         d = np.subtract(q_ss, q_st, out=q_ss)
         r = np.einsum("id,id->i", n, d[:, :3])
         p = np.einsum("id,ide->ie", n, d[:, 3:].reshape(-1, 3, 3))
-        a = (-2.0 / sigma ** 2) * (c * r[:, None] - p)
+        a = (-2.0 / kernel.sigma ** 2) * (c * r[:, None] - p)
         w = 2.0 * d[:, :3]
 
         # corner k of each face moves its center by a / 3 and its area

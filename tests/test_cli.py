@@ -159,6 +159,28 @@ def test_malformed_or_stale_inputs_exit_2(tmp_path, capsys):
     assert err.startswith("invalid input: ") and "subject_001.off" in err
 
 
+def test_malformed_record_or_manifest_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                               "simulate": {"n": 6, "subdivisions": 1},
+                               "register_geo": {"max_iterations": 1},
+                               "register_fun": {"max_iterations": 1},
+                               "fpca_geo": {"n_components": 1},
+                               "fpca_fun": {"n_components": 1}}))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    for path, commands in (("reg_geo/record.json", ("cca", "covary")),
+                           ("manifest.json", ("cca",))):
+        path = tmp_path / "out" / path
+        original = path.read_text()
+        path.write_text("{broken")
+        for command in commands:
+            assert main([command, "--config", str(cfg)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"invalid input: {path}: malformed"), err
+        path.write_text(original)
+
+
 def test_a_stage_interrupted_before_its_record_exits_2(tmp_path, capsys,
                                                        monkeypatch):
     # an interrupted stage leaves no record, so nothing it wrote is read

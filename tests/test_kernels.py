@@ -142,20 +142,20 @@ def assert_kernels_match_plain(kernel, points_a, points_b=None):
         assert len(got) == len(factors)
         for g, f in zip(got, factors):
             assert_close(g, f, name)
-    # a workspace holding stale values gives the same gram, in its block
-    work = (np.full(d2.shape, np.nan), np.full(d2.shape, np.nan))
-    got = kernel.gram(points_a, points_b, work=work)
-    assert got is work[1]
-    assert np.array_equal(got, kernel.gram(points_a, points_b))
-    # and the same gram_pair, in the factor block of its workspace
-    work = kernel.factor_workspace(d2.shape)
-    for w in work:
-        w.fill(np.nan)
-    got = kernel.gram_pair(points_a, points_b, work=work)
-    for g, want, block in zip(got, kernel.gram_pair(points_a, points_b),
-                              work[1]):
-        assert np.shares_memory(g, block)
-        assert np.array_equal(g, want)
+    # a workspace holding stale values gives the same factors, in the
+    # factor blocks of the workspace
+    for name, n in (("gram", 1), ("gram_pair", 2), ("gram_triple", 3)):
+        work = kernel.factor_workspace(d2.shape, n)
+        for w in work:
+            w.fill(np.nan)
+        got = getattr(kernel, name)(points_a, points_b, work=work)
+        want = getattr(kernel, name)(points_a, points_b)
+        if n == 1:
+            got, want = (got,), (want,)
+        assert len(got) == n
+        for g, w, block in zip(got, want, work[1]):
+            assert np.shares_memory(g, block)
+            assert np.array_equal(g, w), name
 
 
 def test_factors_match_the_plain_formula_two_gaussians():
@@ -195,12 +195,12 @@ def test_factors_match_the_plain_formula_at_coincident_points():
 
 
 @pytest.mark.parametrize("n_b, shapes, dtype", [
-    (7, ((7, 5), (7, 5)), float),
-    (7, ((5, 7), (5, 1)), float),
-    (7, ((1, 7), (5, 7)), float),
-    (1, ((5, 7), (5, 7)), float),   # would broadcast the (5, 1) result
-    (7, ((5, 7, 1), (5, 7)), float),
-    (7, ((5, 7), (5, 7)), np.float32),
+    (7, ((1, 7, 5), (1, 7, 5)), float),
+    (7, ((1, 5, 7), (1, 5, 1)), float),
+    (7, ((1, 1, 7), (1, 5, 7)), float),
+    (1, ((1, 5, 7), (1, 5, 7)), float),   # would broadcast the (5, 1) result
+    (7, ((5, 7, 1), (1, 5, 7)), float),
+    (7, ((1, 5, 7), (1, 5, 7)), np.float32),
 ], ids=["transposed", "one-column", "one-row", "too-wide", "three-axes",
         "float32"])
 def test_workspace_of_the_wrong_shape_or_dtype_raises(n_b, shapes, dtype):
@@ -216,10 +216,15 @@ def test_factor_workspace_that_does_not_fit_raises():
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
     kernel = GaussianKernel(sigma=1.0, sigma2=0.5)
-    e, f = kernel.factor_workspace((5, 7))
-    for work in ((e[:1], f),                              # one Gaussian
-                 (e, np.zeros((2, 7, 5))),                # transposed
-                 (e, np.zeros((2, 5, 14))[:, :, ::2]),    # not contiguous
-                 (e, np.zeros((2, 5, 7), np.float32))):
-        with pytest.raises(ValueError, match="workspace"):
-            kernel.gram_pair(a, b, work=work)
+    for n, factors in ((1, kernel.gram), (2, kernel.gram_pair),
+                       (3, kernel.gram_triple)):
+        e, f = kernel.factor_workspace((5, 7), n)
+        assert (e.shape, f.shape) == ((2, 5, 7), (n, 5, 7))
+        for work in ((e[:1], f),                              # one Gaussian
+                     (e, np.zeros((n, 7, 5))),                # transposed
+                     (e, np.zeros((n + 1, 5, 7))),            # another n
+                     (e, np.zeros((n, 5, 14))[:, :, ::2]),    # not contiguous
+                     (e, np.zeros((n, 5, 7), np.float32)),
+                     (e[0], f[0])):                           # two axes
+            with pytest.raises(ValueError, match="workspace"):
+                factors(a, b, work=work)

@@ -32,14 +32,15 @@ def recomputing_shoot_gradient(path, cbar_end):
     cb = np.asarray(cbar_end, float).copy()
     ab = np.zeros_like(cb)
     kernel = path.kernel
+    work = kernel.factor_workspace((len(cb), len(cb)), 3)
     for t in range(path.steps - 1, -1, -1):
         c, a = path.points[t], path.momenta[t]
         dc, da = _rhs(kernel, c, a)
         cm, am = c + 0.5 * dt * dc, a + 0.5 * dt * da
-        cmb, amb = _rhs_vjp(kernel, cm, am, cb, ab)
+        cmb, amb = _rhs_vjp(kernel, cm, am, cb, ab, work)
         cmb *= dt
         amb *= dt
-        cyb, ayb = _rhs_vjp(kernel, c, a, cmb, amb)
+        cyb, ayb = _rhs_vjp(kernel, c, a, cmb, amb, work)
         cb = cb + cmb + 0.5 * dt * cyb
         ab = ab + amb + 0.5 * dt * ayb
     return cb, ab
@@ -150,8 +151,7 @@ def whole_block_flow(path, points):
     x = np.asarray(points, float)
     dt = 1.0 / path.steps
     kernel = path.kernel
-    shape = (len(x), path.points.shape[1])
-    work = (np.empty(shape), np.empty(shape))
+    work = kernel.factor_workspace((len(x), path.points.shape[1]), 1)
     for t in range(path.steps):
         dx = kernel.gram(x, path.points[t], work=work) @ path.momenta[t]
         xm = x + 0.5 * dt * dx
@@ -355,6 +355,70 @@ def test_rhs_matches_the_plain_expressions():
 
 def test_rhs_vjp_matches_the_plain_expressions():
     kern, c, a, p, q = rhs_inputs(7)
-    for got, want in zip(_rhs_vjp(kern, c, a, p, q),
+    work = kern.factor_workspace((len(c), len(c)), 3)
+    for got, want in zip(_rhs_vjp(kern, c, a, p, q, work),
                          plain_rhs_vjp(kern, c, a, p, q)):
         assert_close(got, want)
+
+
+def allocating_rhs_vjp(kernel, c, a, p, q):
+    """_rhs_vjp with its kernel blocks and k x k temporaries allocated at
+    every call, kept as the oracle for the adjoint's workspace."""
+    k, g, g2 = kernel.gram_triple(c)
+    a_t = np.ascontiguousarray(a.T)
+    c1 = lddmm._extended(c, 1.0)
+    c1_t = np.ascontiguousarray(c1.T)
+    s = a @ a_t
+    q1 = lddmm._extended(q, -np.sum(q * c, axis=1))
+    d = q1 @ c1_t
+    w = p @ a_t
+    w *= g
+    g2 *= s
+    g2 *= d
+    w += g2
+    t = np.multiply(g, s, out=s)
+    u = np.multiply(g, d, out=d)
+    wc = w @ c1 + (c1_t @ w).T                      # (W + W^T) @ [c, 1]
+    q1[:, 3] = 1.0
+    tq = t @ q1
+    cbar = c * wc[:, 3:] - wc[:, :3] - 0.5 * (q * tq[:, 3:] - tq[:, :3])
+    return cbar, k @ p + 0.5 * (u @ a + (a_t @ u).T)
+
+
+def allocating_shoot_gradient(path, cbar_end):
+    """The adjoint loop on `allocating_rhs_vjp`."""
+    dt = 1.0 / path.steps
+    cb = np.asarray(cbar_end, float).copy()
+    ab = np.zeros_like(cb)
+    for t in range(path.steps - 1, -1, -1):
+        cmb, amb = allocating_rhs_vjp(path.kernel, path.mid_points[t],
+                                      path.mid_momenta[t], cb, ab)
+        cmb *= dt
+        amb *= dt
+        cyb, ayb = allocating_rhs_vjp(path.kernel, path.points[t],
+                                      path.momenta[t], cmb, amb)
+        cb = cb + cmb + 0.5 * dt * cyb
+        ab = ab + amb + 0.5 * dt * ayb
+    return cb, ab
+
+
+@pytest.mark.parametrize("kind", ["two-gaussians", "one-gaussian",
+                                  "weight-0.3"])
+def test_shoot_gradient_in_its_workspace_is_bit_identical(kind):
+    # the K=73 template under the pipeline's default kernel, its first
+    # Gaussian alone, and the two with a second weight that is not 1
+    template = make_template(SimSpec(subdivisions=2))
+    assert template.n_vertices == 73
+    kern = default_deformation_kernel(template)
+    kern = {"two-gaussians": kern,
+            "one-gaussian": GaussianKernel(kern.sigma),
+            "weight-0.3": GaussianKernel(kern.sigma, kern.sigma2, 0.3)}[kind]
+    rng = np.random.default_rng(12)
+    v0 = InitialMomenta(template.vertices,
+                        0.05 * rng.normal(size=template.vertices.shape), kern)
+    path = shoot(v0, 10)
+    w = rng.normal(size=template.vertices.shape)
+    for got, want in zip(shoot_gradient(path, w),
+                         allocating_shoot_gradient(path, w)):
+        assert np.abs(got).max() > 0
+        assert np.array_equal(got, want)

@@ -3,7 +3,7 @@ import pytest
 
 from fos.mesh import (MeshError, ScalarField, TriangleMesh,
                       consistent_mass, cotangent_stiffness, folded_faces,
-                      load_mesh, lumped_mass, save_mesh)
+                      load_mesh, lumped_mass, parse_off, save_mesh)
 from fos.synthdata import ellipsoid_patch, icosphere
 from fos.tangent_fem import assemble_connection_matrices, build_frames
 from test_tangent_fem import flat_patch
@@ -248,3 +248,85 @@ def test_load_mesh_rejects_counts_that_do_not_match(tmp_path, text, message):
     with pytest.raises(MeshError, match=message) as err:
         load_mesh(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def sequential_parse_off(text):
+    """OFF text read one token at a time, kept as the oracle for
+    `parse_off`'s block conversion: the same mesh, or a MeshError with the
+    same message."""
+    def tokens():
+        for line in text.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line:
+                yield from line.split()
+
+    tok = tokens()
+    try:
+        first = next(tok)
+        if first == "OFF":
+            nv, nf = int(next(tok)), int(next(tok))
+        else:
+            nv, nf = int(first), int(next(tok))
+        next(tok)  # edge count, ignored
+        if nv < 1 or nf < 1:
+            raise MeshError(f"an OFF mesh needs at least one vertex and "
+                            f"one face, got {nv} and {nf}")
+        verts = np.array([float(next(tok)) for _ in range(3 * nv)]).reshape(nv, 3)
+        faces = []
+        for _ in range(nf):
+            k = int(next(tok))
+            if k != 3:
+                raise MeshError("only triangle faces are supported")
+            faces.append([int(next(tok)) for _ in range(3)])
+        if next(tok, None) is not None:
+            raise MeshError(f"data after the {nf} declared faces")
+    except (StopIteration, ValueError) as exc:
+        raise MeshError(f"malformed OFF file: {exc}") from exc
+    return TriangleMesh(verts, faces)
+
+
+def line_by_line_off(mesh):
+    """OFF text written one line at a time, kept as the oracle for
+    `save_mesh`'s one format operation."""
+    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
+    lines += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in mesh.vertices]
+    lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def test_off_text_matches_the_line_by_line_writer_and_reader(tmp_path):
+    mesh = ellipsoid_patch(2)
+    mesh = mesh.with_vertices(mesh.vertices * [1.0, -1e-7, 3e5] + 0.1)
+    path = tmp_path / "patch.off"
+    save_mesh(mesh, path)
+    text = path.read_text()
+    assert text == line_by_line_off(mesh)
+    commented = "# a comment\n" + text.replace("\n3 ", " # three\n3 ", 5)
+    for t in (text, commented, "3 1 0 0 0 0 1 0 0 0 1 0 3 0 1 2"):
+        got, want = parse_off(t), sequential_parse_off(t)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.faces, want.faces)
+
+
+@pytest.mark.parametrize("text", [
+    "", "OFF", "OFF\n3", "OFF\n3 1", "OFF\nx 1 0", "3 x 0", "OFF 3 1 0 0 0",
+    "OFF\n-1 -1 0\n", "OFF\n3 0 0\n",
+    TRIANGLE_OFF.replace("1 0 0\n", "1 0 x\n"),
+    TRIANGLE_OFF.replace("3 0 1 2", "4 0 1 2"),
+    TRIANGLE_OFF.replace("3 0 1 2", "4 0 1"),
+    TRIANGLE_OFF.replace("3 0 1 2", "3 0 1.5 2"),
+    TRIANGLE_OFF.replace("3 0 1 2", "3 0 1"),
+    TRIANGLE_OFF + "3 0 1 2\n", TRIANGLE_OFF.rstrip() + " 1\n",
+    TRIANGLE_OFF.replace("3 0 1 2", "3 0 1 3"),
+    TRIANGLE_OFF.replace("3 1 0", "3 2 0").rstrip() + "\n4 0 1 2 0\n",
+], ids=["empty", "off-only", "no-face-count", "no-edge-count",
+        "bad-vertex-count", "bad-face-count", "short-vertices",
+        "negative-counts", "zero-counts", "bad-coordinate", "quad",
+        "short-quad", "bad-index", "short-face", "extra-face",
+        "fourth-index", "index-out-of-range", "second-face-quad"])
+def test_malformed_off_raises_the_sequential_readers_message(text):
+    with pytest.raises(MeshError) as want:
+        sequential_parse_off(text)
+    with pytest.raises(MeshError) as got:
+        parse_off(text)
+    assert str(got.value) == str(want.value)

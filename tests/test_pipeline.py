@@ -467,6 +467,32 @@ def test_exports_refuse_a_stale_upstream_of_their_inputs(finished_run,
         run_pipeline(cfg, ("cca",))
 
 
+def test_a_stage_refuses_upstream_records_of_other_settings(finished_run,
+                                                           tmp_path):
+    # momenta registered at lam 0.05, read under a config of lam 0.5
+    cfg = copied_run(finished_run, tmp_path)
+    assert cfg.register_geo.lam == 0.05
+    cfg = replace(cfg, register_geo=replace(cfg.register_geo, lam=0.5))
+    message = "reg_geo: built with other settings; run register-geo again"
+    with pytest.raises(RuntimeError, match=message) as info:
+        run_pipeline(cfg, ("fpca-geo",))
+    assert isinstance(info.value.__cause__, ArtifactError)
+    # nor does the manifest keep the record's entry
+    manifest = run_pipeline(cfg, ("simulate",))
+    assert list(manifest["stages"]) == ["simulate"]
+
+
+def test_a_stage_runs_on_upstream_records_rebuilt_with_it(finished_run,
+                                                          tmp_path):
+    cfg = copied_run(finished_run, tmp_path)
+    cfg = replace(cfg, register_geo=replace(cfg.register_geo, lam=0.5))
+    manifest = run_pipeline(cfg, ("register-geo", "fpca-geo"))
+    assert list(manifest["stages"]) == ["simulate", "register-geo",
+                                        "fpca-geo"]
+    assert manifest["stages"]["register-geo"]["summary"]["lam"] == 0.5
+    run_pipeline(cfg, ("fpca-geo",))
+
+
 def test_register_geo_refuses_an_edited_subject_before_it_writes(tmp_path):
     cfg = PipelineConfig.from_dict({
         "output_dir": str(tmp_path), "seed": 0,
@@ -576,6 +602,19 @@ def test_tables_read_back_in_their_shape(tmp_path):
     path.write_text("v0,v1\n")
     with pytest.raises(ArtifactError, match="t.csv: table has no rows"):
         _read_csv(path)
+
+
+def test_tables_are_the_bytes_of_the_row_by_row_writer(tmp_path):
+    # 17 significant digits of each number, a row per line
+    path = tmp_path / "t.csv"
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(5, 3)) * [1.0, 1e-300, 3e17]
+    table[0, 0], table[1, 1] = -0.0, 7.0
+    _write_csv(path, table, header="x,y,z")
+    rows = [",".join(f"{x:.17g}" for x in row) for row in table]
+    assert path.read_text() == "\n".join(["x,y,z"] + rows) + "\n"
+    _write_csv(path, table[0], "pc", 1)
+    assert path.read_text() == "pc1,pc2,pc3\n" + rows[0] + "\n"
 
 
 def test_field_file_of_wrong_length_fails(tmp_path):

@@ -31,10 +31,10 @@ def self_term(kernel, centers, normals):
 
 def current_distance(deformed, target, sigma_z):
     """Squared current distance between two oriented surfaces."""
-    tc = target.face_centers
-    moments, own = target_terms(tc, target.face_area_normals, sigma_z)
+    tc, kernel = target.face_centers, GaussianKernel(sigma_z)
+    moments, own = target_terms(tc, target.face_area_normals, kernel)
     return _current_core(deformed.vertices, deformed.faces, tc, moments,
-                         sigma_z, target_self_term=own)
+                         kernel, target_self_term=own)
 
 
 def test_current_distance_zero_on_identical_surfaces():
