@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .mesh import ScalarField, TriangleMesh, _dot, lumped_mass
+from .mesh import ScalarField, TriangleMesh, _cross, _dot, lumped_mass
 from .tangent_fem import (Connection, TangentFrameAtlas, apply_dirichlet,
                           build_frames, build_system, connection,
                           solve_update)
@@ -35,7 +35,7 @@ def _gradient_basis(mesh: TriangleMesh) -> np.ndarray:
     (nhat x e_i) / (2A) with e_i the edge opposite corner i."""
     tri = mesh.vertices[mesh.faces]
     edges = np.roll(tri, 1, axis=1) - np.roll(tri, -1, axis=1)
-    return (np.cross(mesh.face_normals[:, None], edges)
+    return (_cross(mesh.face_normals[:, None], edges)
             / (2.0 * mesh.face_areas)[:, None, None])
 
 

@@ -13,6 +13,29 @@ class MeshError(ValueError):
     """Raised for malformed mesh files or invalid mesh data."""
 
 
+def _dot(x, y):
+    """Row-wise dot products of (..., 3) arrays, rounded as np.dot rounds
+    one pair."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _cross(a, b):
+    """Row-wise cross products of (..., 3) stacks, component by component:
+    the values of np.cross, without its per-call overhead."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=-1)
+
+
+def face_geometry(vertices, faces):
+    """The (F, 3, 3) corners, (F, 3) centres and (F, 3) area normals (half
+    the cross product of two sides, counter-clockwise) of each face."""
+    tri = vertices[faces]
+    normals = 0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    return tri, tri.mean(axis=1), normals
+
+
 class TriangleMesh:
     """Immutable triangulated surface embedded in R^3.
 
@@ -43,17 +66,14 @@ class TriangleMesh:
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
 
-        tri = v[f]
-        self.face_centers = tri.mean(axis=1)
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        norms = np.linalg.norm(cross, axis=1)
-        if np.any(norms <= 0.0):
-            bad = int(np.argmin(norms))
-            raise MeshError(f"degenerate face {bad} (zero area)")
-        self.face_areas = 0.5 * norms
-        self.face_normals = cross / norms[:, None]
         # area-weighted (un-normalized) normals, used by current metrics
-        self.face_area_normals = 0.5 * cross
+        _, self.face_centers, self.face_area_normals = face_geometry(v, f)
+        areas = np.linalg.norm(self.face_area_normals, axis=1)
+        if np.any(areas <= 0.0):
+            bad = int(np.argmin(areas))
+            raise MeshError(f"degenerate face {bad} (zero area)")
+        self.face_areas = areas
+        self.face_normals = self.face_area_normals / areas[:, None]
 
         # (3F, 2) directed face sides: every face's (0, 1) side first, then
         # every (1, 2), then every (2, 0). Interior edges appear twice.
@@ -138,17 +158,11 @@ def folded_faces(reference: TriangleMesh, vertices) -> np.ndarray:
     """True where a face of `reference`, moved to `vertices`, has a normal
     at 90 degrees or more to its reference normal (a folded face)."""
     tri = np.asarray(vertices, dtype=float)[reference.faces]
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    cross = _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     return np.sum(reference.face_normals * cross, axis=1) <= 0.0
 
 
 # -- finite-element operators -------------------------------------------------
-
-def _dot(x, y):
-    """Row-wise dot products of (..., 3) arrays, rounded as np.dot rounds
-    one pair."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
 
 def lumped_mass(mesh: TriangleMesh) -> np.ndarray:
     """Barycentric vertex areas (1/3 of incident face areas)."""
@@ -165,7 +179,7 @@ def cotangent_stiffness(mesh: TriangleMesh) -> sparse.csr_matrix:
     a, b, c = f, np.roll(f, -1, axis=1), np.roll(f, -2, axis=1)
     v = mesh.vertices
     ea, eb = v[a] - v[c], v[b] - v[c]                   # (F, 3, 3)
-    cross = np.cross(ea, eb)
+    cross = _cross(ea, eb)
     w = 0.5 * _dot(ea, eb) / np.sqrt(_dot(cross, cross))
     rows = np.stack([a, b, a, b], axis=-1).ravel()
     cols = np.stack([b, a, a, b], axis=-1).ravel()
@@ -222,7 +236,8 @@ def parse_off(text):
     try:
         counts = [int(t) for t in tok[body - 3:body - 1]]
         if len(tok) < body:     # the counts, then an edge count, ignored
-            raise StopIteration
+            raise MeshError("header: 3 counts expected, "
+                            f"{len(tok) - body + 3} found")
         nv, nf = counts
         if nv < 1 or nf < 1:
             raise MeshError(f"an OFF mesh needs at least one vertex and "
@@ -232,21 +247,29 @@ def parse_off(text):
         faces = np.array(tok[end:end + 4 * nf], dtype=int)
         if np.any(faces[::4] != 3):
             raise MeshError("only triangle faces are supported")
-        if len(verts) < 3 * nv or len(faces) < 4 * nf:
-            raise StopIteration
+        if len(verts) < 3 * nv:
+            raise MeshError(f"vertex block: {3 * nv} coordinates declared, "
+                            f"{len(verts)} found")
+        if len(faces) < 4 * nf:
+            raise MeshError(f"face block: {4 * nf} numbers declared, "
+                            f"{len(faces)} found")
         if len(tok) > end + 4 * nf:
             raise MeshError(f"data after the {nf} declared faces")
-    except (StopIteration, ValueError) as exc:
+    except ValueError as exc:
         raise MeshError(f"malformed OFF file: {exc}") from exc
     return TriangleMesh(verts.reshape(nv, 3), faces.reshape(nf, 4)[:, 1:])
 
 
-def save_mesh(mesh, path):
-    """Write OFF with 17 significant digits (round-trip exact), formatted
-    in one operation."""
+def off_text(mesh):
+    """The mesh as OFF text with 17 significant digits (round-trip exact),
+    formatted in one operation."""
     v, f = mesh.vertices, mesh.faces
     form = "OFF\n%d %d 0\n" + "%.17g %.17g %.17g\n" * len(v) \
         + "3 %d %d %d\n" * len(f)
+    return form % (len(v), len(f), *v.ravel().tolist(), *f.ravel().tolist())
+
+
+def save_mesh(mesh, path):
+    """Write the mesh's `off_text` to path."""
     with open(str(path), "w") as fh:
-        fh.write(form % (len(v), len(f), *v.ravel().tolist(),
-                         *f.ravel().tolist()))
+        fh.write(off_text(mesh))

@@ -1,9 +1,8 @@
 """Staged analysis pipeline with on-disk artifacts.
 
-Every stage reads its inputs from the output directory and writes its
-outputs there before the next stage starts, so any suffix of the stage
-list can be re-run from cached artifacts with bit-identical results.
-All randomness comes from one root seed expanded per stage.
+Every stage reads its inputs from the output directory, and its outputs
+are written there before the next stage starts, so any suffix of the
+stage list can be re-run from cached artifacts with bit-identical results.
 
 Each stage's config block holds the keyword arguments of one settings
 object, whose defaults and checks are the block's: simulate ->
@@ -14,19 +13,26 @@ FpcaFunSettings, CcaSettings below. `PipelineConfig.from_dict` builds all
 six into the config's fields of those names, so a bad value is a
 ConfigError before any stage runs, and the stages read them as built.
 
+One stage contract: a stage is a function (its settings block, study) ->
+(files, summary), `files` each artifact's name -> its text or bytes. It
+reads its block and, through the study, its upstream stages' files and
+records, and writes nothing. simulate draws from simulate.seed, fpca-fun
+its cross-validation folds from the seed on simulate's record plus 4, and
+no other stage draws.
+
 This module alone reads and writes the artifacts below, under the output
 directory. A table is a header row, then rows of numbers with 17
-significant digits (`_write_csv`, `_read_csv`); a field is one row
+significant digits (`_csv`, `_read_csv`); a field is one row
 `v0,v1,...` read back as a ScalarField of its mesh, which checks the
-count; meshes are OFF (`mesh.save_mesh`, `mesh.parse_off`). A file that
-does not fit the run raises an ArtifactError naming it. Each stage writes
-its own directory, emptied when the stage starts, and each export
-(covary, viz-mode) one more. "bench" is the benchmark's check.
+count; meshes are OFF (`mesh.off_text`, `mesh.parse_off`). A file that
+does not fit the run raises an ArtifactError naming it. `_write` writes
+every file, in name order: a stage's into its directory, emptied when the
+stage starts, and each export (covary, viz-mode) into one more. "bench"
+is the benchmark's check.
 
-One record per stage: after each stage of `_STAGE_TABLE`, `run_pipeline`
-writes its record.json, the sha256 of each file in its directory and of
-each upstream stage's record, and its settings. `Study.record`, which
-every read goes through, is the one staleness rule: it refuses a record
+One record per stage: `Study.write` writes the files a stage hands back,
+then its record.json: the sha256 of each and of each upstream stage's
+record, and its settings. `Study.record`, which every read goes through, is the one staleness rule: it refuses a record
 built from other records than its upstream stages' as they stand, checked
 back to simulate, in a run one built with other settings than the run's
 config block of its stage, and `Study.read` a file whose sha256 the record
@@ -93,7 +99,7 @@ from .georeg import (STALL_RATIO, STOP_RULES, RegistrationConfig,
                      pull_back_function, register_geometry)
 from .kernels import GaussianKernel
 from .lddmm import InitialMomenta, shoot
-from .mesh import MeshError, ScalarField, parse_off, save_mesh
+from .mesh import MeshError, ScalarField, off_text, parse_off
 from .synthdata import SimSpec, generate_dataset
 
 STAGES = ("simulate", "register-geo", "register-fun",
@@ -269,16 +275,33 @@ class PipelineConfig:
 
 # -- artifact helpers ---------------------------------------------------------
 
-def _write_csv(path, array, prefix="v", first=0, header=None):
-    """Rows of numbers under `header`, by default columns numbered from
-    `first` after `prefix` (v0, v1, ... for per-vertex values), formatted
-    in one operation."""
+def _csv(array, prefix="v", first=0, header=None):
+    """The text of rows of numbers under `header`, by default columns
+    numbered from `first` after `prefix` (v0, v1, ... for per-vertex
+    values), formatted in one operation."""
     arr = np.atleast_2d(np.asarray(array, float))
     if header is None:
         header = ",".join(f"{prefix}{j + first}" for j in range(arr.shape[1]))
     row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    with open(str(path), "w") as fh:
-        fh.write(header + "\n" + row * len(arr) % tuple(arr.ravel().tolist()))
+    return header + "\n" + row * len(arr) % tuple(arr.ravel().tolist())
+
+
+def _npz(**arrays):
+    """The bytes np.savez writes for arrays."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _write(directory, files):
+    """Write files, name -> text or bytes, into directory in name order;
+    returns the sha256 of each by name."""
+    directory.mkdir(parents=True, exist_ok=True)
+    data = {name: files[name].encode() if isinstance(files[name], str)
+            else files[name] for name in sorted(files)}
+    for name in data:
+        (directory / name).write_bytes(data[name])
+    return {name: _sha256(d) for name, d in data.items()}
 
 
 def _read_csv(path, data=None):
@@ -380,16 +403,13 @@ class Study:
         except (OSError, ValueError):
             return False
 
-    def write_record(self, st, settings):
-        """Record the files in stage st's directory, the records of its
-        upstream stages and its settings."""
-        files = {p.name: _sha256(p.read_bytes())
-                 for p in sorted(self.dir(st).iterdir())
-                 if p.name != "record.json"}
-        record = {"files": files, "settings": settings, "upstream": {
-            u: self.record(u)[0] for u in _UPSTREAM[st]}}
+    def write(self, st, files, settings):
+        """Write stage st's files, name -> text or bytes, then its record
+        of them, of its upstream stages' records and of its settings."""
+        record = {"files": _write(self.dir(st), files), "settings": settings,
+                  "upstream": {u: self.record(u)[0] for u in _UPSTREAM[st]}}
         data = json.dumps(record, indent=1).encode()
-        (self.dir(st) / "record.json").write_bytes(data)
+        _write(self.dir(st), {"record.json": data})
         # the records read downstream of st were built from its old one
         self._records = {u: self._records[u] for u in STAGES[:STAGES.index(st)]
                          if u in self._records}
@@ -439,50 +459,44 @@ class Study:
 
 # -- stages -------------------------------------------------------------------
 
-def _stage_simulate(cfg: PipelineConfig, study: Study):
-    spec = cfg.simulate
+def _stage_simulate(spec: SimSpec, study: Study):
     ds = generate_dataset(spec)
-    sim = study.dir("simulate")
-    sim.mkdir(parents=True, exist_ok=True)
-    save_mesh(ds.template, sim / "template.off")
-    save_mesh(ds.observation_template, sim / "observation.off")
-    with open(sim / "kernel.json", "w") as fh:
-        json.dump(asdict(ds.kernel), fh)
-    for i in range(spec.n):
-        save_mesh(ds.meshes[i], sim / f"subject_{i:03d}.off")
-        _write_csv(sim / f"field_{i:03d}.csv", ds.fields[i].values)
-        _write_csv(sim / f"true_images_{i:03d}.csv",
-                   ds.true_vertex_images[i], header="x,y,z")
-    _write_csv(sim / "true_scores.csv", ds.scores, "a", 1)
-    _write_csv(sim / "true_fields.csv", ds.true_x)
     k = ds.template.n_vertices      # the modes' values on the template
-    np.savez(sim / "modes.npz",
-             psi1_g=ds.modes.psi1_g.momenta, psi2_g=ds.modes.psi2_g.momenta,
-             psi1_f=ds.modes.psi1_f.values[:k], mu=ds.modes.mu.values[:k])
-    return {"n": spec.n, "template": str(sim / "template.off")}
+    files = {"template.off": off_text(ds.template),
+             "observation.off": off_text(ds.observation_template),
+             "kernel.json": json.dumps(asdict(ds.kernel)),
+             "true_scores.csv": _csv(ds.scores, "a", 1),
+             "true_fields.csv": _csv(ds.true_x),
+             "modes.npz": _npz(psi1_g=ds.modes.psi1_g.momenta,
+                               psi2_g=ds.modes.psi2_g.momenta,
+                               psi1_f=ds.modes.psi1_f.values[:k],
+                               mu=ds.modes.mu.values[:k])}
+    for i in range(spec.n):
+        files[f"subject_{i:03d}.off"] = off_text(ds.meshes[i])
+        files[f"field_{i:03d}.csv"] = _csv(ds.fields[i].values)
+        files[f"true_images_{i:03d}.csv"] = _csv(ds.true_vertex_images[i],
+                                                 header="x,y,z")
+    return files, {"n": spec.n,
+                   "template": str(study.dir("simulate") / "template.off")}
 
 
-def _stage_register_geo(cfg: PipelineConfig, study: Study):
+def _stage_register_geo(rcfg: RegistrationConfig, study: Study):
     template, n = study.template, study.n
-    targets = [study.mesh("simulate", f"subject_{i:03d}.off")
-               for i in range(n)]                   # before any write
-    reg = study.dir("register-geo")
-    reg.mkdir(parents=True, exist_ok=True)
-    rcfg = cfg.register_geo.resolved(template)
-    diags, seconds = {}, []
-    for i, target in enumerate(targets):
+    rcfg = rcfg.resolved(template)
+    files, diags, seconds = {}, {}, []
+    for i in range(n):
+        target = study.mesh("simulate", f"subject_{i:03d}.off")
         t0 = time.perf_counter()
         v0, diag = register_geometry(template, target, study.kernel, rcfg)
         seconds.append(time.perf_counter() - t0)
-        _write_csv(reg / f"momenta_{i:03d}.csv",
-                   np.column_stack([np.arange(template.n_vertices),
-                                    v0.control_points, v0.momenta]),
-                   header="k,cx,cy,cz,ax,ay,az")
-        _write_csv(reg / f"deformed_{i:03d}.csv", diag.endpoint,
-                   header="x,y,z")
+        files[f"momenta_{i:03d}.csv"] = _csv(
+            np.column_stack([np.arange(template.n_vertices),
+                             v0.control_points, v0.momenta]),
+            header="k,cx,cy,cz,ax,ay,az")
+        files[f"deformed_{i:03d}.csv"] = _csv(diag.endpoint, header="x,y,z")
         diags[i] = diag
-    with open(reg / "diagnostics.json", "w") as fh:
-        json.dump({i: d.as_dict() for i, d in diags.items()}, fh)
+    files["diagnostics.json"] = json.dumps({i: d.as_dict()
+                                            for i, d in diags.items()})
     runs = diags.values()
     stops = {rule: sum(d.stop == rule for d in runs) for rule in STOP_RULES}
     folded = sum(d.folded_faces > 0 for d in runs)
@@ -500,94 +514,81 @@ def _stage_register_geo(cfg: PipelineConfig, study: Study):
         warnings.append(f"{len(stalled)}/{n} subjects end above "
                         f"{STALL_RATIO:g} of their initial similarity")
     settings = {k: v for k, v in asdict(rcfg).items() if k != "similarity"}
-    return {"subjects": n, **settings,
-            "iterations": sum(d.iterations for d in runs), "stop": stops,
-            "folded_faces": sum(d.folded_faces for d in runs),
-            "stalled": stalled, "subject_wall_time_s": seconds,
-            "warnings": warnings}
+    return files, {
+        "subjects": n, **settings,
+        "iterations": sum(d.iterations for d in runs), "stop": stops,
+        "folded_faces": sum(d.folded_faces for d in runs),
+        "stalled": stalled, "subject_wall_time_s": seconds,
+        "warnings": warnings}
 
 
-def _stage_register_fun(cfg: PipelineConfig, study: Study):
+def _stage_register_fun(dcfg: DemonsConfig, study: Study):
     template, n = study.template, study.n
-    ends = [study.table("register-geo", f"deformed_{i:03d}.csv")
-            for i in range(n)]
-    fun = study.dir("register-fun")
-    fun.mkdir(parents=True, exist_ok=True)
-    pulled = []
-    for i, end in enumerate(ends):
+    files, pulled = {}, []
+    for i in range(n):
+        end = study.table("register-geo", f"deformed_{i:03d}.csv")
         subject = study.mesh("simulate", f"subject_{i:03d}.off")
         target_field = study.field(subject, "simulate", f"field_{i:03d}.csv")
-        values = pull_back_function(target_field, end)
-        pulled.append(values)
-        _write_csv(fun / f"pulled_{i:03d}.csv", values)
-    dcfg = cfg.register_fun
+        pulled.append(pull_back_function(target_field, end))
+        files[f"pulled_{i:03d}.csv"] = _csv(pulled[i])
     mean, _, aligned = groupwise_template(template, pulled, config=dcfg)
     for i in range(n):
-        _write_csv(fun / f"aligned_{i:03d}.csv", aligned[i])
-    _write_csv(fun / "template_field.csv", mean)
-    return {"subjects": n, "demons_lam": dcfg.lam,
-            "max_iterations": dcfg.max_iterations}
+        files[f"aligned_{i:03d}.csv"] = _csv(aligned[i])
+    files["template_field.csv"] = _csv(mean)
+    return files, {"subjects": n, "demons_lam": dcfg.lam,
+                   "max_iterations": dcfg.max_iterations}
 
 
-def _stage_fpca_geo(cfg: PipelineConfig, study: Study):
+def _stage_fpca_geo(fg: FpcaGeoSettings, study: Study):
     template = study.template
     moms = [study.table("register-geo", f"momenta_{i:03d}.csv")[:, 4:7]
             for i in range(study.n)]
-    fg = study.dir("fpca-geo")
-    fg.mkdir(parents=True, exist_ok=True)
     fit = geometric_fpca(moms, template.vertices, study.kernel,
-                         n_components=cfg.fpca_geo.n_components)
-    _write_csv(fg / "scores.csv", fit.scores, "pc", 1)
-    _write_csv(fg / "variances.csv", fit.variances, "pc", 1)
-    np.savez(fg / "components.npz", components=fit.components,
-             mean=fit.mean_momenta, control_points=template.vertices)
-    return {"n_components": fit.scores.shape[1],
-            "variances": [float(v) for v in fit.variances]}
+                         n_components=fg.n_components)
+    files = {"scores.csv": _csv(fit.scores, "pc", 1),
+             "variances.csv": _csv(fit.variances, "pc", 1),
+             "components.npz": _npz(components=fit.components,
+                                    mean=fit.mean_momenta,
+                                    control_points=template.vertices)}
+    return files, {"n_components": fit.scores.shape[1],
+                   "variances": [float(v) for v in fit.variances]}
 
 
-def _stage_fpca_fun(cfg: PipelineConfig, study: Study):
-    fcfg = cfg.fpca_fun
+def _stage_fpca_fun(fcfg: FpcaFunSettings, study: Study):
     template = study.template
     fields = [study.field(template, "register-fun",
                           f"aligned_{i:03d}.csv").values
               for i in range(study.n)]
-    ff = study.dir("fpca-fun")
-    ff.mkdir(parents=True, exist_ok=True)
-    lam = fcfg.lam
-    info = {}
+    lam, info = fcfg.lam, {}
     if fcfg.cv_lambdas is not None:
+        seed = study.record("simulate")[1]["settings"]["seed"] + 4
         lam, cv_errors = cross_validate_lambda(
             fields, template, fcfg.cv_lambdas,
-            n_components=fcfg.n_components, n_folds=fcfg.folds,
-            seed=cfg.seed + 4)
+            n_components=fcfg.n_components, n_folds=fcfg.folds, seed=seed)
         info["cv_errors"] = {str(k): float(v) for k, v in cv_errors.items()}
     fit = functional_fpca(fields, template, lam=lam,
                           n_components=fcfg.n_components)
-    _write_csv(ff / "scores.csv", fit.scores, "pc", 1)
-    _write_csv(ff / "variances.csv", fit.variances, "pc", 1)
-    _write_csv(ff / "components.csv", fit.components)
-    _write_csv(ff / "mean.csv", fit.mean)
     info.update({"lam": float(lam), "n_components": fit.scores.shape[1]})
-    with open(ff / "fit.json", "w") as fh:
-        json.dump(info, fh)
-    return info
+    files = {"scores.csv": _csv(fit.scores, "pc", 1),
+             "variances.csv": _csv(fit.variances, "pc", 1),
+             "components.csv": _csv(fit.components),
+             "mean.csv": _csv(fit.mean),
+             "fit.json": json.dumps(info)}
+    return files, info
 
 
-def _stage_cca(cfg: PipelineConfig, study: Study):
-    cc = study.dir("cca")
-    g, f = _read_scores(study)
-    cc.mkdir(parents=True, exist_ok=True)
-    result = cca(g, f)
+def _stage_cca(_: CcaSettings, study: Study):
+    result = cca(*_read_scores(study))
     test = bartlett_test(result)
-    _write_csv(cc / "correlations.csv", result.correlations, "rho", 1)
+    files = {"correlations.csv": _csv(result.correlations, "rho", 1),
+             "bartlett.json": json.dumps({
+                 "statistics": [float(s) for s in test.statistics],
+                 "dof": [int(d) for d in test.dof],
+                 "p_values": [float(p) for p in test.p_values]})}
     for name in ("x_weights", "y_weights", "x_variates", "y_variates"):
-        _write_csv(cc / f"{name}.csv", getattr(result, name), "dir", 1)
-    with open(cc / "bartlett.json", "w") as fh:
-        json.dump({"statistics": [float(s) for s in test.statistics],
-                   "dof": [int(d) for d in test.dof],
-                   "p_values": [float(p) for p in test.p_values]}, fh)
-    return {"correlations": [float(r) for r in result.correlations],
-            "p_values": [float(p) for p in test.p_values]}
+        files[f"{name}.csv"] = _csv(getattr(result, name), "dir", 1)
+    return files, {"correlations": [float(r) for r in result.correlations],
+                   "p_values": [float(p) for p in test.p_values]}
 
 
 # each stage's artifact directory, function and upstream stages
@@ -616,8 +617,9 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
     """Run the requested stage subset; returns and persists the manifest."""
     stages = cfg.stages if stages is None else _check_stages(stages)
     out = Path(cfg.output_dir)
-    settings = {st: json.loads(json.dumps(asdict(getattr(
-        cfg, st.replace("-", "_"))))) for st in STAGES}
+    blocks = {st: getattr(cfg, st.replace("-", "_")) for st in STAGES}
+    settings = {st: json.loads(json.dumps(asdict(block)))
+                for st, block in blocks.items()}
     # read after simulate when it runs: simulate writes the study
     study = Study(out, settings)
     # every stage but cca reads the subject count: check it before any
@@ -626,7 +628,6 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         _check_subjects(cfg, cfg.simulate.n, stages)
     elif stages != ("cca",):
         _check_subjects(cfg, _in_stage(stages[0], lambda: study.n), stages)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "manifest.json"
     manifest = {"versions": {
         "python": platform.python_version(), "numpy": np.__version__,
@@ -639,8 +640,8 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         _in_stage(st, lambda: [study.record(u) for u in _UPSTREAM[st]])
         if study.dir(st).exists():
             shutil.rmtree(study.dir(st))
-        summary = _in_stage(st, _STAGE_FUNCS[st], cfg, study)
-        study.write_record(st, settings[st])
+        files, summary = _in_stage(st, _STAGE_FUNCS[st], blocks[st], study)
+        study.write(st, files, settings[st])
         warnings = summary.pop("warnings", [])
         manifest["stages"][st] = {
             "summary": summary,
@@ -655,7 +656,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         manifest.update(stages=entries, warnings=[
             f"{name}: {text}" for name in entries
             for text in entries[name]["warnings"]])
-        path.write_text(json.dumps(manifest, indent=1))
+        _write(out, {path.name: json.dumps(manifest, indent=1)})
     return manifest
 
 
@@ -671,14 +672,12 @@ def emit_covariation(out_dir, pair: int, t_values):
         raise ConfigError(f"pair {pair + 1} out of range 1..{m}")
     seq = covariation_sequence(result, pair, t_values,
                                x_scores=g, y_scores=f)
-    cov = study.out / "covary"
-    cov.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([seq["t"], seq["x"], seq["y"]])
     header = "t," + ",".join(f"g{j+1}" for j in range(g.shape[1])) \
         + "," + ",".join(f"f{j+1}" for j in range(f.shape[1]))
-    path = cov / f"sequence_pair{pair + 1}.csv"
-    _write_csv(path, table, header=header)
-    return str(path)
+    name = f"sequence_pair{pair + 1}.csv"
+    _write(study.out / "covary", {name: _csv(table, header=header)})
+    return str(study.out / "covary" / name)
 
 
 def emit_mode_visualization(out_dir, mode: int, c_grid):
@@ -695,19 +694,15 @@ def emit_mode_visualization(out_dir, mode: int, c_grid):
         raise ConfigError(f"mode {mode + 1} out of range 1..{len(comps)}")
     variances = study.table("fpca-geo", "variances.csv").ravel()
     kernel, template = study.kernel, study.template
-    mean_field = study.field(template, "register-fun",
-                             "template_field.csv").values
-    viz = study.out / "viz"
-    viz.mkdir(parents=True, exist_ok=True)
-    written = []
+    mean_field = _csv(study.field(template, "register-fun",
+                                  "template_field.csv").values)
+    files = {}
     for idx, c in enumerate(c_grid):
         alpha = mean_mom + c * np.sqrt(variances[mode]) * comps[mode]
         v0 = InitialMomenta(points, alpha, kernel)
         end = shoot(v0, steps).points[-1]
-        mesh_path = viz / f"mode{mode + 1}_{idx:02d}.off"
-        field_path = viz / f"mode{mode + 1}_{idx:02d}.csv"
-        deformed = template.with_vertices(end)
-        save_mesh(deformed, mesh_path)
-        _write_csv(field_path, mean_field)
-        written.extend([str(mesh_path), str(field_path)])
-    return written
+        stem = f"mode{mode + 1}_{idx:02d}"
+        files[f"{stem}.off"] = off_text(template.with_vertices(end))
+        files[f"{stem}.csv"] = mean_field
+    _write(study.out / "viz", files)
+    return [str(study.out / "viz" / name) for name in files]

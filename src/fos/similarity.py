@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import GaussianKernel
+from .mesh import _cross, face_geometry
 
 
 class SimilarityResult:
@@ -51,21 +52,6 @@ class SimilarityResult:
         return self._gradient
 
 
-def _cross(a, b):
-    """Row-wise cross product of (..., 3) stacks, component by component."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0], axis=-1)
-
-
-def _face_data(vertices, faces):
-    tri = vertices[faces]
-    centers = tri.mean(axis=1)
-    normals = 0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return tri, centers, normals
-
-
 def _moments(centers, normals):
     """[n, n (x) c], (F, 12): column 3 + 3d + e holds n_d c_e."""
     outer = normals[:, :, None] * centers[:, None, :]
@@ -85,7 +71,7 @@ def _current_core(vertices, faces, target_centers, target_moments,
     (vertices, faces) to the target given by its face centers and its
     moments and self term from `target_terms`, with its gradient on
     demand."""
-    tri, c, n = _face_data(vertices, faces)
+    tri, c, n = face_geometry(vertices, faces)
     q_ss = kernel.gram(c) @ _moments(c, n)
     q_st = kernel.gram(c, target_centers) @ target_moments
 

@@ -58,7 +58,8 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .mesh import TriangleMesh, _dot, cotangent_stiffness, lumped_mass
+from .mesh import (TriangleMesh, _cross, _dot, cotangent_stiffness,
+                   lumped_mass)
 
 
 class FemError(RuntimeError):
@@ -175,7 +176,7 @@ def build_frames(mesh: TriangleMesh) -> TangentFrameAtlas:
         raise FemError("degenerate tangent seed at vertex "
                        f"{np.argmax(nd < 1e-14)}")
     e1 = d / nd[:, None]
-    return TangentFrameAtlas(mesh, e1, np.cross(normals, e1), ring, angles)
+    return TangentFrameAtlas(mesh, e1, _cross(normals, e1), ring, angles)
 
 
 def transport_rotation(atlas: TangentFrameAtlas, i, j):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fos.mesh import (MeshError, ScalarField, TriangleMesh,
-                      consistent_mass, cotangent_stiffness, folded_faces,
-                      load_mesh, lumped_mass, parse_off, save_mesh)
+from fos.mesh import (MeshError, ScalarField, TriangleMesh, _cross,
+                      consistent_mass, cotangent_stiffness, face_geometry,
+                      folded_faces, load_mesh, lumped_mass, off_text,
+                      parse_off, save_mesh)
 from fos.synthdata import ellipsoid_patch, icosphere
 from fos.tangent_fem import assemble_connection_matrices, build_frames
 from test_tangent_fem import flat_patch
@@ -19,6 +20,22 @@ def test_face_geometry():
     assert np.allclose(mesh.face_normals[0], [0, 0, 1])
     assert np.allclose(mesh.face_centers[0], [1 / 3, 1 / 3, 0])
     assert np.allclose(mesh.face_area_normals[0], [0, 0, 0.5])
+
+
+def test_cross_and_face_geometry_are_the_numpy_values():
+    # the cross product component by component rounds as np.cross does
+    mesh = ellipsoid_patch(2)
+    corners, centres, normals = face_geometry(mesh.vertices, mesh.faces)
+    a, b = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    sides = corners.transpose(1, 0, 2)
+    assert np.array_equal(_cross(a, b), np.cross(a, b))
+    assert np.array_equal(_cross(sides, b), np.cross(sides, b))
+    assert np.array_equal(centres, corners.mean(axis=1))
+    assert np.array_equal(normals, 0.5 * np.cross(a, b))
+    assert np.array_equal(mesh.face_area_normals, normals)
+    norms = np.linalg.norm(np.cross(a, b), axis=1)
+    assert np.array_equal(mesh.face_areas, 0.5 * norms)
+    assert np.array_equal(mesh.face_normals, np.cross(a, b) / norms[:, None])
 
 
 def test_invalid_meshes_raise():
@@ -300,12 +317,24 @@ def test_off_text_matches_the_line_by_line_writer_and_reader(tmp_path):
     path = tmp_path / "patch.off"
     save_mesh(mesh, path)
     text = path.read_text()
-    assert text == line_by_line_off(mesh)
+    assert text == off_text(mesh) == line_by_line_off(mesh)
     commented = "# a comment\n" + text.replace("\n3 ", " # three\n3 ", 5)
     for t in (text, commented, "3 1 0 0 0 0 1 0 0 0 1 0 3 0 1 2"):
         got, want = parse_off(t), sequential_parse_off(t)
         assert np.array_equal(got.vertices, want.vertices)
         assert np.array_equal(got.faces, want.faces)
+
+
+# the truncated files of the cases below, with parse_off's message
+TRUNCATED = {
+    "": "header: 3 counts expected, 0 found",
+    "OFF": "header: 3 counts expected, 0 found",
+    "OFF\n3": "header: 3 counts expected, 1 found",
+    "OFF\n3 1": "header: 3 counts expected, 2 found",
+    "OFF 3 1 0 0 0": "vertex block: 9 coordinates declared, 2 found",
+    TRIANGLE_OFF.replace("3 0 1 2", "3 0 1"):
+        "face block: 4 numbers declared, 3 found",
+}
 
 
 @pytest.mark.parametrize("text", [
@@ -329,4 +358,10 @@ def test_malformed_off_raises_the_sequential_readers_message(text):
         sequential_parse_off(text)
     with pytest.raises(MeshError) as got:
         parse_off(text)
-    assert str(got.value) == str(want.value)
+    message = str(want.value)
+    if text in TRUNCATED:
+        # the sequential reader runs out of tokens and says nothing after
+        # the colon; parse_off names the block and its counts
+        assert message == "malformed OFF file: "
+        message += TRUNCATED[text]
+    assert str(got.value) == message

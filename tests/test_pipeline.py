@@ -12,10 +12,15 @@ from fos.lddmm import InitialMomenta, shoot
 from fos import pipeline
 from fos.mesh import load_mesh, parse_off, save_mesh
 from fos.pipeline import (ArtifactError, ConfigError, PipelineConfig,
-                          Study, _read_csv, _write_csv, emit_covariation,
+                          Study, _csv, _read_csv, emit_covariation,
                           emit_mode_visualization, run_pipeline, STAGES)
 from fos.synthdata import SimSpec
 from test_bench_contract import load_bench
+
+
+def _write_csv(path, *args, **kwargs):
+    """Write the `_csv` text of a table over the file at path."""
+    Path(path).write_text(_csv(*args, **kwargs))
 
 
 def tiny_config(out_dir):
@@ -399,6 +404,40 @@ def test_mode_visualization_reads_the_register_geo_record(finished_run,
     assert len(files) == 2
 
 
+def test_a_stage_hands_back_its_recorded_files_and_writes_none(finished_run,
+                                                              tmp_path):
+    cfg = copied_run(finished_run, tmp_path)
+    out = Path(cfg.output_dir)
+    before = _tree(out)
+    study = Study(out)
+    for st in STAGES:
+        block = getattr(cfg, st.replace("-", "_"))
+        files, _ = pipeline._STAGE_FUNCS[st](block, study)
+        data = {name: text.encode() if isinstance(text, str) else text
+                for name, text in files.items()}
+        assert {name: hashlib.sha256(d).hexdigest()
+                for name, d in data.items()} == study.record(st)[1]["files"]
+    assert _tree(out) == before
+
+
+def test_fpca_fun_folds_follow_the_simulate_record(tmp_path):
+    # the folds are drawn from the simulate seed on record, so a root seed
+    # that the simulate block overrides leaves fpca-fun's files as they are
+    def config(seed):
+        return PipelineConfig.from_dict({
+            "output_dir": str(tmp_path), "seed": seed,
+            "simulate": {"n": 8, "subdivisions": 1, "seed": 0},
+            "register_geo": {"max_iterations": 3},
+            "register_fun": {"max_iterations": 2},
+            "fpca_fun": {"cv_lambdas": [0, 10, 1000], "folds": 2}})
+
+    run_pipeline(config(0), ("simulate", "register-geo", "register-fun",
+                             "fpca-fun"))
+    before = _tree(tmp_path / "fpca_fun")
+    run_pipeline(config(5), ("fpca-fun",))
+    assert _tree(tmp_path / "fpca_fun") == before
+
+
 def test_a_rerun_keeps_the_entries_of_standing_records(finished_run,
                                                        tmp_path):
     # another fpca_fun.lam leaves the records of the other stages standing,
@@ -604,17 +643,14 @@ def test_tables_read_back_in_their_shape(tmp_path):
         _read_csv(path)
 
 
-def test_tables_are_the_bytes_of_the_row_by_row_writer(tmp_path):
+def test_tables_are_the_bytes_of_the_row_by_row_writer():
     # 17 significant digits of each number, a row per line
-    path = tmp_path / "t.csv"
     rng = np.random.default_rng(3)
     table = rng.normal(size=(5, 3)) * [1.0, 1e-300, 3e17]
     table[0, 0], table[1, 1] = -0.0, 7.0
-    _write_csv(path, table, header="x,y,z")
     rows = [",".join(f"{x:.17g}" for x in row) for row in table]
-    assert path.read_text() == "\n".join(["x,y,z"] + rows) + "\n"
-    _write_csv(path, table[0], "pc", 1)
-    assert path.read_text() == "pc1,pc2,pc3\n" + rows[0] + "\n"
+    assert _csv(table, header="x,y,z") == "\n".join(["x,y,z"] + rows) + "\n"
+    assert _csv(table[0], "pc", 1) == "pc1,pc2,pc3\n" + rows[0] + "\n"
 
 
 def test_field_file_of_wrong_length_fails(tmp_path):
