@@ -1,9 +1,9 @@
-"""Command-line entry point: per-stage subcommands plus the end-to-end
-pipeline driver. Exit codes: 0 success, 2 invalid configuration (an
-unknown key; a value mistyped, out of range or not finite) or a missing,
-malformed or stale input file (such as an artifact of an earlier stage
-that has not run, or that was written for other inputs), 3 numerical
-failure.
+"""Command-line entry point: per-stage subcommands, the end-to-end
+pipeline driver and the covary and viz-mode exports. Exit codes: 0
+success, 2 invalid configuration (an unknown key; a value mistyped, out
+of range or not finite) or a missing, malformed or stale input file (such
+as an artifact of an earlier stage that has not run, or that was written
+for other inputs), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -47,17 +47,15 @@ def build_parser():
     p.add_argument("--from-stage", choices=STAGES,
                    help="resume from this stage (reuse earlier artifacts)")
 
-    p = sub.add_parser("covary", help="export co-variation sequences")
+    p = sub.add_parser("covary", help="export the co-variation sequence "
+                       "of every canonical pair into covary/")
     _add_config_args(p)
-    p.add_argument("--pair", type=int, default=1,
-                   help="canonical pair (1-based)")
     p.add_argument("--t-grid", default="-2,-1,0,1,2",
                    help="comma-separated grid in variate-sd units")
 
-    p = sub.add_parser("viz-mode", help="export a geometric mode of "
-                       "variation as mesh+field pairs")
+    p = sub.add_parser("viz-mode", help="export every geometric mode of "
+                       "variation as mesh+field pairs into viz/")
     _add_config_args(p)
-    p.add_argument("--mode", type=int, default=1, help="mode index (1-based)")
     p.add_argument("--c-grid", default="-1,-0.5,0,0.5,1",
                    help="comma-separated multiples of the mode s.d.")
     return parser
@@ -102,13 +100,10 @@ def main(argv=None) -> int:
             print(json.dumps(manifest["stages"][args.command], indent=1))
         elif args.command == "covary":
             t = _grid(args.t_grid, "--t-grid")
-            path = emit_covariation(cfg.output_dir, args.pair - 1, t)
-            print(path)
+            print("\n".join(emit_covariation(cfg.output_dir, t)))
         elif args.command == "viz-mode":
-            grid = _grid(args.c_grid, "--c-grid")
-            files = emit_mode_visualization(cfg.output_dir, args.mode - 1,
-                                            grid)
-            print("\n".join(files))
+            c = _grid(args.c_grid, "--c-grid")
+            print("\n".join(emit_mode_visualization(cfg.output_dir, c)))
     except (*_INPUT_ERRORS, RuntimeError, FloatingPointError) as exc:
         # run_pipeline wraps a failing stage's exception in a RuntimeError
         if isinstance(exc, RuntimeError) and isinstance(

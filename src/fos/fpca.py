@@ -106,11 +106,11 @@ def _stack(fields, mesh: TriangleMesh):
 
 
 def _spectral_basis(mesh: TriangleMesh):
-    """(M, Phi, Lambda^2) with A Phi = M Phi Lambda and Phi^T M Phi = I,
+    """(M, Phi, M Phi, Lambda^2) with A Phi = M Phi Lambda and Phi^T M Phi = I,
     for the cotangent stiffness A and the consistent mass M."""
     mass = consistent_mass(mesh)
     evals, phi = eigh(cotangent_stiffness(mesh).toarray(), mass.toarray())
-    return mass, phi, evals ** 2
+    return mass, phi, mass @ phi, evals ** 2
 
 
 def _solve_component(coef, scores, lam, lam2):
@@ -123,10 +123,9 @@ def _solve_component(coef, scores, lam, lam2):
 def _fit(x, basis, lam, n_components) -> FunctionalFpca:
     """Penalized PCA of the rows of x by deflation, alternating in basis
     coefficients, where the mass norm is the Euclidean norm."""
-    mass, phi, lam2 = basis
+    _, phi, mass_phi, lam2 = basis
     n = len(x)
     n_components = min(n_components, n - 1, len(phi))
-    mass_phi = mass @ phi
     mean = x.mean(axis=0)
     resid = x - mean
     comps = np.empty((n_components, len(phi)))

@@ -18,26 +18,29 @@ One stage contract: a stage is a function (its settings block, study) ->
 reads its block and, through the study, its upstream stages' files and
 records, and writes nothing. simulate draws from simulate.seed, fpca-fun
 its cross-validation folds from the seed on simulate's record plus 4, and
-no other stage draws.
+no other stage draws. The exports covary and viz-mode are functions of
+the same form whose block is their grid, and leaves: no stage reads them.
 
 This module alone reads and writes the artifacts below, under the output
 directory. A table is a header row, then rows of numbers with 17
 significant digits (`_csv`, `_read_csv`); a field is one row
 `v0,v1,...` read back as a ScalarField of its mesh, which checks the
 count; meshes are OFF (`mesh.off_text`, `mesh.parse_off`). A file that
-does not fit the run raises an ArtifactError naming it. `_write` writes
-every file, in name order: a stage's into its directory, emptied when the
-stage starts, and each export (covary, viz-mode) into one more. "bench"
-is the benchmark's check.
+does not fit the run raises an ArtifactError naming it. "bench" is the
+benchmark's check.
 
-One record per stage: `Study.write` writes the files a stage hands back,
-then its record.json: the sha256 of each and of each upstream stage's
-record, and its settings. `Study.record`, which every read goes through, is the one staleness rule: it refuses a record
-built from other records than its upstream stages' as they stand, checked
-back to simulate, in a run one built with other settings than the run's
-config block of its stage, and `Study.read` a file whose sha256 the record
-does not name. Each refusal names the stage to run again; an interrupted
-stage leaves no record. manifest.json keeps the entries of the standing
+One runner and one record per directory: `_run` runs a stage or an
+export, once its upstream stages' records stand, into its emptied
+directory, and `Study.write`, the one writer of their files, writes the
+files it hands back in name order, then its record.json: the sha256 of
+each and of each upstream stage's record, and its settings (an export's
+are its grid). `Study.record`, which every read goes through, is the one
+staleness rule: it refuses a record built from other records than its
+upstream stages' as they stand, checked back to simulate, in a run one
+built with other settings than the run's config block of its stage, and
+`Study.read` a file whose sha256 the record does not name. Each refusal
+names the stage or export to run again; an interrupted one leaves no
+record. manifest.json keeps the entries of the six stages' standing
 records.
 
   artifact                    layout                  readers
@@ -53,13 +56,13 @@ records.
   sim/modes.npz               the planted modes       -
   reg_geo/momenta_NNN.csv     k,cx,cy,cz,ax,ay,az     fpca-geo, bench
   reg_geo/deformed_NNN.csv    x,y,z per vertex        register-fun, bench
-  reg_geo/diagnostics.json    Diagnostics by subject  bench
+  reg_geo/diagnostics.json    Diagnostics by subject  cca, bench
   reg_fun/pulled_NNN.csv      field of the template   -
   reg_fun/aligned_NNN.csv     field of the template   fpca-fun, bench
-  reg_fun/template_field.csv  field of the template   viz
+  reg_fun/template_field.csv  field of the template   viz-mode
   fpca_geo/scores.csv         pc1,... per subject     cca, covary, bench
-  fpca_geo/variances.csv      one row pc1,...         viz
-  fpca_geo/components.npz     components, mean,       viz
+  fpca_geo/variances.csv      one row pc1,...         viz-mode
+  fpca_geo/components.npz     components, mean,       viz-mode
                               control_points
   fpca_fun/scores.csv         pc1,... per subject     cca, covary, bench
   fpca_fun/variances.csv      one row pc1,...         -
@@ -71,8 +74,13 @@ records.
   cca/{x,y}_variates.csv      dir1,... rows           -
   cca/bartlett.json           the Bartlett test       bench
   manifest.json               each standing record    run_pipeline
-  covary/sequence_pairP.csv   t,g1,..,f1,.. rows      -
-  viz/modeM_II.off, .csv      OFF, field of the OFF   -
+  covary/record.json          sha256s and t_grid      Study
+  covary/sequence_pairP.csv   t,g1,..,f1,.. rows,     -
+                              every canonical pair P
+  viz/record.json             sha256s and c_grid      Study
+  viz/modeM_II.off, .csv      OFF, field of the OFF,  -
+                              every geometric mode M
+                              at c_grid[II]
 """
 
 from __future__ import annotations
@@ -293,17 +301,6 @@ def _npz(**arrays):
     return buffer.getvalue()
 
 
-def _write(directory, files):
-    """Write files, name -> text or bytes, into directory in name order;
-    returns the sha256 of each by name."""
-    directory.mkdir(parents=True, exist_ok=True)
-    data = {name: files[name].encode() if isinstance(files[name], str)
-            else files[name] for name in sorted(files)}
-    for name in data:
-        (directory / name).write_bytes(data[name])
-    return {name: _sha256(d) for name, d in data.items()}
-
-
 def _read_csv(path, data=None):
     """The table in the file at path, parsed from its bytes `data` when
     they are given."""
@@ -362,13 +359,13 @@ def _json_object(path, data, keys):
 
 class Study:
     """The artifacts of the output directory `out`, each read through the
-    record of the stage that wrote it. Records and meshes are parsed once
-    per instance. Given `settings`, each stage's settings in their JSON
-    form, the study refuses a record of other settings."""
+    record of the stage or export that wrote it. Records and meshes are
+    parsed once per instance. Given `settings`, stage or export name -> its
+    settings in their JSON form, the study refuses a record of others."""
 
     def __init__(self, out, settings=None):
         self.out = Path(out)
-        self.settings = settings
+        self.settings = settings or {}
         self._records = {}      # stage -> (sha256 of record.json, record)
         self._meshes = {}       # (stage, OFF file name) -> its mesh
 
@@ -389,7 +386,7 @@ class Study:
                                       for u in _UPSTREAM[st]}:
                 raise ArtifactError(f"{self.dir(st)}: built from other "
                                     f"inputs; run {st} again")
-            if self.settings and record["settings"] != self.settings[st]:
+            if st in self.settings and record["settings"] != self.settings[st]:
                 raise ArtifactError(f"{self.dir(st)}: built with other "
                                     f"settings; run {st} again")
             self._records[st] = _sha256(data), record
@@ -404,15 +401,20 @@ class Study:
             return False
 
     def write(self, st, files, settings):
-        """Write stage st's files, name -> text or bytes, then its record
-        of them, of its upstream stages' records and of its settings."""
-        record = {"files": _write(self.dir(st), files), "settings": settings,
+        """Write stage or export st's files, name -> text or bytes, in name
+        order, then its record of them, its upstream records and settings."""
+        self.dir(st).mkdir(parents=True, exist_ok=True)
+        data = {name: files[name].encode() if isinstance(files[name], str)
+                else files[name] for name in sorted(files)}
+        for name in data:
+            (self.dir(st) / name).write_bytes(data[name])
+        record = {"files": {name: _sha256(d) for name, d in data.items()},
+                  "settings": settings,
                   "upstream": {u: self.record(u)[0] for u in _UPSTREAM[st]}}
         data = json.dumps(record, indent=1).encode()
-        _write(self.dir(st), {"record.json": data})
+        (self.dir(st) / "record.json").write_bytes(data)
         # the records read downstream of st were built from its old one
-        self._records = {u: self._records[u] for u in STAGES[:STAGES.index(st)]
-                         if u in self._records}
+        self._records = {u: self._records[u] for u in _UPSTREAM[st]}
         self._records[st] = _sha256(data), record
 
     def read(self, st, name):
@@ -457,6 +459,27 @@ class Study:
         return len(self.table("simulate", "true_scores.csv"))
 
 
+# register-geo's flags of a subject, each with its warning's text
+_FLAG_TEXT = {"line_search": "stopped on a failed line search",
+              "folded_faces": "end with folded faces",
+              "stalled": f"end above {STALL_RATIO:g} of their initial "
+                         "similarity"}
+
+
+def _registration_flags(diags):
+    """The subjects, by index, that register-geo's diagnostics (by subject,
+    each as in diagnostics.json) flag: a stop on a failed line search,
+    folded faces at the end, and a final similarity above STALL_RATIO of
+    the initial one (an initial 0 has nothing to stall on)."""
+    def flagged(test):
+        return [int(i) for i, d in diags.items() if test(d)]
+    trace = "similarity_trace"
+    return {"line_search": flagged(lambda d: d["stop"] == "line_search"),
+            "folded_faces": flagged(lambda d: d["folded_faces"] > 0),
+            "stalled": flagged(lambda d: d[trace][0] > 0 and d[trace][-1]
+                               / d[trace][0] > STALL_RATIO)}
+
+
 # -- stages -------------------------------------------------------------------
 
 def _stage_simulate(spec: SimSpec, study: Study):
@@ -494,32 +517,20 @@ def _stage_register_geo(rcfg: RegistrationConfig, study: Study):
                              v0.control_points, v0.momenta]),
             header="k,cx,cy,cz,ax,ay,az")
         files[f"deformed_{i:03d}.csv"] = _csv(diag.endpoint, header="x,y,z")
-        diags[i] = diag
-    files["diagnostics.json"] = json.dumps({i: d.as_dict()
-                                            for i, d in diags.items()})
+        diags[i] = diag.as_dict()
+    files["diagnostics.json"] = json.dumps(diags)
     runs = diags.values()
-    stops = {rule: sum(d.stop == rule for d in runs) for rule in STOP_RULES}
-    folded = sum(d.folded_faces > 0 for d in runs)
-    # final over initial similarity; an initial 0 has nothing to stall on
-    stalled = [i for i, d in diags.items() if d.similarity_trace[0] > 0
-               and d.similarity_trace[-1] / d.similarity_trace[0]
-               > STALL_RATIO]
-    warnings = []
-    if stops["line_search"]:
-        warnings.append(f"{stops['line_search']}/{n} subjects stopped on a "
-                        "failed line search")
-    if folded:
-        warnings.append(f"{folded}/{n} subjects end with folded faces")
-    if stalled:
-        warnings.append(f"{len(stalled)}/{n} subjects end above "
-                        f"{STALL_RATIO:g} of their initial similarity")
+    flags = _registration_flags(diags)
     settings = {k: v for k, v in asdict(rcfg).items() if k != "similarity"}
     return files, {
         "subjects": n, **settings,
-        "iterations": sum(d.iterations for d in runs), "stop": stops,
-        "folded_faces": sum(d.folded_faces for d in runs),
-        "stalled": stalled, "subject_wall_time_s": seconds,
-        "warnings": warnings}
+        "iterations": sum(d["iterations"] for d in runs),
+        "stop": {rule: sum(d["stop"] == rule for d in runs)
+                 for rule in STOP_RULES},
+        "folded_faces": sum(d["folded_faces"] for d in runs),
+        "stalled": flags["stalled"], "subject_wall_time_s": seconds,
+        "warnings": [f"{len(flags[flag])}/{n} subjects {text}"
+                     for flag, text in _FLAG_TEXT.items() if flags[flag]]}
 
 
 def _stage_register_fun(dcfg: DemonsConfig, study: Study):
@@ -587,11 +598,50 @@ def _stage_cca(_: CcaSettings, study: Study):
                  "p_values": [float(p) for p in test.p_values]})}
     for name in ("x_weights", "y_weights", "x_variates", "y_variates"):
         files[f"{name}.csv"] = _csv(getattr(result, name), "dir", 1)
+    diags = json.loads(study.read("register-geo", "diagnostics.json")[1])
     return files, {"correlations": [float(r) for r in result.correlations],
-                   "p_values": [float(p) for p in test.p_values]}
+                   "p_values": [float(p) for p in test.p_values],
+                   "registration_flags": _registration_flags(diags)}
 
 
-# each stage's artifact directory, function and upstream stages
+# -- exports: co-variation + visualization -----------------------------------
+
+def _export_covary(t_grid, study: Study):
+    """The score trajectories along every canonical pair, at t_grid."""
+    g, f = _read_scores(study)
+    result = cca(g, f)
+    header = "t," + ",".join(f"g{j+1}" for j in range(g.shape[1])) \
+        + "," + ",".join(f"f{j+1}" for j in range(f.shape[1]))
+    files = {}
+    for pair in range(len(result.correlations)):
+        seq = covariation_sequence(result, pair, t_grid,
+                                   x_scores=g, y_scores=f)
+        files[f"sequence_pair{pair + 1}.csv"] = _csv(
+            np.column_stack([seq["t"], seq["x"], seq["y"]]), header=header)
+    return files, {}
+
+
+def _export_viz(c_grid, study: Study):
+    """Mesh+field pairs of every geometric mode of variation: the template
+    deformed along c*sqrt(variance)*component for each c on the grid, with
+    the mean function attached, shot in register-geo's recorded steps."""
+    steps = study.record("register-geo")[1]["settings"]["shooting_steps"]
+    data = np.load(io.BytesIO(study.read("fpca-geo", "components.npz")[1]))
+    variances = study.table("fpca-geo", "variances.csv").ravel()
+    mean_field = study.read("register-fun", "template_field.csv")[1]
+    files = {}
+    for mode, component in enumerate(data["components"]):
+        for idx, c in enumerate(c_grid):
+            alpha = data["mean"] + c * np.sqrt(variances[mode]) * component
+            v0 = InitialMomenta(data["control_points"], alpha, study.kernel)
+            end = shoot(v0, steps).points[-1]
+            stem = f"mode{mode + 1}_{idx:02d}"
+            files[f"{stem}.off"] = off_text(study.template.with_vertices(end))
+            files[f"{stem}.csv"] = mean_field
+    return files, {}
+
+
+# each stage's and export's artifact directory, function and upstream stages
 _STAGE_TABLE = {
     "simulate": ("sim", _stage_simulate, ()),
     "register-geo": ("reg_geo", _stage_register_geo, ("simulate",)),
@@ -600,17 +650,34 @@ _STAGE_TABLE = {
     "fpca-geo": ("fpca_geo", _stage_fpca_geo, ("simulate", "register-geo")),
     "fpca-fun": ("fpca_fun", _stage_fpca_fun, ("simulate", "register-fun")),
     "cca": ("cca", _stage_cca, ("fpca-geo", "fpca-fun")),
+    "covary": ("covary", _export_covary, ("fpca-geo", "fpca-fun")),
+    "viz-mode": ("viz", _export_viz, ("simulate", "register-geo",
+                                      "register-fun", "fpca-geo")),
 }
 _ARTIFACT_DIRS, _STAGE_FUNCS, _UPSTREAM = (
     {st: row[j] for st, row in _STAGE_TABLE.items()} for j in range(3))
 
 
 def _in_stage(st, func, *args):
-    """func(*args), with any exception raised as stage st's failure."""
+    """func(*args), with any exception raised as stage st's failure; an
+    export's exceptions pass as they are."""
     try:
         return func(*args)
     except Exception as exc:
+        if st not in STAGES:
+            raise
         raise RuntimeError(f"stage {st!r} failed: {exc}") from exc
+
+
+def _run(st, block, settings, study):
+    """Run stage or export st on its block, once its upstream records
+    stand, into its emptied directory; returns its summary."""
+    _in_stage(st, lambda: [study.record(u) for u in _UPSTREAM[st]])
+    if study.dir(st).exists():
+        shutil.rmtree(study.dir(st))
+    files, summary = _in_stage(st, _STAGE_FUNCS[st], block, study)
+    study.write(st, files, settings)
+    return summary
 
 
 def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
@@ -637,11 +704,7 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
                                           ("stages",))["stages"]
     for st in stages:
         t0 = time.perf_counter()
-        _in_stage(st, lambda: [study.record(u) for u in _UPSTREAM[st]])
-        if study.dir(st).exists():
-            shutil.rmtree(study.dir(st))
-        files, summary = _in_stage(st, _STAGE_FUNCS[st], blocks[st], study)
-        study.write(st, files, settings[st])
+        summary = _run(st, blocks[st], settings[st], study)
         warnings = summary.pop("warnings", [])
         manifest["stages"][st] = {
             "summary": summary,
@@ -656,53 +719,22 @@ def run_pipeline(cfg: PipelineConfig, stages=None) -> dict:
         manifest.update(stages=entries, warnings=[
             f"{name}: {text}" for name in entries
             for text in entries[name]["warnings"]])
-        _write(out, {path.name: json.dumps(manifest, indent=1)})
+        path.write_bytes(json.dumps(manifest, indent=1).encode())
     return manifest
 
 
-# -- co-variation + visualization ---------------------------------------------
-
-def emit_covariation(out_dir, pair: int, t_values):
-    """Write the score trajectories along one canonical direction."""
-    study = Study(out_dir)
-    g, f = _read_scores(study)
-    result = cca(g, f)
-    m = len(result.correlations)
-    if pair < 0 or pair >= m:
-        raise ConfigError(f"pair {pair + 1} out of range 1..{m}")
-    seq = covariation_sequence(result, pair, t_values,
-                               x_scores=g, y_scores=f)
-    table = np.column_stack([seq["t"], seq["x"], seq["y"]])
-    header = "t," + ",".join(f"g{j+1}" for j in range(g.shape[1])) \
-        + "," + ",".join(f"f{j+1}" for j in range(f.shape[1]))
-    name = f"sequence_pair{pair + 1}.csv"
-    _write(study.out / "covary", {name: _csv(table, header=header)})
-    return str(study.out / "covary" / name)
+def _export(out_dir, st, option, grid):
+    """Run export st on grid; returns the paths of the files it wrote."""
+    study, grid = Study(out_dir), [float(v) for v in grid]
+    _run(st, grid, {option: grid}, study)
+    return [str(study.dir(st) / name) for name in study.record(st)[1]["files"]]
 
 
-def emit_mode_visualization(out_dir, mode: int, c_grid):
-    """Write mesh+field pairs showing the mode-th geometric mode of
-    variation: the template deformed along c*sqrt(variance)*component for
-    each c on the grid, with the mean function attached. Shoots with the
-    register-geo stage's recorded shooting_steps."""
-    study = Study(out_dir)
-    steps = study.record("register-geo")[1]["settings"]["shooting_steps"]
-    data = np.load(io.BytesIO(study.read("fpca-geo", "components.npz")[1]))
-    comps, mean_mom = data["components"], data["mean"]
-    points = data["control_points"]
-    if mode < 0 or mode >= len(comps):
-        raise ConfigError(f"mode {mode + 1} out of range 1..{len(comps)}")
-    variances = study.table("fpca-geo", "variances.csv").ravel()
-    kernel, template = study.kernel, study.template
-    mean_field = _csv(study.field(template, "register-fun",
-                                  "template_field.csv").values)
-    files = {}
-    for idx, c in enumerate(c_grid):
-        alpha = mean_mom + c * np.sqrt(variances[mode]) * comps[mode]
-        v0 = InitialMomenta(points, alpha, kernel)
-        end = shoot(v0, steps).points[-1]
-        stem = f"mode{mode + 1}_{idx:02d}"
-        files[f"{stem}.off"] = off_text(template.with_vertices(end))
-        files[f"{stem}.csv"] = mean_field
-    _write(study.out / "viz", files)
-    return [str(study.out / "viz" / name) for name in files]
+def emit_covariation(out_dir, t_values):
+    """Export the score trajectories of every canonical pair to covary/."""
+    return _export(out_dir, "covary", "t_grid", t_values)
+
+
+def emit_mode_visualization(out_dir, c_grid):
+    """Export mesh+field pairs of every geometric mode to viz/."""
+    return _export(out_dir, "viz-mode", "c_grid", c_grid)

@@ -45,15 +45,15 @@ def test_pipeline_runs_and_emits_pvalues(config_file, capsys):
 
 
 def test_covary_and_viz_mode(config_file, capsys):
+    # the paths of every pair's sequence and of every mode's meshes
     path, out = config_file
-    assert main(["covary", "--config", str(path), "--pair", "1",
-                 "--t-grid=-1,0,1"]) == 0
-    seq = capsys.readouterr().out.strip()
-    assert seq.endswith("sequence_pair1.csv")
-    assert main(["viz-mode", "--config", str(path), "--mode", "1",
-                 "--c-grid=-1,0,1"]) == 0
-    files = capsys.readouterr().out.strip().splitlines()
-    assert len(files) == 6
+    assert main(["covary", "--config", str(path), "--t-grid=-1,0,1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        str(out / "covary" / f"sequence_pair{p}.csv") for p in (1, 2)]
+    assert main(["viz-mode", "--config", str(path), "--c-grid=-1,0,1"]) == 0
+    files = capsys.readouterr().out.splitlines()
+    assert len(files) == 12 and all(map(str.endswith, files,
+                                        [".csv", ".off"] * 6))
 
 
 def test_resume_from_stage(config_file, capsys):
@@ -341,19 +341,15 @@ def _files(out):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["covary", "--pair", "0"], "pair 0 out of range 1..2"),
-    (["covary", "--pair", "3"], "pair 3 out of range 1..2"),
     (["covary", "--t-grid=1,x"],
      "--t-grid must be comma-separated finite numbers"),
     (["viz-mode", "--c-grid=1,x"],
      "--c-grid must be comma-separated finite numbers"),
-    (["viz-mode", "--mode", "0"], "mode 0 out of range 1..2"),
     (["covary", "--t-grid=nan,inf"],
      "--t-grid must be comma-separated finite numbers"),
     (["viz-mode", "--c-grid=0,-inf"],
      "--c-grid must be comma-separated finite numbers"),
-], ids=["pair-0", "pair-past-last", "t-grid", "c-grid", "mode-0",
-        "t-grid-non-finite", "c-grid-non-finite"])
+], ids=["t-grid", "c-grid", "t-grid-non-finite", "c-grid-non-finite"])
 def test_bad_export_argument_exits_2_and_writes_nothing(finished_run, capsys,
                                                         argv, message):
     path, out = finished_run

@@ -363,17 +363,94 @@ def test_full_rerun_is_deterministic(finished_run, tmp_path):
         assert _tree(out / name) == _tree(other / name), name
 
 
-def test_emit_covariation_and_viz(finished_run):
-    _, out, _ = finished_run
-    path = emit_covariation(out, pair=0, t_values=[-1.0, 0.0, 1.0])
-    table = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert table.shape[0] == 3
-    files = emit_mode_visualization(out, mode=0, c_grid=[-1.0, 0.0, 1.0])
-    assert len(files) == 6
-    for f in files:
-        assert Path(f).exists()
-    with pytest.raises(ConfigError):
-        emit_mode_visualization(out, mode=99, c_grid=[0.0])
+def test_emit_covariation_and_viz(finished_run, tmp_path):
+    # every canonical pair and every geometric mode, in name order
+    out = Path(copied_run(finished_run, tmp_path).output_dir)
+    paths = emit_covariation(out, t_values=[-1.0, 0.0, 1.0])
+    assert paths == [str(out / "covary" / f"sequence_pair{p}.csv")
+                     for p in (1, 2)]
+    for path in paths:
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert table.shape == (3, 5)
+    paths = emit_mode_visualization(out, c_grid=[-1.0, 0.0, 1.0])
+    assert paths == [str(out / "viz" / f"mode{m}_{i:02d}.{ext}")
+                     for m in (1, 2) for i in range(3)
+                     for ext in ("csv", "off")]
+    for path in paths:
+        assert Path(path).exists()
+
+
+def test_an_export_keeps_no_file_of_an_earlier_export(finished_run,
+                                                      tmp_path):
+    out = Path(copied_run(finished_run, tmp_path).output_dir)
+    emit_mode_visualization(out, c_grid=[-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert len(list((out / "viz").iterdir())) == 21
+    emit_mode_visualization(out, c_grid=[0.0, 1.0])
+    assert sorted(p.name for p in (out / "viz").iterdir()) == sorted(
+        [f"mode{m}_{i:02d}.{ext}" for m in (1, 2) for i in range(2)
+         for ext in ("csv", "off")] + ["record.json"])
+    # the same names on another grid: the record names the new one
+    emit_covariation(out, t_values=[0.0])
+    emit_covariation(out, t_values=[-1.0, 1.0])
+    assert sorted(p.name for p in (out / "covary").iterdir()) == \
+        ["record.json", "sequence_pair1.csv", "sequence_pair2.csv"]
+    assert Study(out).record("covary")[1]["settings"] == \
+        {"t_grid": [-1.0, 1.0]}
+    assert len(_read_csv(out / "covary" / "sequence_pair1.csv")) == 2
+
+
+@pytest.mark.parametrize("st, emit, option, upstream", [
+    ("covary", emit_covariation, "t_grid", ("fpca-geo", "fpca-fun")),
+    ("viz-mode", emit_mode_visualization, "c_grid",
+     ("simulate", "register-geo", "register-fun", "fpca-geo"))],
+    ids=["covary", "viz-mode"])
+def test_an_export_records_its_upstream_records_and_grid(
+        finished_run, tmp_path, st, emit, option, upstream):
+    cfg = copied_run(finished_run, tmp_path)
+    out = Path(cfg.output_dir)
+    paths = emit(out, [0, 0.5])
+    # a study of the run's settings reads the export's record too
+    study = Study(out, {s: json.loads(text)
+                        for s, text in recorded_settings(cfg).items()})
+    record = json.loads((study.dir(st) / "record.json").read_text())
+    assert record["settings"] == {option: [0.0, 0.5]}
+    assert record["upstream"] == {
+        u: _digest(study.dir(u) / "record.json") for u in upstream}
+    assert record["files"] == {Path(p).name: _digest(p) for p in paths}
+    assert study.record(st)[1] == record
+
+
+def test_an_export_refuses_once_an_upstream_stage_runs_again(finished_run,
+                                                             tmp_path):
+    # another fpca_fun.lam: the co-variation sequences rest on the old
+    # scores, and the mode meshes, which do not read them, still stand
+    cfg = copied_run(finished_run, tmp_path)
+    emit_covariation(cfg.output_dir, [0.0])
+    emit_mode_visualization(cfg.output_dir, [0.0])
+    run_pipeline(replace(cfg, fpca_fun=replace(cfg.fpca_fun, lam=1.0)),
+                 ("fpca-fun",))
+    with pytest.raises(ArtifactError, match=stale("covary")):
+        Study(cfg.output_dir).record("covary")
+    Study(cfg.output_dir).record("viz-mode")
+
+
+def test_cca_lists_the_flagged_registrations(tmp_path):
+    # one iteration leaves each subject far from its target
+    cfg = PipelineConfig.from_dict({
+        "output_dir": str(tmp_path), "seed": 0,
+        "simulate": {"n": 4, "subdivisions": 2},
+        "register_geo": {"max_iterations": 1},
+        "register_fun": {"max_iterations": 1},
+        "fpca_geo": {"n_components": 1}, "fpca_fun": {"n_components": 1}})
+    stages = run_pipeline(cfg)["stages"]
+    flags = stages["cca"]["summary"]["registration_flags"]
+    assert flags["stalled"] == stages["register-geo"]["summary"]["stalled"] \
+        == [0, 1, 2, 3]
+    diags = json.loads((tmp_path / "reg_geo" / "diagnostics.json").read_text())
+    assert flags["line_search"] == [int(i) for i, d in diags.items()
+                                    if d["stop"] == "line_search"]
+    assert flags["folded_faces"] == [int(i) for i, d in diags.items()
+                                     if d["folded_faces"] > 0]
 
 
 def test_mode_visualization_shoots_with_the_stage_steps(tmp_path):
@@ -382,11 +459,11 @@ def test_mode_visualization_shoots_with_the_stage_steps(tmp_path):
                                             shooting_steps=5))
     run_pipeline(cfg)
     data = np.load(tmp_path / "fpca_geo" / "components.npz")
-    files = emit_mode_visualization(tmp_path, mode=0, c_grid=[0.0])
+    emit_mode_visualization(tmp_path, c_grid=[0.0])
     v0 = InitialMomenta(data["control_points"], data["mean"],
                         Study(tmp_path).kernel)
-    assert np.array_equal(load_mesh(files[0]).vertices,
-                          shoot(v0, 5).points[-1])
+    assert np.array_equal(load_mesh(tmp_path / "viz" / "mode1_00.off")
+                          .vertices, shoot(v0, 5).points[-1])
 
 
 def copied_run(finished_run, tmp_path):
@@ -400,8 +477,8 @@ def test_mode_visualization_reads_the_register_geo_record(finished_run,
     # the shooting steps come from reg_geo/record.json, not the manifest
     cfg = copied_run(finished_run, tmp_path)
     (Path(cfg.output_dir) / "manifest.json").unlink()
-    files = emit_mode_visualization(cfg.output_dir, mode=0, c_grid=[0.0])
-    assert len(files) == 2
+    files = emit_mode_visualization(cfg.output_dir, c_grid=[0.0])
+    assert len(files) == 4      # a mesh and a field for each of 2 modes
 
 
 def test_a_stage_hands_back_its_recorded_files_and_writes_none(finished_run,
@@ -487,7 +564,7 @@ def test_stages_downstream_of_a_rerun_stage_refuse(finished_run, tmp_path,
             run_pipeline(cfg, (st,))
         assert isinstance(info.value.__cause__, ArtifactError)
     with pytest.raises(ArtifactError, match=stale(geo_stale)):
-        emit_covariation(cfg.output_dir, pair=0, t_values=[0.0])
+        emit_covariation(cfg.output_dir, t_values=[0.0])
 
 
 def test_exports_refuse_a_stale_upstream_of_their_inputs(finished_run,
@@ -499,9 +576,9 @@ def test_exports_refuse_a_stale_upstream_of_their_inputs(finished_run,
     cfg = replace(cfg, register_geo=replace(cfg.register_geo, lam=0.5))
     run_pipeline(cfg, ("register-geo", "fpca-geo"))
     with pytest.raises(ArtifactError, match=stale("register-fun")):
-        emit_covariation(cfg.output_dir, pair=0, t_values=[0.0])
+        emit_covariation(cfg.output_dir, t_values=[0.0])
     with pytest.raises(ArtifactError, match=stale("register-fun")):
-        emit_mode_visualization(cfg.output_dir, mode=0, c_grid=[0.0])
+        emit_mode_visualization(cfg.output_dir, c_grid=[0.0])
     with pytest.raises(RuntimeError, match=stale("register-fun")):
         run_pipeline(cfg, ("cca",))
 
